@@ -10,9 +10,9 @@ rejected. Commands:
     specshape solve       scenario.json -o out.json
 
 Exit codes: 0 success, 2 input error, 3 infeasible scenario, 4 solver
-non-convergence. Output files are written only after the computation
-succeeds, with fixed 12-significant-digit formatting so identical inputs
-produce byte-identical outputs.
+non-convergence or a non-finite result. Output files are written only after
+the computation succeeds, with fixed 12-significant-digit formatting so
+identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 _KINDS = ("uncoded", "multilegacy", "coded", "mimo")
+_FLOAT_MAX = sys.float_info.max
 
 
 class SchemaError(ValueError):
@@ -59,6 +60,13 @@ def linear_to_db(x: float) -> float:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _finite(x: float) -> float:
+    """Pass a result number through; NaN and infinities must not reach a file."""
+    if not math.isfinite(x):
+        raise SolverError("the result is not finite")
+    return x
 
 
 def _round12(obj):
@@ -88,7 +96,10 @@ class _Params:
         if has_lin:
             v = self._doc.pop(name)
         elif has_db:
-            v = db_to_linear(self._number(f"{name}_db", self._doc.pop(f"{name}_db")))
+            try:
+                v = db_to_linear(self._number(f"{name}_db", self._doc.pop(f"{name}_db")))
+            except OverflowError as e:
+                raise SchemaError(f"{self._ctx}: {name}_db is out of range") from e
         elif required:
             raise SchemaError(f"{self._ctx}: missing required parameter {name}")
         else:
@@ -110,8 +121,9 @@ class _Params:
             raise SchemaError(f"{self._ctx}: unknown keys {sorted(self._doc)}")
 
     def _number(self, name, v) -> float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"{self._ctx}: {name} must be a number")
+        # abs(v) <= max is False for NaN, infinities and ints beyond float range
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+            raise SchemaError(f"{self._ctx}: {name} must be a finite number")
         return float(v)
 
 
@@ -139,33 +151,34 @@ def _legacy_spectrum(p: _Params, grid: FrequencyGrid, name="sigma2_s") -> Spectr
     if values is not None:
         if eps is not None:
             raise SchemaError("give either epsilon or phi_s_values, not both")
-        return tabulated_spectrum(grid, np.asarray(values, dtype=float))
+        return tabulated_spectrum(grid, _array(values, "phi_s_values"))
     variance = p.value(name)
     if eps is not None:
-        return ar1_spectrum(grid, variance, float(eps))
+        return ar1_spectrum(grid, variance, p._number("epsilon", eps))
     return flat_spectrum(grid, variance)
 
 
 def _power_sweep(p: _Params) -> tuple[np.ndarray, np.ndarray]:
     sw = _Params(p.raw("power_sweep_db"), "power_sweep_db")
-    start = sw.raw("start")
-    stop = sw.raw("stop")
+    start = sw._number("start", sw.raw("start"))
+    stop = sw._number("stop", sw.raw("stop"))
     points = sw.raw("points")
     sw.finish()
-    for name, v in (("start", start), ("stop", stop)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"power_sweep_db.{name} must be a number (dB)")
     if not isinstance(points, int) or isinstance(points, bool) or points < 0:
         raise SchemaError("power_sweep_db.points must be a nonnegative integer")
-    db = np.linspace(float(start), float(stop), points)
-    return db, 10.0 ** (db / 10.0)
+    db = np.linspace(start, stop, points)
+    with np.errstate(over="ignore"):
+        powers = 10.0 ** (db / 10.0)
+    if not np.all(np.isfinite(powers)):
+        raise SchemaError("power_sweep_db: powers out of range")
+    return db, powers
 
 
 def _uncoded_scenario(p: _Params, grid: FrequencyGrid, P: float = 1.0) -> UncodedScenario:
     phi_s = _legacy_spectrum(p, grid)
     noise_values = p.raw("phi_n_values", required=False)
     if noise_values is not None:
-        phi_n = tabulated_spectrum(grid, np.asarray(noise_values, dtype=float))
+        phi_n = tabulated_spectrum(grid, _array(noise_values, "phi_n_values"))
     else:
         phi_n = flat_spectrum(grid, p.value("sigma2_n"))
     return UncodedScenario(a=p.value("a"), phi_s=phi_s, phi_n=phi_n,
@@ -189,20 +202,22 @@ def _legacy_rate_value(p: _Params, a_l: float, sigma2_s: float, sigma2_nl: float
     if has_load == has_rate:
         raise SchemaError("give exactly one of legacy_load or R_l (R_l in nats)")
     if has_load:
-        load = p.raw("legacy_load")
-        if not isinstance(load, (int, float)) or isinstance(load, bool):
-            raise SchemaError("legacy_load must be a number")
-        return float(load) * math.log1p(a_l * sigma2_s / sigma2_nl)
+        load = p._number("legacy_load", p.raw("legacy_load"))
+        return load * math.log1p(a_l * sigma2_s / sigma2_nl)
     return p.value("R_l")
+
+
+def _array(raw, name: str) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{name}: not a rectangular numeric array ({e})") from e
 
 
 def _complex_array(raw, name: str, ndim: int) -> np.ndarray:
     """Real nested lists of the expected depth, or one extra trailing level of
     [re, im] pairs for complex entries."""
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{name}: not a rectangular numeric array ({e})") from e
+    arr = _array(raw, name)
     if arr.ndim == ndim:
         return arr.astype(complex)
     if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
@@ -232,9 +247,10 @@ def _multilegacy_scenario(p: _Params, grid: FrequencyGrid) -> multi_mod.MultiLeg
     if kind == "flat":
         phi_s = flat_spectrum(grid, spec_p.value("sigma2_s"))
     elif kind == "ar1":
-        phi_s = ar1_spectrum(grid, spec_p.value("sigma2_s"), float(spec_p.raw("epsilon")))
+        phi_s = ar1_spectrum(grid, spec_p.value("sigma2_s"),
+                             spec_p._number("epsilon", spec_p.raw("epsilon")))
     elif kind == "tabulated":
-        phi_s = tabulated_spectrum(grid, np.asarray(spec_p.raw("values"), dtype=float))
+        phi_s = tabulated_spectrum(grid, _array(spec_p.raw("values"), "spectrum.values"))
     else:
         raise SchemaError(f"spectrum.type must be flat, ar1 or tabulated, not {kind!r}")
     spec_p.finish()
@@ -247,14 +263,9 @@ def _multilegacy_scenario(p: _Params, grid: FrequencyGrid) -> multi_mod.MultiLeg
         receivers.append(multi_mod.LegacyReceiver(
             a=rp.value("a"),
             phi_n=flat_spectrum(grid, rp.value("sigma2_n")),
-            D=rp.value("D"),
-            g=rp.value("g", required=False, default=1.0)))
+            D=rp.value("D")))
         rp.finish()
-    sc = multi_mod.MultiLegacyScenario(
-        phi_s=phi_s, receivers=tuple(receivers),
-        a0=p.value("a0", required=False, default=1.0),
-        g0=p.value("g0", required=False, default=1.0))
-    return sc
+    return multi_mod.MultiLegacyScenario(phi_s=phi_s, receivers=tuple(receivers))
 
 
 def _rate_factor(log_base: str) -> float:
@@ -267,7 +278,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:  # raised only for NaN and infinities
+        raise SolverError("the result is not finite") from e
+    Path(path).write_text(text + "\n")
 
 
 def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
@@ -286,10 +301,11 @@ def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
         shaped = shaping.rate_curve(sc, powers, shaping.CurveMethod.SPECTRUM_SHAPING)
         try:
             it = shaping.rate_curve(sc, powers, shaping.CurveMethod.INTERFERENCE_TEMPERATURE)
-            it_rates = [r for _, r in it]
+            it_rates = [_finite(r) for _, r in it]
         except InfeasibleScenarioError:
+            # An infeasible memoryless receiver is marked by NaN in its column.
             it_rates = [math.nan] * len(powers)
-        rows = [[_fmt(db), _fmt(r_it * factor), _fmt(r_sh * factor)]
+        rows = [[_fmt(db), _fmt(r_it * factor), _fmt(_finite(r_sh) * factor)]
                 for db, r_it, (_, r_sh) in zip(db_axis, it_rates, shaped)]
         _write_csv(output_path, ["P_db", "rate_it", "rate_shaping"], rows)
     elif kind == "coded":
@@ -299,7 +315,7 @@ def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
         rows = []
         for db, pw in zip(db_axis, powers):
             sol = coded_mod.solve_coded(replace(sc0, P=pw))
-            rows.append([_fmt(db), _fmt(sol.rate * factor), sol.case_tag.value])
+            rows.append([_fmt(db), _fmt(_finite(sol.rate) * factor), sol.case_tag.value])
         _write_csv(output_path, ["P_db", "rate", "case_tag"], rows)
     else:
         raise SchemaError("rate-curve requires an uncoded or coded scenario")
@@ -325,6 +341,8 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     for name, axis in (("d_ratio", d_ratios), ("snr_db", snr_dbs)):
         if not isinstance(axis, list) or not axis:
             raise SchemaError(f"mesh.{name} must be a non-empty list")
+    d_ratios = [mesh._number("d_ratio", v) for v in d_ratios]
+    snr_dbs = [mesh._number("snr_db", v) for v in snr_dbs]
     grid = make_grid(grid_points)
     phi_s = _legacy_spectrum(p, grid)
     sigma2_n = p.value("sigma2_n")
@@ -335,9 +353,9 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     rows = []
     for d_ratio in d_ratios:
         for snr_db in snr_dbs:
-            a = db_to_linear(float(snr_db)) * sigma2_n / sigma2_s
+            a = db_to_linear(snr_db) * sigma2_n / sigma2_s
             sc = UncodedScenario(a=a, phi_s=phi_s, phi_n=phi_n,
-                                 D=float(d_ratio) * sigma2_s, P=1.0)
+                                 D=d_ratio * sigma2_s, P=1.0)
             prelog = shaping.onoff_prelog(sc).prelog
             rows.append([_fmt(d_ratio), _fmt(snr_db), _fmt(prelog)])
     _write_csv(output_path, ["d_ratio", "snr_db", "prelog"], rows)

@@ -11,7 +11,7 @@ heuristic anchored by the K = 1 and low-noise exact cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,10 @@ class LegacyReceiver:
     a: float
     phi_n: Spectrum
     D: float
-    g: float = 1.0  # gain from the cognitive transmitter; carried, not used here
 
     def __post_init__(self):
-        if self.a <= 0 or self.g <= 0:
-            raise ValueError("receiver gains must be positive")
+        if self.a <= 0:
+            raise ValueError("receiver gain must be positive")
         if self.D <= 0:
             raise ValueError("distortion targets must be positive")
 
@@ -40,8 +39,6 @@ class LegacyReceiver:
 class MultiLegacyScenario:
     phi_s: Spectrum
     receivers: tuple[LegacyReceiver, ...]
-    a0: float = 1.0  # legacy-to-cognitive-receiver gain, carried for completeness
-    g0: float = 1.0  # cognitive link gain, carried for completeness
 
     def __post_init__(self):
         object.__setattr__(self, "receivers", tuple(self.receivers))

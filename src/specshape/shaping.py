@@ -14,8 +14,10 @@ On a given support, the stationary PSD family
 
 is swept by a change of variables: with tau = 1/(-2*mu) and nu = lam*(-mu),
 phi_x = max(tau*h - base, 0) with h = 1 + sqrt(1 - 4*nu*u), so matching the
-power budget is a one-dimensional monotone fill in tau (solved by bisection)
-and matching the distortion target is a one-dimensional root-find in nu.
+power budget is a one-dimensional monotone fill in tau (solved exactly by
+sorting the cells by base/h) and matching the distortion target is a
+one-dimensional root-find in nu. Plain water-filling is the same fill at
+nu = 0, so the case-1 test is the fill at nu = 0 on the full band.
 The support fraction itself is then optimized by a coarse sweep plus
 golden-section refinement.
 """
@@ -31,9 +33,9 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InfeasibleScenarioError, SolverError
-from .estimation import UncodedScenario, memoryless_power_cap, wk_mse, wk_floor
+from .estimation import UncodedScenario, memoryless_power_cap
 from .spectra import Spectrum
-from .waterfill import _waterfill_bins, rate_bins, waterfill
+from .waterfill import _fill, rate_bins, waterfill
 
 _TIGHT_RTOL = 1e-6
 _COARSE_POINTS = 40
@@ -150,84 +152,59 @@ def _mse_terms(ws: _Workspace, n_full: int, theta: float, wts, phi) -> float:
     return (float(np.dot(wts, on)) + off) / np.pi
 
 
-def _tilted_fill(qs, bs, wts, nu: float, budget: float):
-    """Exact power fill of max(tau*h - base, 0), h = 1 + sqrt(1 - 4 nu a phi_s^2);
-    cells failing the discriminant test carry zero PSD."""
-    disc = 1.0 - 4.0 * nu * qs
-    valid = disc >= 0.0
-    if not valid.any():
+def _tilted_fill(ws: _Workspace, P: float, n_full: int, theta: float, wts, nu: float):
+    """Exact power fill of max(tau*h - base, 0), h = 1 + sqrt(1 - 4 nu a phi_s^2),
+    on a support; cells failing the discriminant test carry zero PSD.
+    Returns (mse, phi, tau), or None when no cell passes."""
+    m = wts.size
+    disc = 1.0 - 4.0 * nu * ws.qs[:m]
+    h = np.where(disc >= 0.0, 1.0 + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+    filled = _fill(h, ws.bs[:m], wts, P)
+    if filled is None:
         return None
-    h = np.where(valid, 1.0 + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-    wh = float(np.dot(wts, h))
-    if wh <= 0.0:
-        return None
-    target = budget * np.pi
-    hi = (target + float(np.dot(wts[valid], bs[valid]))) / wh
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        p = float(np.dot(wts, np.maximum(mid * h - bs, 0.0) * valid))
-        if abs(p - target) <= 1e-13 * target:
-            lo = hi = mid
-            break
-        if p < target:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    phi = np.where(valid, np.maximum(tau * h - bs, 0.0), 0.0)
-    return phi, tau
+    phi, tau = filled
+    return _mse_terms(ws, n_full, theta, wts, phi), phi, tau
 
 
 def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float) -> _Candidate | None:
     n_full, theta, wts = _support_slices(ws, wfrac)
     m = wts.size
-    if m == 0:
-        return None
-    qs, bs = ws.qs[:m], ws.bs[:m]
+    bs = ws.bs[:m]
 
-    # Water-filling on the support; optimal whenever the target stays slack.
-    phi_wf, level = _waterfill_bins(bs, wts, P)
-    mse_wf = _mse_terms(ws, n_full, theta, wts, phi_wf)
-    if mse_wf <= D:
-        r = rate_bins(phi_wf, bs, wts)
-        return _Candidate(wfrac, n_full, theta, phi_wf, r, mse_wf, 0.0, -1.0 / level, False)
+    # Water-filling (nu = 0) on the support; optimal whenever the target stays
+    # slack. Every support has a cell of positive weight, so the fill exists.
+    mse, phi, tau = _tilted_fill(ws, P, n_full, theta, wts, 0.0)
+    if mse <= D:
+        return _Candidate(wfrac, n_full, theta, phi, rate_bins(phi, bs, wts), mse,
+                          0.0, -0.5 / tau, False)
 
-    # Both constraints tight: root-find the stationarity tilt nu.
+    # Both constraints tight: root-find the stationarity tilt nu. The residual
+    # at nu = 0 is the water-filling excess above, so the bracket changes sign.
     def residual(nu: float):
-        filled = _tilted_fill(qs, bs, wts, nu, P)
-        if filled is None:
-            return None
-        phi, tau = filled
-        return _mse_terms(ws, n_full, theta, wts, phi) - D, phi, tau
+        filled = _tilted_fill(ws, P, n_full, theta, wts, nu)
+        return None if filled is None else filled[0] - D
 
-    qmax = float(qs.max())
+    qmax = float(ws.qs[:m].max())
     if qmax <= 0.0:
         return None
     nu_lo = 0.0
     nu_hi = 0.25 / qmax
-    g_hi = None
     for _ in range(80):
-        res = residual(nu_hi)
-        if res is None:
-            break
-        if res[0] < 0.0:
-            g_hi = res[0]
+        g_hi = residual(nu_hi)
+        if g_hi is None:
+            return None
+        if g_hi < 0.0:
             break
         nu_lo = nu_hi
         nu_hi *= 2.0
-    if g_hi is None:
+    else:
         return None
-    nu = optimize.brentq(lambda x: residual(x)[0], nu_lo, nu_hi,
-                         xtol=1e-18, rtol=8.9e-16, maxiter=200)
-    g, phi, tau = residual(nu)
-    mse = g + D
+    nu = optimize.brentq(residual, nu_lo, nu_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+    mse, phi, tau = _tilted_fill(ws, P, n_full, theta, wts, nu)
     if abs(mse - D) > _TIGHT_RTOL * D:
         return None
-    r = rate_bins(phi, bs, wts)
-    return _Candidate(wfrac, n_full, theta, phi, r, mse, 2.0 * nu * tau, -0.5 / tau, True)
+    return _Candidate(wfrac, n_full, theta, phi, rate_bins(phi, bs, wts), mse,
+                      2.0 * nu * tau, -0.5 / tau, True)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int):
@@ -314,23 +291,34 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
     return _solution_from(ws, best, P)
 
 
+def _case1_ws(ws: _Workspace, P: float) -> ShapingSolution | None:
+    """Full-band water-filling; None when it violates the distortion target."""
+    mse, phi, tau = _tilted_fill(ws, P, ws.cumw.size, 0.0, ws.ws, 0.0)
+    if mse > ws.scenario.D:
+        return None
+    full = np.empty_like(phi)
+    full[ws.order] = phi
+    return ShapingSolution(Spectrum(ws.grid, full), rate_bins(phi, ws.bs, ws.ws), mse,
+                           ws.grid.mean(full), CaseTag.WATERFILL_FEASIBLE, 0.0, -0.5 / tau)
+
+
+def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
+    """The uncoded case dispatch at budget P, shared by every entry point."""
+    D = ws.scenario.D
+    if D <= ws.dlow:
+        zero = Spectrum(ws.grid, np.zeros(ws.grid.n_points))
+        tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
+        return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
+    c1 = _case1_ws(ws, P)
+    return c1 if c1 is not None else _solve_case2_ws(ws, P, D)
+
+
 def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
     """Full-band water-filling; None when it violates the distortion target."""
-    if scenario.D <= wk_floor(scenario):
+    ws = _Workspace(scenario)
+    if scenario.D <= ws.dlow:
         raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    wf = waterfill(Spectrum(scenario.grid, scenario.base()), scenario.P)
-    mse = wk_mse(wf.phi_x, scenario)
-    if mse > scenario.D:
-        return None
-    return ShapingSolution(
-        phi_x=wf.phi_x,
-        rate=wf.rate,
-        mse=mse,
-        power=wf.power_used,
-        case_tag=CaseTag.WATERFILL_FEASIBLE,
-        lam=0.0,
-        mu=-1.0 / wf.water_level,
-    )
+    return _case1_ws(ws, scenario.P)
 
 
 def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
@@ -344,16 +332,7 @@ def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
 def solve(scenario: UncodedScenario) -> ShapingSolution:
     """Case dispatch. Infeasible and degenerate targets come back as tagged
     zero-power solutions rather than exceptions."""
-    ws = _Workspace(scenario)
-    zero = Spectrum(scenario.grid, np.zeros(scenario.grid.n_points))
-    if scenario.D < ws.dlow:
-        return ShapingSolution(zero, 0.0, ws.dlow, 0.0, CaseTag.INFEASIBLE, 0.0, 0.0)
-    if scenario.D == ws.dlow:
-        return ShapingSolution(zero, 0.0, ws.dlow, 0.0, CaseTag.DEGENERATE_ZERO, 0.0, 0.0)
-    c1 = solve_case1(scenario)
-    if c1 is not None:
-        return c1
-    return _solve_case2_ws(ws, scenario.P, scenario.D)
+    return _solve_ws(_Workspace(scenario), scenario.P)
 
 
 def flat_case_closed_form(scenario: UncodedScenario) -> ShapingSolution:
@@ -429,9 +408,9 @@ def rate_curve(
     if any(p <= 0 for p in pw) or any(b <= a for a, b in zip(pw, pw[1:])):
         raise ValueError("power budgets must be positive and strictly ascending")
 
-    out: list[tuple[float, float]] = []
     if method is CurveMethod.INTERFERENCE_TEMPERATURE:
         base = Spectrum(scenario.grid, scenario.base())
+        out: list[tuple[float, float]] = []
         for p in pw:
             cap = memoryless_power_cap(replace(scenario, P=p))
             if cap is None:
@@ -443,12 +422,4 @@ def rate_curve(
     ws = _Workspace(scenario)
     if scenario.D < ws.dlow:
         raise InfeasibleScenarioError("distortion target below the smoothing floor")
-    for p in pw:
-        sc = replace(scenario, P=p)
-        if scenario.D == ws.dlow:
-            out.append((p, 0.0))
-            continue
-        c1 = solve_case1(sc)
-        sol = c1 if c1 is not None else _solve_case2_ws(ws, p, scenario.D)
-        out.append((p, sol.rate))
-    return out
+    return [(p, _solve_ws(ws, p).rate) for p in pw]

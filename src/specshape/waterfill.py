@@ -6,10 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import FrequencyGrid, Spectrum
-
-_MAX_BISECT = 200
-_POWER_RTOL = 1e-13
+from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -20,47 +17,57 @@ class WaterfillResult:
     power_used: float
 
 
-def _fill_power(level: float, base: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights, np.maximum(level - base, 0.0))) / np.pi
+def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
+    """Exact fill phi = max(tau*h - base, 0) spending `budget` of power
+    (1/pi) sum_i w_i phi_i and never more; cells with h <= 0 stay at zero.
+    Returns (phi, tau), or None when no cell of positive weight has h > 0.
 
-
-def _waterfill_bins(base: np.ndarray, weights: np.ndarray, budget: float):
-    """Bisect the water level on raw bins; returns (phi_x values, level).
-
-    The power-vs-level map is continuous, piecewise linear and monotone, so
-    plain bisection converges; the bracket is widened geometrically first.
+    Sort-based (Palomar & Fonollosa, IEEE TSP 2005): a cell turns on once tau
+    passes base/h, so with the cells sorted by that threshold the power at
+    each threshold is read off prefix sums, and tau is linear in the budget on
+    the active prefix.
     """
-    lo = float(np.min(base))
-    hi = float(np.max(base)) + budget * np.pi
-    while _fill_power(hi, base, weights) < budget:
-        hi = 2.0 * hi + 1.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        p = _fill_power(mid, base, weights)
-        if abs(p - budget) <= _POWER_RTOL * budget:
-            lo = hi = mid
-            break
-        if p < budget:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
-    return np.maximum(level - base, 0.0), level
+    on = np.flatnonzero(h > 0.0)
+    thr = base[on] / h[on]
+    order = np.argsort(thr, kind="stable")
+    idx, thr = on[order], thr[order]
+    wh = np.cumsum(weights[idx] * h[idx])
+    if wh.size == 0 or wh[-1] <= 0.0:
+        return None
+    wb = np.cumsum(weights[idx] * base[idx])
+    target = budget * np.pi
+    # Power at each threshold is nondecreasing; the first cell of positive
+    # weight spends nothing at its own threshold, so it is always active.
+    k = max(int(np.searchsorted(thr * wh - wb, target)), int(np.argmax(wh > 0.0)) + 1)
+    act = idx[:k]
+    tau = (target + wb[k - 1]) / wh[k - 1]
+    # The prefix-sum level cancels when the budget is small next to the base
+    # mass; one linear step on the active cells restores the spent power.
+    spent = float(np.dot(weights[act], np.maximum(tau * h[act] - base[act], 0.0)))
+    tau += (target - spent) / wh[k - 1]
+    phi = np.zeros_like(base)
+    step = 0.0
+    while True:
+        phi[on] = np.maximum(tau * h[on] - base[on], 0.0)
+        over = float(np.dot(weights, phi)) / np.pi - budget
+        if over <= 0.0:
+            return phi, tau
+        step = max(2.0 * step, over * np.pi / wh[k - 1], np.spacing(tau))
+        tau -= step
 
 
 def waterfill(base: Spectrum, budget: float) -> WaterfillResult:
     """Maximize the log rate against `base` subject to a total power budget."""
     if budget <= 0:
         raise ValueError("power budget must be positive")
-    phi, level = _waterfill_bins(base.values, base.grid.weights, budget)
-    phi_x = Spectrum(base.grid, phi)
+    grid = base.grid
+    phi, level = _fill(np.ones(grid.n_points), base.values, grid.weights, budget)
+    phi_x = Spectrum(grid, phi)
     return WaterfillResult(
         phi_x=phi_x,
         water_level=level,
         rate=rate(phi_x, base),
-        power_used=base.grid.mean(phi),
+        power_used=grid.mean(phi),
     )
 
 

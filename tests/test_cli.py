@@ -202,6 +202,44 @@ def test_infeasible_exit_3(tmp_path):
     assert not out.exists()
 
 
+def test_case2_at_waterfilling_mse_exit_0(tmp_path):
+    # Flat case-2 scenario whose support search meets a water-filling MSE
+    # within rounding of D.
+    f = write(tmp_path, {"kind": "uncoded", "sigma2_s": 1.0830647920223533,
+                         "sigma2_n": 0.9254806018097813, "a": 573.562905330632,
+                         "D": 0.06763960691769857, "P": 98.28130501427688})
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", f, "-o", str(out), "--grid", "512", "--quiet"]) == 0
+    assert json.loads(out.read_text())["case_tag"] == "BothConstraintsActive"
+
+
+def run_bad(tmp_path, capsys, doc):
+    out = tmp_path / "o.json"
+    code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    return code
+
+
+def test_nan_parameter_exit_2(tmp_path, capsys):
+    doc = uncoded_doc(P_db=30)
+    del doc["D_db"]
+    doc["D"] = math.nan  # json.dumps writes the bare NaN token json.loads accepts
+    assert run_bad(tmp_path, capsys, doc) == 2
+
+
+def test_non_numeric_epsilon_exit_2(tmp_path, capsys):
+    assert run_bad(tmp_path, capsys, uncoded_doc(epsilon=[0.1], P_db=30)) == 2
+
+
+def test_non_finite_result_exit_4(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "coded_single.json").read_text())
+    del doc["P_db"]
+    doc.update(legacy_load=1e-300, P=1e300)
+    with np.errstate(all="ignore"):
+        assert run_bad(tmp_path, capsys, doc) == 4
+
+
 def test_wrong_kind_for_mesh_exit_2(tmp_path):
     f = str(SCENARIOS / "coded_single.json")
     assert cli.main(["prelog-mesh", f, "-o", str(tmp_path / "o.csv"), "--quiet"]) == 2

@@ -137,6 +137,22 @@ def test_case2_beats_interference_temperature_on_ar():
     assert sh > it
 
 
+def near_waterfilling_flat_study():
+    # A flat case-2 scenario where one support's water-filling MSE lands
+    # within rounding of D, the edge of the nu root-find's bracket.
+    g = make_grid(512)
+    return UncodedScenario(573.562905330632, flat_spectrum(g, 1.0830647920223533),
+                           flat_spectrum(g, 0.9254806018097813),
+                           D=0.06763960691769857, P=98.28130501427688)
+
+
+def test_case2_bracket_at_waterfilling_mse():
+    sc = near_waterfilling_flat_study()
+    sol = solve(sc)
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert sol.rate == pytest.approx(flat_case_closed_form(sc).rate, rel=1e-9)
+
+
 def test_solve_dispatch_tags():
     assert solve(flat_study(P=1.0)).case_tag is CaseTag.WATERFILL_FEASIBLE
     assert solve(flat_study(P=1000.0)).case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
@@ -264,3 +280,12 @@ def test_case2_respects_constraints_on_rough_bins():
     assert mean_power(sol.phi_x) <= sc.P * (1 + 1e-12)  # rendering rounds down
     assert sol.power == pytest.approx(sc.P, rel=1e-6)
     assert sol.rate > 0
+
+
+def test_rate_curve_matches_solve():
+    # rate_curve reuses one workspace across powers; each point must equal a
+    # fresh solve at that power, in both regimes.
+    sc = ar_study(grid=make_grid(512))
+    powers = [1.0, 100.0, 1e4]
+    for p, r in rate_curve(sc, powers, CurveMethod.SPECTRUM_SHAPING):
+        assert r == solve(UncodedScenario(sc.a, sc.phi_s, sc.phi_n, sc.D, p)).rate
