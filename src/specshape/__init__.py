@@ -1,41 +1,19 @@
 """Cognitive-radio transmit PSD optimization against legacy services."""
 
 from .errors import InfeasibleScenarioError, SolverError
-from .spectra import (FrequencyGrid, OnOffSpectrum, Spectrum, ar1_spectrum,
-                      flat_spectrum, make_grid, mean_power, tabulated_spectrum)
-from .estimation import (UncodedScenario, memoryless_floor, memoryless_mse,
-                         memoryless_power_cap, wk_floor, wk_mse)
-from .waterfill import WaterfillResult, rate, waterfill
-from .shaping import (CaseTag, CurveMethod, PrelogResult, ShapingSolution,
-                      flat_case_closed_form, onoff_prelog, preemphasized_psd,
-                      rate_curve, solve, solve_case1, solve_case2)
-from .multilegacy import (LegacyReceiver, MultiLegacyScenario, MultiPrelogResult,
-                          low_noise_support, max_prelog_support, per_receiver_floor)
-from .coded import (CodedCase, CodedScenario, CodedSolution, classify,
-                    coded_prelog, solve_case_a, solve_case_b1, solve_case_b2,
-                    solve_coded)
-from .mimo import (DecodeMode, MimoChannel, MimoSolution, PsdMatrix,
-                   cognitive_rate_mimo, decode_rate_mimo, legacy_rate_mimo,
-                   mimo_prelog, solve_mimo, trace_power)
+from .spectra import ar1_spectrum, flat_spectrum, make_grid
+from .estimation import UncodedScenario
+from .shaping import onoff_prelog, rate_curve, solve
+from .coded import CodedScenario, coded_prelog, solve_coded
+from .mimo import MimoChannel, mimo_prelog, solve_mimo
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InfeasibleScenarioError", "SolverError",
-    "FrequencyGrid", "Spectrum", "OnOffSpectrum",
-    "make_grid", "flat_spectrum", "ar1_spectrum", "tabulated_spectrum", "mean_power",
-    "UncodedScenario", "memoryless_mse", "memoryless_floor", "memoryless_power_cap",
-    "wk_mse", "wk_floor",
-    "WaterfillResult", "waterfill", "rate",
-    "CaseTag", "CurveMethod", "ShapingSolution", "PrelogResult",
-    "preemphasized_psd", "solve", "solve_case1", "solve_case2",
-    "flat_case_closed_form", "onoff_prelog", "rate_curve",
-    "LegacyReceiver", "MultiLegacyScenario", "MultiPrelogResult",
-    "per_receiver_floor", "max_prelog_support", "low_noise_support",
-    "CodedCase", "CodedScenario", "CodedSolution", "classify",
-    "solve_case_a", "solve_case_b1", "solve_case_b2", "solve_coded", "coded_prelog",
-    "DecodeMode", "MimoChannel", "MimoSolution", "PsdMatrix",
-    "trace_power", "legacy_rate_mimo", "decode_rate_mimo", "cognitive_rate_mimo",
-    "mimo_prelog", "solve_mimo",
+    "make_grid", "flat_spectrum", "ar1_spectrum",
+    "UncodedScenario", "solve", "onoff_prelog", "rate_curve",
+    "CodedScenario", "solve_coded", "coded_prelog",
+    "MimoChannel", "solve_mimo", "mimo_prelog",
     "__version__",
 ]

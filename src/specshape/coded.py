@@ -2,13 +2,11 @@
 
 The legacy codebook is fixed at rate R_l; the cognitive pair picks an on-off
 PSD with support fraction w and on-level P/w, which is optimal here because
-the legacy and noise spectra are flat. Three operating regimes: the cognitive
-receiver cannot decode the legacy signal at all (A), decodes it first and
-cancels (B-1), or rate-splits across the MAC dominant face (B-2). Every
-sub-problem is a one-dimensional constrained maximization in w; feasible
-w-intervals are located on a dense scan with Brent refinement at the
-boundaries (constraint monotonicity in w is checked rather than assumed),
-then the objective is maximized per interval.
+the legacy and noise spectra are flat. The search over w, in all three
+decoding regimes (A: legacy treated as noise, B-1: decoded and cancelled,
+B-2: rate-split), is the 1x1 case of the on-off search in `mimo`.
+`legacy_rate` and `decode_rate_at_cognitive` are the scalar constraint
+formulas, kept as references for tests.
 """
 
 from __future__ import annotations
@@ -18,12 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InfeasibleScenarioError
-
-_W_LO = 1e-9
-_SCAN_POINTS = 513
+from .mimo import DecodeMode, MimoChannel, _onoff_search
 
 
 class CodedCase(str, Enum):
@@ -72,12 +67,6 @@ class CodedSolution:
     residuals: dict
 
 
-def _require_feasible(sc: CodedScenario):
-    if not sc.is_feasible:
-        raise InfeasibleScenarioError(
-            "legacy rate exceeds the legacy channel capacity")
-
-
 def legacy_rate(sc: CodedScenario, w) -> np.ndarray:
     """Legacy link rate under on-off cognitive interference of fraction w."""
     w = np.asarray(w, dtype=float)
@@ -97,141 +86,27 @@ def decode_rate_at_cognitive(sc: CodedScenario, w) -> np.ndarray:
 def classify(sc: CodedScenario) -> str:
     """'A' when the legacy signal is undecodable at the cognitive receiver
     even in silence, else 'B'."""
-    _require_feasible(sc)
+    if not sc.is_feasible:
+        raise InfeasibleScenarioError(
+            "legacy rate exceeds the legacy channel capacity")
     quiet = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
     return "A" if quiet <= sc.R_l else "B"
 
 
-def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
-    """Maximal w-intervals where every constraint function is >= 0.
-
-    Each constraint's zero crossings are located first (dense scan plus Brent;
-    the scan also covers non-monotone corner cases), then the joint feasible
-    set is read off a grid refined with those crossings. This resolves
-    intersection intervals much thinner than the scan spacing, which occur at
-    large power budgets.
-    """
-    base = np.linspace(lo, hi, _SCAN_POINTS)
-    crossings = []
-    for c in constraints:
-        vals = np.asarray(c(base), dtype=float)
-        sign_flip = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-        for i in sign_flip:
-            crossings.append(optimize.brentq(
-                lambda x: float(c(x)), base[i], base[i + 1],
-                xtol=1e-15, rtol=8.9e-16))
-    grid = np.unique(np.concatenate([base, crossings])) if crossings else base
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w = np.unique(np.concatenate([grid, mids]))
-    vals = np.minimum.reduce([np.asarray(c(w), dtype=float) for c in constraints])
-
-    def g(x):
-        return min(float(c(x)) for c in constraints)
-
-    feas = vals >= 0.0
-    intervals = []
-    i = 0
-    while i < w.size:
-        if not feas[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < w.size and feas[j + 1]:
-            j += 1
-        a, b = w[i], w[j]
-        if i > 0 and g(w[i - 1]) < 0:
-            a = optimize.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16)
-        if j + 1 < w.size and g(w[j + 1]) < 0:
-            b = optimize.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16)
-        intervals.append((a, b))
-        i = j + 1
-    return intervals
-
-
-def _maximize_over_w(objective, constraints):
-    """Best (w, value) of a scalar objective over the feasible w set."""
-    best = None
-    for a, b in _feasible_intervals(constraints):
-        cands = [(a, float(objective(a))), (b, float(objective(b)))]
-        if b > a:
-            res = optimize.minimize_scalar(
-                lambda x: -float(objective(x)), bounds=(a, b), method="bounded",
-                options={"xatol": 1e-14})
-            cands.append((float(res.x), float(objective(res.x))))
-        top = max(cands, key=lambda t: t[1])
-        if best is None or top[1] > best[1]:
-            best = top
-    return best
-
-
-def _solution(sc: CodedScenario, tag: CodedCase, w: float, rate: float,
-              with_decode: bool) -> CodedSolution:
-    res = {"legacy": float(legacy_rate(sc, w)) - sc.R_l}
-    if with_decode:
-        res["decodability"] = float(decode_rate_at_cognitive(sc, w)) - sc.R_l
-    return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=tag, residuals=res)
-
-
-def solve_case_a(sc: CodedScenario) -> CodedSolution:
-    """Legacy treated as noise at the cognitive receiver."""
-    if classify(sc) != "A":
-        raise ValueError("scenario is not in case A")
-    floor = sc.a_c * sc.sigma2_s + sc.sigma2_nc
-
-    def objective(w):
-        return w * np.log1p(sc.g_c * sc.P / (w * floor))
-
-    best = _maximize_over_w(objective, [lambda w: legacy_rate(sc, w) - sc.R_l])
-    if best is None:
-        raise InfeasibleScenarioError("empty feasible support-fraction interval")
-    return _solution(sc, CodedCase.A, best[0], best[1], with_decode=False)
-
-
-def solve_case_b1(sc: CodedScenario) -> CodedSolution | None:
-    """Successive decoding: legacy decoded and cancelled first."""
-    if classify(sc) != "B":
-        raise ValueError("scenario is not in case B")
-
-    def objective(w):
-        return w * np.log1p(sc.g_c * sc.P / (w * sc.sigma2_nc))
-
-    best = _maximize_over_w(objective, [
-        lambda w: legacy_rate(sc, w) - sc.R_l,
-        lambda w: decode_rate_at_cognitive(sc, w) - sc.R_l,
-    ])
-    if best is None:
-        return None
-    return _solution(sc, CodedCase.B1, best[0], best[1], with_decode=True)
-
-
-def solve_case_b2(sc: CodedScenario) -> CodedSolution | None:
-    """Rate splitting on the MAC dominant face; the strict decodability
-    reversal is closed at the boundary, where the objective meets B-1."""
-    if classify(sc) != "B":
-        raise ValueError("scenario is not in case B")
-    off = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
-
-    def objective(w):
-        on = np.log1p((sc.a_c * sc.sigma2_s + sc.g_c * sc.P / w) / sc.sigma2_nc)
-        return w * on + (1.0 - w) * off - sc.R_l
-
-    best = _maximize_over_w(objective, [
-        lambda w: legacy_rate(sc, w) - sc.R_l,
-        lambda w: sc.R_l - decode_rate_at_cognitive(sc, w),
-    ])
-    if best is None:
-        return None
-    return _solution(sc, CodedCase.B2, best[0], best[1], with_decode=True)
+_CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
+          DecodeMode.SUCCESSIVE_B1: CodedCase.B1,
+          DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
 
 
 def solve_coded(sc: CodedScenario) -> CodedSolution:
-    """Case dispatch: A directly, or the better of B-1 and B-2."""
-    if classify(sc) == "A":
-        return solve_case_a(sc)
-    cands = [c for c in (solve_case_b1(sc), solve_case_b2(sc)) if c is not None]
-    if not cands:
-        raise InfeasibleScenarioError("no feasible operating point in case B")
-    return max(cands, key=lambda c: c.rate)
+    """Best on-off operating point: case A when the legacy signal is
+    undecodable in silence, else the better of B-1 and B-2."""
+    ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=sc.a_l, g_l=sc.g_l,
+                     a_c=sc.a_c, g_c=sc.g_c, sigma2_s=sc.sigma2_s,
+                     sigma2_nl=sc.sigma2_nl, sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
+    mode, w, rate, residuals = _onoff_search(ch, sc.P, np.eye(1))
+    return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
+                         residuals=residuals)
 
 
 def coded_prelog(sc: CodedScenario) -> float:

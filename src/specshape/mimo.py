@@ -1,11 +1,20 @@
-"""Vector cognitive transceivers against the scalar coded legacy link.
+"""Vector cognitive transceivers against the scalar coded legacy link, and the
+one on-off search behind the scalar and the vector coded solvers.
 
 The cognitive pair carries N_t transmit / N_r receive antennas; the legacy
 transceivers stay scalar. PSD matrices are sampled Hermitian-PSD fields on the
-half-band grid; rates come from the log-det entropy-rate formula. The on-off
-solver mirrors the scalar coded case with an isotropic (or caller-supplied)
-on-level matrix: the high-power slope is insensitive to the spatial shape,
-scaling instead with rank(H_c).
+half-band grid; rates come from the log-det entropy-rate formula.
+
+The on-off search puts the on-level matrix (P/w) Q, with Q a fixed unit-trace
+Hermitian shape, on a support fraction w. Three operating regimes: the
+cognitive receiver cannot decode the legacy signal at all and treats it as
+noise (A), decodes it first and cancels (B-1), or rate-splits across the MAC
+dominant face (B-2). Every regime is a one-dimensional constrained
+maximization in w: feasible w-intervals are located on a dense scan with Brent
+refinement at the boundaries (constraint monotonicity in w is checked rather
+than assumed), then the objective is maximized per interval. The scalar coded
+solver `coded.solve_coded` is the 1x1 case. The high-power slope is
+insensitive to the spatial shape, scaling instead with rank(H_c).
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import optimize
 
-from .coded import _maximize_over_w
 from .errors import InfeasibleScenarioError
 from .spectra import FrequencyGrid, make_grid
 
@@ -24,6 +33,8 @@ _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _RANK_RTOL = 1e-9
 _MODE_TOL = 1e-9
+_W_LO = 1e-9
+_SCAN_POINTS = 513
 
 
 class DecodeMode(str, Enum):
@@ -213,37 +224,92 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
     return Q / tr
 
 
-def solve_mimo(channel: MimoChannel, P: float,
-               grid: FrequencyGrid | None = None,
-               shape=None) -> MimoSolution:
-    """Best on-off PSD-matrix strategy at budget P.
+def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
+    """Maximal w-intervals where every constraint function is >= 0.
 
-    The on-level matrix is (P/w) times a fixed unit-trace Hermitian shape
-    (isotropic by default); only the support fraction w is optimized, per
-    mode, and the best mode wins. The reported rate is the analytic optimum;
-    the returned PSD field quantizes the support to whole grid cells with the
-    level rescaled so trace power is exactly P.
+    Each constraint's zero crossings are located first (dense scan plus Brent;
+    the scan also covers non-monotone corner cases), then the joint feasible
+    set is read off a grid refined with those crossings. This resolves
+    intersection intervals much thinner than the scan spacing, which occur at
+    large power budgets.
     """
+    base = np.linspace(lo, hi, _SCAN_POINTS)
+    crossings = []
+    for c in constraints:
+        vals = np.asarray(c(base), dtype=float)
+        sign_flip = np.flatnonzero(np.diff(np.sign(vals)) != 0)
+        for i in sign_flip:
+            crossings.append(optimize.brentq(
+                lambda x: float(c(x)), base[i], base[i + 1],
+                xtol=1e-15, rtol=8.9e-16))
+    grid = np.unique(np.concatenate([base, crossings])) if crossings else base
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    w = np.unique(np.concatenate([grid, mids]))
+    vals = np.minimum.reduce([np.asarray(c(w), dtype=float) for c in constraints])
+
+    def g(x):
+        return min(float(c(x)) for c in constraints)
+
+    feas = vals >= 0.0
+    intervals = []
+    i = 0
+    while i < w.size:
+        if not feas[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < w.size and feas[j + 1]:
+            j += 1
+        a, b = w[i], w[j]
+        if i > 0 and g(w[i - 1]) < 0:
+            a = optimize.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16)
+        if j + 1 < w.size and g(w[j + 1]) < 0:
+            b = optimize.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16)
+        intervals.append((a, b))
+        i = j + 1
+    return intervals
+
+
+def _maximize_over_w(objective, constraints):
+    """Best (w, value) of a scalar objective over the feasible w set."""
+    best = None
+    for a, b in _feasible_intervals(constraints):
+        cands = [(a, float(objective(a))), (b, float(objective(b)))]
+        if b > a:
+            res = optimize.minimize_scalar(
+                lambda x: -float(objective(x)), bounds=(a, b), method="bounded",
+                options={"xatol": 1e-14})
+            cands.append((float(res.x), float(objective(res.x))))
+        top = max(cands, key=lambda t: t[1])
+        if best is None or top[1] > best[1]:
+            best = top
+    return best
+
+
+def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
+    """Best (mode, w, rate, residuals) of the on-off strategy with on-level
+    matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
+
+    Every function of w takes a float or an array of them."""
     if P <= 0:
         raise ValueError("power budget must be positive")
-    if not channel.is_feasible:
+    if not ch.is_feasible:
         raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
-    ch = channel
-    Q = _shape_matrix(ch, shape)
     HQH = ch.H_c @ Q @ ch.H_c.conj().T
     HQH = 0.5 * (HQH + HQH.conj().T)
     q_l = float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
     hco = np.outer(ch.h_c, ch.h_c.conj())
-    hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
     eye = np.eye(ch.n_r)
     C_l = ch.legacy_capacity
-    off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
+    off_dec = _quiet_decode_rate(ch)
 
     # One-time eigendecompositions make every w-evaluation a stable sum of
-    # log1p / rational terms, immune to the huge P/w spreads of the sweep.
+    # log1p / rational terms over the eigenmodes, immune to the huge P/w
+    # spreads of the sweep. The modes are Python floats: a scalar w then
+    # costs a few float operations per mode instead of array set-up.
     lam, U = np.linalg.eigh(HQH)
-    lam = np.maximum(lam, 0.0)
-    proj = np.abs(U.conj().T @ ch.h_c) ** 2
+    proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
+    lam = np.maximum(lam, 0.0).tolist()
 
     def whitened_eigs(noise):
         L = np.linalg.cholesky(noise)
@@ -251,40 +317,33 @@ def solve_mimo(channel: MimoChannel, P: float,
         S = np.linalg.solve(L, X.conj().T).conj().T
         return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
 
-    noise_a = ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco
-    mu_a = whitened_eigs(noise_a)
+    mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco).tolist()
     A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
-    nu_b2 = whitened_eigs(A_b2) / ch.sigma2_nc
+    nu_b2 = (whitened_eigs(A_b2) / ch.sigma2_nc).tolist()
     logdet_A = float(np.linalg.slogdet(A_b2)[1])
 
     def legacy_con(w):
-        w = np.asarray(w, dtype=float)
         on = np.log1p(ch.a_l * ch.sigma2_s /
                       (ch.g_l * (P / w) * q_l + ch.sigma2_nl))
         return w * on + (1.0 - w) * C_l - ch.R_l
 
     def decode_con(w):
-        w = np.asarray(w, dtype=float)
-        denom = ch.g_c * (P / w)[..., None] * lam + ch.sigma2_nc
-        sinr = ch.a_c * ch.sigma2_s * np.sum(proj / denom, axis=-1)
+        sinr = ch.a_c * ch.sigma2_s * sum(
+            p / (ch.g_c * (P / w) * m + ch.sigma2_nc) for m, p in zip(lam, proj))
         return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
 
     def rate_a(w):
-        w = np.asarray(w, dtype=float)
-        return w * np.sum(np.log1p(ch.g_c * (P / w)[..., None] * mu_a), axis=-1)
+        return w * sum(np.log1p(ch.g_c * (P / w) * m) for m in mu_a)
 
     def rate_b1(w):
-        w = np.asarray(w, dtype=float)
-        scale = (ch.g_c / ch.sigma2_nc) * (P / w)[..., None]
-        return w * np.sum(np.log1p(scale * lam), axis=-1)
+        return w * sum(np.log1p(ch.g_c / ch.sigma2_nc * (P / w) * m) for m in lam)
 
     def rate_b2(w):
-        w = np.asarray(w, dtype=float)
-        on = logdet_A + np.sum(np.log1p(ch.g_c * (P / w)[..., None] * nu_b2), axis=-1)
+        on = logdet_A + sum(np.log1p(ch.g_c * (P / w) * m) for m in nu_b2)
         return w * on + (1.0 - w) * off_dec - ch.R_l
 
     candidates: list[tuple[DecodeMode, float, float]] = []
-    if _quiet_decode_rate(ch) <= ch.R_l:
+    if off_dec <= ch.R_l:
         best = _maximize_over_w(rate_a, [legacy_con])
         if best is not None:
             candidates.append((DecodeMode.TREAT_AS_NOISE, best[0], best[1]))
@@ -298,7 +357,25 @@ def solve_mimo(channel: MimoChannel, P: float,
     if not candidates:
         raise InfeasibleScenarioError("no feasible operating point")
     mode, w, rate = max(candidates, key=lambda t: t[2])
+    residuals = {"legacy": float(legacy_con(w))}
+    if mode is not DecodeMode.TREAT_AS_NOISE:
+        residuals["decodability"] = float(decode_con(w))
+    return mode, w, rate, residuals
 
+
+def solve_mimo(channel: MimoChannel, P: float,
+               grid: FrequencyGrid | None = None,
+               shape=None) -> MimoSolution:
+    """Best on-off PSD-matrix strategy at budget P.
+
+    The on-level matrix is (P/w) times a fixed unit-trace Hermitian shape
+    (isotropic by default); only the support fraction w is optimized, per
+    mode, and the best mode wins. The reported rate is the analytic optimum;
+    the returned PSD field quantizes the support to whole grid cells with the
+    level rescaled so trace power is exactly P.
+    """
+    Q = _shape_matrix(channel, shape)
+    mode, w, rate, residuals = _onoff_search(channel, P, Q)
     if grid is None:
         grid = make_grid()
     cum = np.cumsum(grid.weights)
@@ -306,12 +383,7 @@ def solve_mimo(channel: MimoChannel, P: float,
     if not mask.any():
         mask[0] = True
     frac = float(grid.weights[mask].sum()) / np.pi
-    level = (P / frac) * Q
-    field = np.zeros((grid.n_points, ch.n_t, ch.n_t), dtype=complex)
-    field[mask] = level
-    psd = PsdMatrix(grid, field)
-
-    residuals = {"legacy": float(legacy_con(w))}
-    if mode is not DecodeMode.TREAT_AS_NOISE:
-        residuals["decodability"] = float(decode_con(w))
-    return MimoSolution(psd=psd, rate=rate, mode=mode, w=w, residuals=residuals)
+    field = np.zeros((grid.n_points, channel.n_t, channel.n_t), dtype=complex)
+    field[mask] = (P / frac) * Q
+    return MimoSolution(psd=PsdMatrix(grid, field), rate=rate, mode=mode, w=w,
+                        residuals=residuals)

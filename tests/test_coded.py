@@ -12,9 +12,6 @@ from specshape.coded import (
     coded_prelog,
     decode_rate_at_cognitive,
     legacy_rate,
-    solve_case_a,
-    solve_case_b1,
-    solve_case_b2,
     solve_coded,
 )
 from specshape.errors import InfeasibleScenarioError
@@ -58,7 +55,8 @@ def test_infeasible_scenario_rejected():
 
 def test_case_a_small_power_full_band():
     sc = study_scenario(a_c=0.01, P=1e-6)
-    sol = solve_case_a(sc)
+    sol = solve_coded(sc)
+    assert sol.case_tag is CodedCase.A
     assert sol.w == pytest.approx(1.0, abs=1e-6)
     assert sol.residuals["legacy"] > 0  # constraint slack
     floor = sc.a_c * sc.sigma2_s + sc.sigma2_nc
@@ -67,41 +65,35 @@ def test_case_a_small_power_full_band():
 
 def test_case_a_high_power_slope_is_half():
     powers = np.geomspace(1e4, 1e8, 9)
-    rates = [solve_case_a(study_scenario(a_c=0.01, P=p)).rate for p in powers]
+    sols = [solve_coded(study_scenario(a_c=0.01, P=p)) for p in powers]
+    assert all(s.case_tag is CodedCase.A for s in sols)
+    rates = [s.rate for s in sols]
     slope = np.polyfit(np.log(powers), rates, 1)[0]
     assert slope == pytest.approx(0.5, abs=0.025)
 
 
 def test_case_a_nearly_loaded_legacy_kills_rate():
     sc = study_scenario(a_c=0.01, legacy_load=0.999, P=1e6)
-    tight = solve_case_a(sc)
-    loose = solve_case_a(study_scenario(a_c=0.01, legacy_load=0.5, P=1e6))
+    tight = solve_coded(sc)
+    loose = solve_coded(study_scenario(a_c=0.01, legacy_load=0.5, P=1e6))
+    assert tight.case_tag is CodedCase.A and loose.case_tag is CodedCase.A
     assert tight.rate < 0.2 * loose.rate
     assert tight.w < 0.05
 
 
 def test_case_b1_small_power():
     sc = study_scenario(a_c=1.0, P=1e-6)
-    sol = solve_case_b1(sc)
-    assert sol is not None
+    sol = solve_coded(sc)
+    assert sol.case_tag is CodedCase.B1
     assert sol.w == pytest.approx(1.0, abs=1e-6)
     assert sol.rate == pytest.approx(math.log1p(sc.g_c * sc.P / sc.sigma2_nc), rel=1e-6)
 
 
 def test_case_b1_decodability_slack_when_legacy_strong():
     sc = study_scenario(a_c=1e6, P=10.0)
-    sol = solve_case_b1(sc)
-    assert sol is not None
+    sol = solve_coded(sc)
+    assert sol.case_tag is CodedCase.B1
     assert sol.residuals["decodability"] > 0
-
-
-def test_b_subcases_cross_checked_at_p1e4():
-    sc = study_scenario(a_c=1.0, P=1e4)
-    b1, b2 = solve_case_b1(sc), solve_case_b2(sc)
-    assert b1 is not None or b2 is not None
-    best = solve_coded(sc)
-    rates = [c.rate for c in (b1, b2) if c is not None]
-    assert best.rate == pytest.approx(max(rates), rel=1e-12)
 
 
 def test_b1_b2_objectives_agree_at_decodability_boundary():
@@ -205,11 +197,14 @@ def test_case_a_beats_w_grid_oracle():
         lambda w: w * np.log1p(sc.g_c * sc.P / (w * floor)),
         [lambda w: legacy_rate(sc, w) - sc.R_l],
     )
-    assert solve_case_a(sc).rate >= best - 1e-6 * abs(best)
+    sol = solve_coded(sc)
+    assert sol.case_tag is CodedCase.A
+    assert sol.rate >= best - 1e-6 * abs(best)
 
 
-def test_case_b_beats_w_grid_oracle():
-    sc = study_scenario(a_c=1.0, P=100.0)
+@pytest.mark.parametrize("P", [100.0, 1e4])
+def test_case_b_beats_w_grid_oracle(P):
+    sc = study_scenario(a_c=1.0, P=P)
     b1 = quick_w_oracle(
         sc,
         lambda w: w * np.log1p(sc.g_c * sc.P / (w * sc.sigma2_nc)),
@@ -225,16 +220,9 @@ def test_case_b_beats_w_grid_oracle():
          lambda w: sc.R_l - decode_rate_at_cognitive(sc, w)],
     )
     best = max(b1, b2)
-    assert solve_coded(sc).rate >= best - 1e-6 * abs(best)
-
-
-def test_wrong_case_calls_rejected():
-    with pytest.raises(ValueError):
-        solve_case_a(study_scenario(a_c=1.0))
-    with pytest.raises(ValueError):
-        solve_case_b1(study_scenario(a_c=0.01))
-    with pytest.raises(ValueError):
-        solve_case_b2(study_scenario(a_c=0.01))
+    sol = solve_coded(sc)
+    assert sol.case_tag in (CodedCase.B1, CodedCase.B2)
+    assert sol.rate >= best - 1e-6 * abs(best)
 
 
 def test_scenario_validation():

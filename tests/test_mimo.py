@@ -225,3 +225,73 @@ def test_channel_validation():
         MimoChannel(np.eye(2), [1.0], [1.0, 0.0], 1, 1, 1, 1, 1, 1, 1, R_l=1.0)
     with pytest.raises(ValueError):
         channel(g_c=-1.0)
+
+
+def direct_onoff(ch, P, w):
+    """Legacy rate, legacy decode rate and per-mode cognitive rate of the
+    isotropic on-off strategy at support fractions w, from direct log-dets and
+    direct quadratic forms (no eigenmode decomposition)."""
+    Q = np.eye(ch.n_t) / ch.n_t
+    HQH = ch.H_c @ Q @ ch.H_c.conj().T
+    eye = np.eye(ch.n_r)
+    hco = np.outer(ch.h_c, ch.h_c.conj())
+    level = ch.g_c * (P / w)[:, None, None]
+    q_l = float((ch.h_l.conj() @ Q @ ch.h_l).real)
+    legacy = (w * np.log1p(ch.a_l * ch.sigma2_s / (ch.g_l * (P / w) * q_l + ch.sigma2_nl))
+              + (1.0 - w) * ch.legacy_capacity)
+    cov = ch.sigma2_nc * eye + level * HQH
+    x = np.linalg.solve(cov, np.broadcast_to(ch.h_c, (w.size, ch.n_r))[..., None])[..., 0]
+    q_c = (x @ ch.h_c.conj()).real
+    quiet = math.log1p(ch.a_c * ch.sigma2_s * float(np.vdot(ch.h_c, ch.h_c).real)
+                       / ch.sigma2_nc)
+    decode = w * np.log1p(ch.a_c * ch.sigma2_s * q_c) + (1.0 - w) * quiet
+
+    def logdet(m):
+        sign, ld = np.linalg.slogdet(m)
+        assert np.all(sign.real > 0)
+        return ld
+
+    noise = ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco
+    rates = {
+        DecodeMode.TREAT_AS_NOISE: w * (logdet(noise + level * HQH) - logdet(noise)),
+        DecodeMode.SUCCESSIVE_B1: w * logdet(eye + level * HQH / ch.sigma2_nc),
+        DecodeMode.RATE_SPLIT_B2: (w * logdet(eye + (level * HQH + ch.a_c * ch.sigma2_s * hco)
+                                              / ch.sigma2_nc)
+                                   + (1.0 - w) * quiet - ch.R_l),
+    }
+    return legacy, decode, quiet, rates
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)], ids=["2x2", "3x2", "2x3"])
+def test_solve_mimo_beats_dense_w_oracle(shape):
+    rng = np.random.default_rng(11)
+    n_r, n_t = shape
+    w = np.linspace(1e-9, 1.0, 20001)
+    modes = set()
+    for a_c in (1e-3, 1.0):  # legacy undecodable / decodable in silence
+        H = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h_l = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+        h_c = rng.normal(size=n_r) + 1j * rng.normal(size=n_r)
+        ch = channel(H=H, h_l=h_l, h_c=h_c, a_c=a_c)
+        for P in (10.0, 1e3, 1e5):
+            legacy, decode, quiet, rates = direct_onoff(ch, P, w)
+            legal = legacy >= ch.R_l - 1e-12
+            if quiet <= ch.R_l:
+                allowed = {DecodeMode.TREAT_AS_NOISE: legal}
+            else:
+                allowed = {DecodeMode.SUCCESSIVE_B1: legal & (decode >= ch.R_l - 1e-12),
+                           DecodeMode.RATE_SPLIT_B2: legal & (decode <= ch.R_l + 1e-12)}
+            best = max(float(np.max(np.where(ok, rates[m], -np.inf)))
+                       for m, ok in allowed.items())
+            sol = solve_mimo(ch, P, grid=GRID)
+            assert sol.mode in allowed
+            assert sol.rate >= best - 1e-6 * abs(best)
+            # the reported rate and residuals are those of the returned w
+            legacy, decode, _, rates = direct_onoff(ch, P, np.array([sol.w]))
+            assert sol.rate == pytest.approx(rates[sol.mode][0], rel=1e-9)
+            assert sol.residuals["legacy"] == pytest.approx(legacy[0] - ch.R_l, abs=1e-9)
+            if sol.mode is not DecodeMode.TREAT_AS_NOISE:
+                assert sol.residuals["decodability"] == pytest.approx(
+                    decode[0] - ch.R_l, abs=1e-9)
+            modes.add(sol.mode)
+    assert DecodeMode.TREAT_AS_NOISE in modes and len(modes) >= 2
