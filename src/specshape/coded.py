@@ -44,10 +44,10 @@ class CodedScenario:
     def __post_init__(self):
         vals = (self.a_l, self.g_l, self.a_c, self.g_c,
                 self.sigma2_s, self.sigma2_nl, self.sigma2_nc, self.P)
-        if any(v <= 0 for v in vals):
-            raise ValueError("gains and powers must be positive")
-        if self.R_l <= 0:
-            raise ValueError("legacy rate must be positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("gains and powers must be positive and finite")
+        if not 0 < self.R_l < math.inf:
+            raise ValueError("legacy rate must be positive and finite")
 
     @property
     def legacy_capacity(self) -> float:

@@ -9,6 +9,7 @@ when the legacy gain is large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,12 @@ class UncodedScenario:
     P: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("legacy channel gain must be positive")
-        if self.D <= 0:
-            raise ValueError("distortion target must be positive")
-        if self.P <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("legacy channel gain must be positive and finite")
+        if not 0 < self.D < math.inf:
+            raise ValueError("distortion target must be positive and finite")
+        if not 0 < self.P < math.inf:
+            raise ValueError("power budget must be positive and finite")
         if self.phi_s.grid is not self.phi_n.grid:
             raise ValueError("signal and noise spectra must share a grid")
 

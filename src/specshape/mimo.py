@@ -54,6 +54,8 @@ class PsdMatrix:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != self.grid.n_points or v.shape[1] != v.shape[2]:
             raise ValueError("PSD matrix field must have shape (n_points, Nt, Nt)")
+        if not np.isfinite(v).all():
+            raise ValueError("PSD matrices must be finite")
         herm = v.conj().transpose(0, 2, 1)
         scale = max(1.0, float(np.abs(v).max()))
         if np.abs(v - herm).max() > _HERM_TOL * scale:
@@ -92,10 +94,12 @@ class MimoChannel:
         hc = np.asarray(self.h_c, dtype=complex).reshape(-1)
         if hl.size != H.shape[1] or hc.size != H.shape[0]:
             raise ValueError("channel vector dimensions do not match H_c")
+        if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
+            raise ValueError("channel matrix and vectors must be finite")
         vals = (self.a_l, self.g_l, self.a_c, self.g_c,
-                self.sigma2_s, self.sigma2_nl, self.sigma2_nc)
-        if any(v <= 0 for v in vals) or self.R_l <= 0:
-            raise ValueError("gains, powers and the legacy rate must be positive")
+                self.sigma2_s, self.sigma2_nl, self.sigma2_nc, self.R_l)
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("gains, powers and the legacy rate must be positive and finite")
         for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -216,6 +220,8 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
         Q = np.asarray(shape, dtype=complex)
         if Q.shape != (nt, nt):
             raise ValueError("on-level shape matrix has wrong dimensions")
+        if not np.isfinite(Q).all():
+            raise ValueError("on-level shape matrix must be finite")
         if np.abs(Q - Q.conj().T).max() > _HERM_TOL * max(1.0, np.abs(Q).max()):
             raise ValueError("on-level shape matrix must be Hermitian")
     tr = float(np.trace(Q).real)
@@ -250,23 +256,16 @@ def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
     def g(x):
         return min(float(c(x)) for c in constraints)
 
-    feas = vals >= 0.0
+    # runs of feasible points: [first, last] index pairs from the mask's edges
+    edges = np.diff(np.concatenate([[0], (vals >= 0.0).astype(np.int8), [0]]))
     intervals = []
-    i = 0
-    while i < w.size:
-        if not feas[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < w.size and feas[j + 1]:
-            j += 1
+    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
         a, b = w[i], w[j]
         if i > 0 and g(w[i - 1]) < 0:
             a = optimize.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16)
         if j + 1 < w.size and g(w[j + 1]) < 0:
             b = optimize.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16)
         intervals.append((a, b))
-        i = j + 1
     return intervals
 
 
@@ -291,8 +290,8 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
 
     Every function of w takes a float or an array of them."""
-    if P <= 0:
-        raise ValueError("power budget must be positive")
+    if not 0 < P < math.inf:
+        raise ValueError("power budget must be positive and finite")
     if not ch.is_feasible:
         raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
     HQH = ch.H_c @ Q @ ch.H_c.conj().T
@@ -317,11 +316,6 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
         S = np.linalg.solve(L, X.conj().T).conj().T
         return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
 
-    mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco).tolist()
-    A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
-    nu_b2 = (whitened_eigs(A_b2) / ch.sigma2_nc).tolist()
-    logdet_A = float(np.linalg.slogdet(A_b2)[1])
-
     def legacy_con(w):
         on = np.log1p(ch.a_l * ch.sigma2_s /
                       (ch.g_l * (P / w) * q_l + ch.sigma2_nl))
@@ -332,22 +326,28 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
             p / (ch.g_c * (P / w) * m + ch.sigma2_nc) for m, p in zip(lam, proj))
         return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
 
-    def rate_a(w):
-        return w * sum(np.log1p(ch.g_c * (P / w) * m) for m in mu_a)
-
-    def rate_b1(w):
-        return w * sum(np.log1p(ch.g_c / ch.sigma2_nc * (P / w) * m) for m in lam)
-
-    def rate_b2(w):
-        on = logdet_A + sum(np.log1p(ch.g_c * (P / w) * m) for m in nu_b2)
-        return w * on + (1.0 - w) * off_dec - ch.R_l
-
     candidates: list[tuple[DecodeMode, float, float]] = []
     if off_dec <= ch.R_l:
+        mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco).tolist()
+
+        def rate_a(w):
+            return w * sum(np.log1p(ch.g_c * (P / w) * m) for m in mu_a)
+
         best = _maximize_over_w(rate_a, [legacy_con])
         if best is not None:
             candidates.append((DecodeMode.TREAT_AS_NOISE, best[0], best[1]))
     else:
+        A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
+        nu_b2 = (whitened_eigs(A_b2) / ch.sigma2_nc).tolist()
+        logdet_A = float(np.linalg.slogdet(A_b2)[1])
+
+        def rate_b1(w):
+            return w * sum(np.log1p(ch.g_c / ch.sigma2_nc * (P / w) * m) for m in lam)
+
+        def rate_b2(w):
+            on = logdet_A + sum(np.log1p(ch.g_c * (P / w) * m) for m in nu_b2)
+            return w * on + (1.0 - w) * off_dec - ch.R_l
+
         b1 = _maximize_over_w(rate_b1, [legacy_con, decode_con])
         if b1 is not None:
             candidates.append((DecodeMode.SUCCESSIVE_B1, b1[0], b1[1]))

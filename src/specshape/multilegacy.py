@@ -11,10 +11,13 @@ heuristic anchored by the K = 1 and low-noise exact cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .estimation import UncodedScenario, wk_floor
+from .shaping import _prefix_length, preemphasized_psd
 from .spectra import Spectrum, mean_power
 
 _SWAP_PASSES = 16
@@ -29,10 +32,10 @@ class LegacyReceiver:
     D: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("receiver gain must be positive")
-        if self.D <= 0:
-            raise ValueError("distortion targets must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("receiver gain must be positive and finite")
+        if not 0 < self.D < math.inf:
+            raise ValueError("distortion targets must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,45 +65,16 @@ class MultiPrelogResult:
     budgets: np.ndarray
 
 
-def _floor_integrand(a: float, s: np.ndarray, n: np.ndarray) -> np.ndarray:
-    den = a * s + n
-    out = np.zeros_like(s)
-    np.divide(s * n, den, out=out, where=den > 0)
-    return out
-
-
-def _cost_density(a: float, s: np.ndarray, n: np.ndarray) -> np.ndarray:
-    den = a * s + n
-    out = np.zeros_like(s)
-    np.divide(a * s * s, den, out=out, where=den > 0)
-    return out
+def _receiver_scenario(scenario: MultiLegacyScenario, r: LegacyReceiver) -> UncodedScenario:
+    """Receiver r as a single-receiver scenario (the power budget is unused)."""
+    return UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0)
 
 
 def per_receiver_floor(scenario: MultiLegacyScenario, k: int) -> float:
     """Smoothing MSE of receiver k with zero cognitive transmission."""
     if not 0 <= k < len(scenario.receivers):
         raise IndexError(f"receiver index {k} out of range")
-    r = scenario.receivers[k]
-    return scenario.grid.mean(
-        _floor_integrand(r.a, scenario.phi_s.values, r.phi_n.values))
-
-
-def _prefix_fill(order, costs, budgets):
-    """Add cells in `order` while every budget holds; returns (mask, spent,
-    measure included fractionally at the stop cell)."""
-    n = costs.shape[1]
-    mask = np.zeros(n, dtype=bool)
-    spent = np.zeros(costs.shape[0])
-    stop = None
-    for i in order:
-        c = costs[:, i]
-        if np.all(spent + c <= budgets):
-            mask[i] = True
-            spent = spent + c
-        else:
-            stop = i
-            break
-    return mask, spent, stop
+    return wk_floor(_receiver_scenario(scenario, scenario.receivers[k]))
 
 
 def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
@@ -111,45 +85,42 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     single-receiver construction exactly. A bounded swap pass then tries to
     trade one included cell for cheaper excluded ones.
     """
-    grid = scenario.grid
-    s = scenario.phi_s.values
-    w = grid.weights
-    n = grid.n_points
+    w = scenario.grid.weights
+    n = scenario.grid.n_points
     K = len(scenario.receivers)
 
-    budgets = np.empty(K)
-    dens = np.empty((K, n))
-    for k, r in enumerate(scenario.receivers):
-        budgets[k] = r.D - per_receiver_floor(scenario, k)
-        dens[k] = _cost_density(r.a, s, r.phi_n.values)
-    empty = MultiPrelogResult(0.0, 0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
-    if np.any(budgets <= 0):
-        return empty
+    singles = [_receiver_scenario(scenario, r) for r in scenario.receivers]
+    budgets = np.array([sc.D - wk_floor(sc) for sc in singles])
+    if (budgets <= 0).any():
+        return MultiPrelogResult(0.0, 0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
 
+    dens = np.array([preemphasized_psd(sc).values for sc in singles])
     costs = dens * w / np.pi
     with np.errstate(divide="ignore"):
         key = np.max(dens / budgets[:, None], axis=0)
     order = np.lexsort((np.arange(n), key))
 
-    def fractional_measure(mask, spent):
-        # leftover budget spent on the cheapest excluded cell, partially
-        for i in order:
-            if mask[i]:
-                continue
-            c = costs[:, i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(c > 0, (budgets - spent) / c, np.inf)
-            return min(1.0, max(0.0, float(np.min(ratios)))) * w[i]
-        return 0.0
-
     def filled_measure(mask, spent):
-        return float(w[mask].sum()) + fractional_measure(mask, spent)
+        # whole cells, plus the leftover budget spent on the cheapest
+        # excluded cell, partially
+        whole = float(w[mask].sum())
+        rest = order[~mask[order]]
+        if rest.size == 0:
+            return whole
+        c = costs[:, rest[0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(c > 0, (budgets - spent) / c, np.inf)
+        return whole + min(1.0, max(0.0, float(np.min(ratios)))) * w[rest[0]]
 
-    mask, spent, stop = _prefix_fill(order, costs, budgets)
+    running = np.cumsum(costs[:, order], axis=1)
+    take = _prefix_length(running, budgets)
+    mask = np.zeros(n, dtype=bool)
+    mask[order[:take]] = True
+    spent = running[:, take - 1].copy() if take > 0 else np.zeros(K)
     measure = filled_measure(mask, spent)
 
     for _ in range(_SWAP_PASSES):
-        if stop is None:
+        if take == n:
             break
         # trade the included cell that loads the binding budget hardest for
         # cheaper excluded cells; keep only strict growth in filled measure
@@ -158,16 +129,21 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
         if inc.size == 0:
             break
         worst = inc[np.argmax(costs[binding, inc])]
+        rest = order[~mask[order]]
         trial = mask.copy()
         trial[worst] = False
         t_spent = spent - costs[:, worst]
-        for i in order:
-            if trial[i] or i == worst:
-                continue
-            c = costs[:, i]
-            if np.all(t_spent + c <= budgets):
-                trial[i] = True
-                t_spent = t_spent + c
+        # one pass over the excluded cells in rank order, taking each that
+        # fits; spending only grows, so a cell that does not fit now never will
+        while True:
+            rest = rest[np.all(t_spent[:, None] + costs[:, rest] <= budgets[:, None], axis=0)]
+            if rest.size == 0:
+                break
+            running = np.cumsum(np.column_stack([t_spent, costs[:, rest]]), axis=1)[:, 1:]
+            got = _prefix_length(running, budgets)
+            trial[rest[:got]] = True
+            t_spent = running[:, got - 1].copy()
+            rest = rest[got:]
         t_measure = filled_measure(trial, t_spent)
         if t_measure > measure + 1e-15:
             mask, spent, measure = trial, t_spent, t_measure
@@ -190,8 +166,6 @@ def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     if budget <= 0:
         return mask
     order = np.lexsort((np.arange(grid.n_points), s))
-    cost = w[order] * s[order]
-    cum = np.cumsum(cost)
-    take = int(np.searchsorted(cum, budget, side="right"))
+    take = _prefix_length(np.cumsum(w[order] * s[order]), budget)
     mask[order[:take]] = True
     return mask

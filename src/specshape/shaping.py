@@ -367,6 +367,14 @@ def flat_case_closed_form(scenario: UncodedScenario) -> ShapingSolution:
     )
 
 
+def _prefix_length(running, budgets) -> int:
+    """Number of leading cells whose running costs stay within the budget;
+    with one row of running costs per budget, within every budget. The
+    running costs must be nondecreasing along each row."""
+    return min(int(np.searchsorted(r, b, side="right"))
+               for r, b in zip(np.atleast_2d(running), np.atleast_1d(budgets)))
+
+
 def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
     n = ws.cumw.size
     mask = np.zeros(n, dtype=bool)
@@ -377,7 +385,7 @@ def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
     if budget >= cum[-1]:
         mask[:] = True
         return PrelogResult(1.0, float(ws.us[-1]), 1.0, mask)
-    k = int(np.searchsorted(cum, budget, side="right"))
+    k = _prefix_length(cum, budget)
     spent = cum[k - 1] if k > 0 else 0.0
     cost_next = ws.ws[k] * ws.us[k] / np.pi
     theta = (budget - spent) / cost_next if cost_next > 0 else 0.0
@@ -405,8 +413,8 @@ def rate_curve(
     """Rate versus power budget for one of the two strategies."""
     method = CurveMethod(method)
     pw = [float(p) for p in powers]
-    if any(p <= 0 for p in pw) or any(b <= a for a, b in zip(pw, pw[1:])):
-        raise ValueError("power budgets must be positive and strictly ascending")
+    if not all(0 < p < math.inf for p in pw) or any(b <= a for a, b in zip(pw, pw[1:])):
+        raise ValueError("power budgets must be positive, finite and strictly ascending")
 
     if method is CurveMethod.INTERFERENCE_TEMPERATURE:
         base = Spectrum(scenario.grid, scenario.base())

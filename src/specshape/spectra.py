@@ -7,6 +7,7 @@ spectra live on the half band [0, pi] and full-band integrals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ class Spectrum:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.omegas.shape:
             raise ValueError("PSD samples do not match the grid")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("PSD samples must be finite")
-        if np.any(v < 0):
+        if (v < 0).any():
             raise ValueError("PSD samples must be nonnegative")
         object.__setattr__(self, "values", _frozen(v))
 
@@ -75,8 +76,8 @@ class OnOffSpectrum:
     level: float
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("on-level must be nonnegative")
+        if not 0 <= self.level < math.inf:
+            raise ValueError("on-level must be nonnegative and finite")
         mask = np.asarray(self.support, dtype=bool)
         if mask.shape != self.grid.omegas.shape:
             raise ValueError("support mask does not match the grid")

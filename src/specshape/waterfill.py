@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
 
 def waterfill(base: Spectrum, budget: float) -> WaterfillResult:
     """Maximize the log rate against `base` subject to a total power budget."""
-    if budget <= 0:
-        raise ValueError("power budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("power budget must be positive and finite")
     grid = base.grid
     phi, level = _fill(np.ones(grid.n_points), base.values, grid.weights, budget)
     phi_x = Spectrum(grid, phi)

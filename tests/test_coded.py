@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,3 +231,11 @@ def test_scenario_validation():
         study_scenario(g_c=-1.0)
     with pytest.raises(ValueError):
         CodedScenario(1, 1, 1, 1, 1, 1, 1, R_l=-0.5, P=1)
+
+
+@pytest.mark.parametrize("field", ["a_l", "g_l", "a_c", "g_c", "sigma2_s",
+                                   "sigma2_nl", "sigma2_nc", "R_l", "P"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        replace(study_scenario(), **{field: value})

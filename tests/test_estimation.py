@@ -160,3 +160,10 @@ def test_scenario_validation():
         flat_scenario(D=-1.0)
     with pytest.raises(ValueError):
         flat_scenario(P=0.0)
+
+
+@pytest.mark.parametrize("field", ["a", "D", "P"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        flat_scenario(**{field: value})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from specshape.mimo import (
     DecodeMode,
     MimoChannel,
     PsdMatrix,
+    _W_LO,
+    _feasible_intervals,
     cognitive_rate_mimo,
     decode_rate_mimo,
     legacy_rate_mimo,
@@ -225,6 +228,55 @@ def test_channel_validation():
         MimoChannel(np.eye(2), [1.0], [1.0, 0.0], 1, 1, 1, 1, 1, 1, 1, R_l=1.0)
     with pytest.raises(ValueError):
         channel(g_c=-1.0)
+
+
+@pytest.mark.parametrize("field", ["a_l", "g_l", "a_c", "g_c", "sigma2_s",
+                                   "sigma2_nl", "sigma2_nc", "R_l"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_channel_rejects_non_finite_scalars(field, value):
+    with pytest.raises(ValueError):
+        replace(channel(), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["H_c", "h_l", "h_c"])
+def test_channel_rejects_non_finite_arrays(field):
+    bad = np.array(getattr(channel(), field))
+    bad.flat[0] = math.nan
+    with pytest.raises(ValueError):
+        replace(channel(), **{field: bad})
+
+
+@pytest.mark.parametrize("P", [math.nan, math.inf])
+def test_solve_mimo_rejects_non_finite_budget(P):
+    with pytest.raises(ValueError):
+        solve_mimo(channel(), P, grid=GRID)
+
+
+def test_non_finite_psd_and_shape_rejected():
+    field = np.broadcast_to(np.eye(2), (GRID.n_points, 2, 2)).astype(complex)
+    field[3, 0, 0] = math.nan
+    with pytest.raises(ValueError):
+        PsdMatrix(GRID, field)
+    with pytest.raises(ValueError):
+        solve_mimo(channel(), 10.0, grid=GRID, shape=[[1.0, 0.0], [0.0, math.inf]])
+
+
+@pytest.mark.parametrize("constraints, expected", [
+    # two separate interior runs
+    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], [(0.2, 0.3), (0.6, 0.8)]),
+    # runs touching both ends of the scan
+    ([lambda w: (w - 0.3) * (w - 0.7)], [(_W_LO, 0.3), (0.7, 1.0)]),
+    # the intersection of two constraints
+    ([lambda w: w - 0.25, lambda w: 0.5 - w], [(0.25, 0.5)]),
+    ([lambda w: 1.0 + 0.0 * w], [(_W_LO, 1.0)]),
+    ([lambda w: -1.0 + 0.0 * w], []),
+])
+def test_feasible_intervals(constraints, expected):
+    got = _feasible_intervals(constraints)
+    assert len(got) == len(expected)
+    for (a, b), (ea, eb) in zip(got, expected):
+        assert a == pytest.approx(ea, abs=1e-14)
+        assert b == pytest.approx(eb, abs=1e-14)
 
 
 def direct_onoff(ch, P, w):

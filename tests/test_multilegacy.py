@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specshape.estimation import UncodedScenario, wk_floor
+from specshape import multilegacy
 from specshape.multilegacy import (
     LegacyReceiver,
     MultiLegacyScenario,
@@ -11,7 +12,8 @@ from specshape.multilegacy import (
     per_receiver_floor,
 )
 from specshape.shaping import onoff_prelog, preemphasized_psd
-from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid, mean_power
+from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
+                               tabulated_spectrum)
 
 GRID = make_grid(1024)
 
@@ -44,9 +46,12 @@ def test_floor_index_out_of_range():
 
 
 def test_k1_matches_prop2_support_exactly():
-    for phi_s in (flat_spectrum(GRID, 1.0), ar1_spectrum(GRID, 1.0, 0.1)):
-        multi = MultiLegacyScenario(phi_s, (one_receiver(),))
-        single = UncodedScenario(1000.0, phi_s, flat_spectrum(GRID, 1.0), 0.01, 1.0)
+    tab_noise = tabulated_spectrum(GRID, [1.0, 0.3, 2.0, 0.8, 1.5])
+    for phi_s, phi_n in ((flat_spectrum(GRID, 1.0), flat_spectrum(GRID, 1.0)),
+                         (ar1_spectrum(GRID, 1.0, 0.1), flat_spectrum(GRID, 1.0)),
+                         (ar1_spectrum(GRID, 1.0, 0.1), tab_noise)):
+        multi = MultiLegacyScenario(phi_s, (LegacyReceiver(1000.0, phi_n, 0.01),))
+        single = UncodedScenario(1000.0, phi_s, phi_n, 0.01, 1.0)
         got = max_prelog_support(multi)
         ref = onoff_prelog(single)
         assert np.array_equal(got.support, ref.support)
@@ -98,6 +103,39 @@ def test_support_satisfies_all_inequalities():
         used = float(np.dot(w[got.support], dens[got.support])) / np.pi
         budget = r.D - per_receiver_floor(sc, k)
         assert used <= budget + 1e-9
+
+
+def tabulated_draw(seed):
+    """Random K >= 2 scenario with tabulated legacy and receiver noise spectra
+    and targets D = floor * U(1.1, 30)."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(int(rng.choice([64, 128, 256, 512, 1024])))
+    K = int(rng.integers(2, 5))
+    phi_s = tabulated_spectrum(g, np.exp(rng.uniform(-1, 1, 9)))
+    recs = []
+    for _ in range(K):
+        a = float(np.exp(rng.uniform(0, np.log(3000))))
+        phi_n = tabulated_spectrum(g, np.exp(rng.uniform(-2, 2, 7)))
+        floor = wk_floor(UncodedScenario(a, phi_s, phi_n, 1.0, 1.0))
+        recs.append(LegacyReceiver(a, phi_n, floor * float(rng.uniform(1.1, 30))))
+    return MultiLegacyScenario(phi_s, tuple(recs))
+
+
+@pytest.mark.parametrize("seed, n, K", [(3221, 512, 3), (2202, 256, 4)])
+def test_swap_pass_grows_prelog_within_budgets(monkeypatch, seed, n, K):
+    sc = tabulated_draw(seed)
+    assert (sc.grid.n_points, len(sc.receivers)) == (n, K)
+    got = max_prelog_support(sc)
+    monkeypatch.setattr(multilegacy, "_SWAP_PASSES", 0)
+    greedy = max_prelog_support(sc)
+    assert got.prelog > greedy.prelog
+    assert np.all(got.spent <= got.budgets)
+    w, s = sc.grid.weights, sc.phi_s.values
+    for k, r in enumerate(sc.receivers):
+        dens = r.a * s * s / (r.a * s + r.phi_n.values)
+        used = float(np.dot(w[got.support], dens[got.support])) / np.pi
+        assert used <= got.budgets[k] * (1 + 1e-12)
+        assert got.budgets[k] == r.D - per_receiver_floor(sc, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,3 +213,11 @@ def test_scenario_validation():
         LegacyReceiver(0.0, flat_spectrum(GRID, 1.0), 0.1)
     with pytest.raises(ValueError):
         LegacyReceiver(1.0, flat_spectrum(GRID, 1.0), -0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_receiver_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        LegacyReceiver(value, flat_spectrum(GRID, 1.0), 0.1)
+    with pytest.raises(ValueError):
+        LegacyReceiver(1.0, flat_spectrum(GRID, 1.0), value)

@@ -257,6 +257,13 @@ def test_rate_curve_empty_and_validation():
         rate_curve(sc, [-1.0], CurveMethod.SPECTRUM_SHAPING)
 
 
+@pytest.mark.parametrize("method", list(CurveMethod))
+@pytest.mark.parametrize("powers", [[np.nan], [1.0, np.inf]])
+def test_rate_curve_rejects_non_finite_powers(method, powers):
+    with pytest.raises(ValueError):
+        rate_curve(flat_study(), powers, method)
+
+
 def test_rate_curve_it_infeasible_raises():
     sc = flat_study()
     bad = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, 1e-5, 1.0)

@@ -113,6 +113,13 @@ def test_mean_power_onoff():
     assert 0.24 < w < 0.26
 
 
+@pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])
+def test_onoff_rejects_bad_level(level):
+    g = make_grid(16)
+    with pytest.raises(ValueError):
+        OnOffSpectrum(g, np.ones(g.n_points, dtype=bool), level)
+
+
 def test_spectrum_rejects_bad_values():
     g = make_grid(16)
     with pytest.raises(ValueError):

@@ -164,3 +164,10 @@ def test_budget_must_be_positive():
     g = make_grid(16)
     with pytest.raises(ValueError):
         waterfill(flat_spectrum(g, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf])
+def test_budget_must_be_finite(budget):
+    g = make_grid(16)
+    with pytest.raises(ValueError):
+        waterfill(flat_spectrum(g, 1.0), budget)
