@@ -368,11 +368,12 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
     P = p.value("P")
     sc = _uncoded_scenario(p, grid, P=P)
     p.finish()
-    sol = shaping.solve(sc)
+    ws = shaping._Workspace(sc)
+    sol = shaping._solve_ws(ws, P)
     if sol.case_tag is shaping.CaseTag.INFEASIBLE:
         raise InfeasibleScenarioError(
             "distortion target below the zero-transmission smoothing floor")
-    prelog = shaping.onoff_prelog(sc)
+    prelog = shaping._onoff_prelog_ws(ws, sc.D)
     return {
         "kind": "uncoded",
         "case_tag": sol.case_tag.value,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
+from . import _scalar
 from .errors import InfeasibleScenarioError
 from .spectra import FrequencyGrid, make_grid
 
@@ -245,9 +245,8 @@ def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
         vals = np.asarray(c(base), dtype=float)
         sign_flip = np.flatnonzero(np.diff(np.sign(vals)) != 0)
         for i in sign_flip:
-            crossings.append(optimize.brentq(
-                lambda x: float(c(x)), base[i], base[i + 1],
-                xtol=1e-15, rtol=8.9e-16))
+            crossings.append(_scalar.brentq(c, base[i], base[i + 1],
+                                           xtol=1e-15, rtol=8.9e-16, maxiter=100))
     grid = np.unique(np.concatenate([base, crossings])) if crossings else base
     mids = 0.5 * (grid[:-1] + grid[1:])
     w = np.unique(np.concatenate([grid, mids]))
@@ -262,9 +261,9 @@ def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
     for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
         a, b = w[i], w[j]
         if i > 0 and g(w[i - 1]) < 0:
-            a = optimize.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16)
+            a = _scalar.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16, maxiter=100)
         if j + 1 < w.size and g(w[j + 1]) < 0:
-            b = optimize.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16)
+            b = _scalar.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16, maxiter=100)
         intervals.append((a, b))
     return intervals
 
@@ -275,10 +274,8 @@ def _maximize_over_w(objective, constraints):
     for a, b in _feasible_intervals(constraints):
         cands = [(a, float(objective(a))), (b, float(objective(b)))]
         if b > a:
-            res = optimize.minimize_scalar(
-                lambda x: -float(objective(x)), bounds=(a, b), method="bounded",
-                options={"xatol": 1e-14})
-            cands.append((float(res.x), float(objective(res.x))))
+            x = _scalar.minimize_bounded(lambda x: -objective(x), a, b, xatol=1e-14)
+            cands.append((x, float(objective(x))))
         top = max(cands, key=lambda t: t[1])
         if best is None or top[1] > best[1]:
             best = top

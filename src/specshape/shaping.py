@@ -30,8 +30,8 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
+from . import _scalar
 from .errors import InfeasibleScenarioError, SolverError
 from .estimation import UncodedScenario, memoryless_power_cap
 from .spectra import Spectrum
@@ -199,7 +199,7 @@ def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float) -> _Cand
         nu_hi *= 2.0
     else:
         return None
-    nu = optimize.brentq(residual, nu_lo, nu_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+    nu = _scalar.brentq(residual, nu_lo, nu_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
     mse, phi, tau = _tilted_fill(ws, P, n_full, theta, wts, nu)
     if abs(mse - D) > _TIGHT_RTOL * D:
         return None
