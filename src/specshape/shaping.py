@@ -18,12 +18,15 @@ power budget is a one-dimensional monotone fill in tau (solved exactly by
 sorting the cells by base/h) and matching the distortion target is a
 one-dimensional root-find in nu. Plain water-filling is the same fill at
 nu = 0, so the case-1 test is the fill at nu = 0 on the full band.
-The support fraction itself is then optimized by a coarse sweep plus
-golden-section refinement.
+The support fraction starts from the kink, the widest support on which plain
+water-filling meets the target (a root-find at one fill per step); past it
+the tight branch's slope is the boundary cell's Lagrangian value, whose sign
+change a bracket over cell edges and then inside one cell locates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,14 +35,15 @@ from typing import Sequence
 import numpy as np
 
 from . import _scalar
-from .errors import InfeasibleScenarioError, SolverError
+from .errors import InfeasibleScenarioError
 from .estimation import UncodedScenario, memoryless_power_cap
 from .spectra import Spectrum
 from .waterfill import _fill, rate_bins, waterfill
 
 _TIGHT_RTOL = 1e-6
-_COARSE_POINTS = 40
-_GOLDEN_ITERS = 56
+_MSE_RTOL = 1e-13  # tight MSE to this fraction of D - floor
+_RTOL = 8.9e-16  # 4 eps, the smallest relative tolerance SciPy's brentq accepts
+_PEAK_RTOL = 1e-12  # rate the support search may leave, relative
 
 
 class CaseTag(str, Enum):
@@ -96,7 +100,6 @@ class _Workspace:
         self.u = preemphasized_psd(scenario).values
         df = np.zeros_like(self.s)
         np.divide(self.s * self.n, self.b, out=df, where=self.b > 0)
-        self.dfloor_integrand = df
         self.dlow = grid.mean(df)
         order = np.lexsort((np.arange(grid.n_points), self.u))
         self.order = order
@@ -115,15 +118,13 @@ class _Workspace:
 
 @dataclass
 class _Candidate:
-    wfrac: float
     n_full: int
     theta: float
     phi: np.ndarray
     rate: float
     mse: float
-    lam: float
-    mu: float
-    tight: bool
+    nu: float
+    tau: float
 
 
 def _support_slices(ws: _Workspace, wfrac: float):
@@ -166,73 +167,66 @@ def _tilted_fill(ws: _Workspace, P: float, n_full: int, theta: float, wts, nu: f
     return _mse_terms(ws, n_full, theta, wts, phi), phi, tau
 
 
-def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float) -> _Candidate | None:
-    n_full, theta, wts = _support_slices(ws, wfrac)
-    m = wts.size
-    bs = ws.bs[:m]
+def _candidate(ws: _Workspace, support, filled, nu: float) -> _Candidate:
+    (n_full, theta, wts), (mse, phi, tau) = support, filled
+    return _Candidate(n_full, theta, phi, rate_bins(phi, ws.bs[: wts.size], wts), mse, nu, tau)
+
+
+def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float,
+                      nu0: float = 0.0) -> _Candidate | None:
+    """The best candidate on one support: water-filling when it meets D,
+    otherwise the tilt nu that makes the MSE tight, searched from nu0."""
+    support = _support_slices(ws, wfrac)
+    fill = functools.lru_cache(maxsize=None)(functools.partial(_tilted_fill, ws, P, *support))
 
     # Water-filling (nu = 0) on the support; optimal whenever the target stays
     # slack. Every support has a cell of positive weight, so the fill exists.
-    mse, phi, tau = _tilted_fill(ws, P, n_full, theta, wts, 0.0)
-    if mse <= D:
-        return _Candidate(wfrac, n_full, theta, phi, rate_bins(phi, bs, wts), mse,
-                          0.0, -0.5 / tau, False)
+    if fill(0.0)[0] <= D:
+        return _candidate(ws, support, fill(0.0), 0.0)
 
-    # Both constraints tight: root-find the stationarity tilt nu. The residual
-    # at nu = 0 is the water-filling excess above, so the bracket changes sign.
+    # Both constraints tight: root-find the stationarity tilt nu (the residual
+    # at nu = 0 is the excess above), until the MSE meets D to a fraction of
+    # the shaping budget D - floor, a stop that does not depend on the units.
     def residual(nu: float):
-        filled = _tilted_fill(ws, P, n_full, theta, wts, nu)
-        return None if filled is None else filled[0] - D
+        r = None if fill(nu) is None else fill(nu)[0] - D
+        return 0.0 if r is not None and abs(r) <= _MSE_RTOL * (D - ws.dlow) else r
 
-    qmax = float(ws.qs[:m].max())
+    # Up to nu_all every cell passes the discriminant test; past it cells drop
+    # out, so a warm start below it steps up to nu_all before doubling.
+    qmax = float(ws.qs[: support[2].size].max())
     if qmax <= 0.0:
         return None
-    nu_lo = 0.0
-    nu_hi = 0.25 / qmax
+    nu_all = 0.25 / qmax
+    nu_lo, nu_hi = 0.0, (nu0 if 0.0 < nu0 < nu_all else nu_all)
     for _ in range(80):
         g_hi = residual(nu_hi)
-        if g_hi is None:
-            return None
-        if g_hi < 0.0:
+        if g_hi is None or g_hi <= 0.0:
             break
-        nu_lo = nu_hi
-        nu_hi *= 2.0
-    else:
+        nu_lo, nu_hi = nu_hi, (nu_all if nu_hi < nu_all else 2.0 * nu_hi)
+    if g_hi is None or g_hi > 0.0:
         return None
-    nu = _scalar.brentq(residual, nu_lo, nu_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
-    mse, phi, tau = _tilted_fill(ws, P, n_full, theta, wts, nu)
-    if abs(mse - D) > _TIGHT_RTOL * D:
+    nu = _scalar.brentq(residual, nu_lo, nu_hi, xtol=0.0, rtol=_RTOL, maxiter=200)
+    filled = fill(nu)
+    if abs(filled[0] - D) > _TIGHT_RTOL * D:
         return None
-    return _Candidate(wfrac, n_full, theta, phi, rate_bins(phi, bs, wts), mse,
-                      2.0 * nu * tau, -0.5 / tau, True)
+    return _candidate(ws, support, filled, nu)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section maximization tolerant of -inf plateaus; returns the best
-    abscissa/value seen."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_v = lo, f(lo)
-    v_hi = f(hi)
-    if v_hi > best_v:
-        best_x, best_v = hi, v_hi
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > best_v:
-            best_x, best_v = c, fc
-        if fd > best_v:
-            best_x, best_v = d, fd
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return best_x, best_v
+def _gain(ws: _Workspace, cand: _Candidate | None, i: int) -> float:
+    """Slope of the rate in w while sorted cell i is the boundary cell, at the
+    multipliers of `cand`: the cell's Lagrangian value (envelope theorem), or
+    that of the first powered cell from i on; 0 without a candidate or one."""
+    if cand is None:
+        return 0.0
+    q, b, tau = ws.qs[i:], ws.bs[i:], cand.tau
+    disc = 1.0 - 4.0 * cand.nu * q
+    phi = np.where(disc >= 0.0, tau * (1.0 + np.sqrt(np.maximum(disc, 0.0))) - b, 0.0)
+    on = np.flatnonzero(phi > 0.0)
+    if on.size == 0:
+        return 0.0
+    j = on[0]
+    q, b, phi = float(q[j]), float(b[j]), float(phi[j])
+    return math.log1p(phi / b) - phi * (0.5 / tau + 2.0 * cand.nu * tau * q / (b * (b + phi)))
 
 
 def _render(ws: _Workspace, cand: _Candidate) -> Spectrum:
@@ -250,7 +244,7 @@ def _render(ws: _Workspace, cand: _Candidate) -> Spectrum:
 def _solution_from(ws: _Workspace, cand: _Candidate, P: float) -> ShapingSolution:
     # A water-filling candidate whose MSE lands on the target (the flat-spectra
     # optimum arrives this way) is both-constraints-active in substance.
-    tight = cand.tight or abs(cand.mse - ws.scenario.D) <= _TIGHT_RTOL * ws.scenario.D
+    tight = cand.nu > 0.0 or abs(cand.mse - ws.scenario.D) <= _TIGHT_RTOL * ws.scenario.D
     tag = CaseTag.BOTH_CONSTRAINTS_ACTIVE if tight else CaseTag.WATERFILL_FEASIBLE
     return ShapingSolution(
         phi_x=_render(ws, cand),
@@ -258,36 +252,68 @@ def _solution_from(ws: _Workspace, cand: _Candidate, P: float) -> ShapingSolutio
         mse=cand.mse,
         power=P,
         case_tag=tag,
-        lam=cand.lam,
-        mu=cand.mu,
+        lam=2.0 * cand.nu * cand.tau,
+        mu=-0.5 / cand.tau,
     )
 
 
 def _solve_case2_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
-    cache: dict[float, _Candidate | None] = {}
+    # Water-filling on a support of fraction w never loses rate as w grows (a
+    # wider support can copy a narrower allocation), so the slack branch peaks
+    # at the kink, the widest support whose water-filling MSE meets D. The
+    # excess MSE is negative at the on-off prelog (on-cell MSEs stay below
+    # phi_s) and positive on the full band (case 1 failed): root-find it.
+    fills = {}
 
-    def f(wfrac: float) -> float:
-        wfrac = min(max(wfrac, 1e-9), 1.0)
-        if wfrac not in cache:
-            cache[wfrac] = _evaluate_support(ws, P, D, wfrac)
-        c = cache[wfrac]
-        return -math.inf if c is None else c.rate
+    def excess(wfrac: float) -> float:
+        if wfrac not in fills:
+            support = _support_slices(ws, wfrac)
+            fills[wfrac] = support, _tilted_fill(ws, P, *support, 0.0)
+        return fills[wfrac][1][0] - D
 
-    coarse = np.geomspace(1e-6, 1.0, _COARSE_POINTS)
-    pl = _onoff_prelog_ws(ws, D)
-    if 0.0 < pl.prelog < 1.0:
-        coarse = np.append(coarse, [0.5 * pl.prelog, pl.prelog, min(1.0, 2.0 * pl.prelog)])
-    coarse = np.unique(coarse)
-    vals = [f(w) for w in coarse]
-    k = int(np.argmax(vals))
-    if not math.isfinite(vals[k]):
-        raise SolverError(
-            "no candidate support admits a solution "
-            f"(P={P:g}, D={D:g}, floor={ws.dlow:g})")
-    lo = coarse[k - 1] if k > 0 else coarse[0] * 0.5
-    hi = coarse[k + 1] if k + 1 < coarse.size else 1.0
-    _golden_max(f, lo, hi, _GOLDEN_ITERS)
-    best = max((c for c in cache.values() if c is not None), key=lambda c: c.rate)
+    lo = _onoff_prelog_ws(ws, D).prelog
+    while excess(lo) > 0.0:  # at high power the margin can fall below rounding
+        lo *= 0.5
+    if excess(1.0) > 0.0:
+        _scalar.brentq(excess, lo, 1.0, xtol=0.0, rtol=_RTOL, maxiter=200)
+    w_kink = max(w for w in fills if excess(w) <= 0.0)
+    best = _candidate(ws, *fills[w_kink], 0.0)
+    if w_kink >= 1.0:
+        return _solution_from(ws, best, P)
+
+    # Past the kink the rate follows the tight branch, with the boundary
+    # cell's gain as slope: it rises to a peak, then falls, to unpowered cells
+    # or to supports with no tight solution. After a probe just past the kink,
+    # a doubling ladder and a bisection over cell edges bracket the peak (the
+    # gain jumps between cells); inside a cell the bracket is halved in log
+    # distance from the kink, as a tight stretch may end however close to it.
+    # The rate rises at lo_w (cell lo_k, slope lo_g) and falls at hi_w (cell
+    # hi_k); it can gain at most lo_g times the bracket width.
+    n, nu0, step = ws.cumw.size, 0.0, 1
+    w_probe = min(w_kink * (1.0 + _PEAK_RTOL), 1.0)
+    lo_w, lo_k = w_kink, min(_support_slices(ws, w_probe)[0], n - 1)
+    lo_g = _gain(ws, best, lo_k)
+    hi_w = hi_k = None
+    while lo_g > 0.0 and (hi_w is None or lo_g * (hi_w - lo_w) > _PEAK_RTOL * best.rate):
+        if hi_w is None and lo_w == w_kink:
+            w, kl, kr = w_probe, lo_k, lo_k
+        elif hi_w is not None and lo_k == hi_k:
+            w, kl, kr = w_kink + math.sqrt((lo_w - w_kink) * (hi_w - w_kink)), lo_k, lo_k
+            if not lo_w < w < hi_w:
+                break
+        else:
+            kl = min(lo_k + step - 1, n - 1) if hi_w is None else (lo_k + hi_k) // 2
+            w, kr = (1.0 if kl == n - 1 else ws.cumw[kl] / np.pi), kl + 1
+            step *= 2
+        cand = _evaluate_support(ws, P, D, w, nu0)
+        if cand is not None:
+            nu0 = cand.nu
+            best = max(best, cand, key=lambda c: c.rate)
+        g = _gain(ws, cand, kl)
+        if g <= 0.0:
+            hi_w, hi_k = w, kl
+        else:  # at an edge, a falling next cell puts the peak on the edge
+            lo_w, lo_k, lo_g = w, kr, (g if kr == kl else _gain(ws, cand, kr))
     return _solution_from(ws, best, P)
 
 
@@ -333,38 +359,6 @@ def solve(scenario: UncodedScenario) -> ShapingSolution:
     """Case dispatch. Infeasible and degenerate targets come back as tagged
     zero-power solutions rather than exceptions."""
     return _solve_ws(_Workspace(scenario), scenario.P)
-
-
-def flat_case_closed_form(scenario: UncodedScenario) -> ShapingSolution:
-    """On-off optimum for flat legacy and noise spectra in the case-2 regime."""
-    sv, nv = scenario.phi_s.values, scenario.phi_n.values
-    if np.ptp(sv) != 0.0 or np.ptp(nv) != 0.0:
-        raise ValueError("closed form requires flat legacy and noise spectra")
-    s2s, s2n, a, P, D = sv[0], nv[0], scenario.a, scenario.P, scenario.D
-    B = a * s2s + s2n
-    dlow = s2s * s2n / B
-    if D <= dlow:
-        raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    phi0 = a * s2s * s2s * P / ((D - dlow) * B) - B
-    if phi0 <= 0.0:
-        raise ValueError("outside the closed-form regime: on-level is not positive")
-    w = P / phi0
-    if w > 1.0:
-        raise ValueError(
-            "outside the closed-form regime: support fraction exceeds 1 "
-            "(the water-filling case applies; use solve_case2/solve)")
-    cum = np.cumsum(scenario.grid.weights)
-    mask = cum <= w * np.pi
-    phi_x = Spectrum(scenario.grid, np.where(mask, phi0, 0.0))
-    return ShapingSolution(
-        phi_x=phi_x,
-        rate=w * math.log1p(phi0 / B),
-        mse=D,
-        power=P,
-        case_tag=CaseTag.BOTH_CONSTRAINTS_ACTIVE,
-        lam=0.0,
-        mu=-1.0 / (phi0 + B),
-    )
 
 
 def _prefix_length(running, budgets) -> int:

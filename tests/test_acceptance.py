@@ -9,13 +9,14 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import optimize
 
+from oracles import flat_case_closed_form
 from specshape.coded import CodedScenario, coded_prelog, decode_rate_at_cognitive, \
     legacy_rate, solve_coded
 from specshape.estimation import UncodedScenario, wk_floor
 from specshape.mimo import MimoChannel, mimo_prelog, solve_mimo
 from specshape.multilegacy import LegacyReceiver, MultiLegacyScenario, max_prelog_support
-from specshape.shaping import (CurveMethod, flat_case_closed_form, onoff_prelog,
-                               preemphasized_psd, rate_curve, solve_case2)
+from specshape.shaping import (CurveMethod, onoff_prelog, preemphasized_psd, rate_curve,
+                               solve_case2)
 from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid
 
 GRID = make_grid(4096)

@@ -1,0 +1,152 @@
+"""The case-2 support search against the sweep-and-golden oracle, its
+evaluation budget, and its independence of the units."""
+
+import numpy as np
+import pytest
+
+from oracles import sweep_golden_rate
+from specshape import shaping
+from specshape.estimation import UncodedScenario
+from specshape.shaping import CaseTag, CurveMethod, rate_curve, solve
+from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
+                               tabulated_spectrum)
+
+GRID = make_grid(512)
+
+
+def target_for_prelog(a, phi_s, phi_n, prelog):
+    """The D whose high-power on-off support is the cheapest `prelog` of the
+    band: the smoothing floor plus the pre-emphasis mass of those cells."""
+    ws = shaping._Workspace(UncodedScenario(a, phi_s, phi_n, 1.0, 1.0))
+    mass = np.interp(prelog * np.pi, ws.cumw, ws.prefix_wu[1:]) / np.pi
+    return float(ws.dlow + mass)
+
+
+def seeded_scenarios(count=60, seed=20240607):
+    """Flat, AR(1) and tabulated legacy spectra on 512 points, P log-uniform
+    over 1e-1..1e8, D placing the on-off prelog log-uniformly between 1e-5
+    (next to the floor) and 0.9."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        kind = ("flat", "ar1", "tab")[i % 3]
+        s2s = float(10 ** rng.uniform(-1, 1))
+        if kind == "flat":
+            phi_s = flat_spectrum(GRID, s2s)
+        elif kind == "ar1":
+            phi_s = ar1_spectrum(GRID, s2s, float(rng.uniform(0.02, 0.9)))
+        else:
+            phi_s = tabulated_spectrum(GRID, s2s * np.exp(rng.uniform(-1, 1, int(rng.integers(3, 12)))))
+        phi_n = flat_spectrum(GRID, float(10 ** rng.uniform(-1, 1)))
+        a = float(10 ** rng.uniform(0, 4))
+        D = target_for_prelog(a, phi_s, phi_n, float(10 ** rng.uniform(-5, np.log10(0.9))))
+        out.append(UncodedScenario(a, phi_s, phi_n, D, float(10 ** rng.uniform(-1, 8))))
+    return out
+
+
+def near_kink_scenario():
+    # The tight branch peaks 4e-8 (relative) past the water-filling kink and
+    # beats the kink by 1.7e-8 of the rate, so a search that stops at the
+    # kink fails the oracle comparison.
+    phi_s = tabulated_spectrum(GRID, [1.988, 1.733, 1.224, 1.09, 1.041])
+    return UncodedScenario(20.3, phi_s, flat_spectrum(GRID, 1.0), 0.556111, 11700.0)
+
+
+def tabulated_noise_scenario():
+    # With a shaped noise floor the pre-emphasis order interleaves cells that
+    # the tilt leaves unpowered; the rate stays flat across them and rises
+    # again after, so the search must read the slope of the next powered cell
+    # (it loses 3.0e-5 of the rate when it stops at the first unpowered one).
+    phi_s = tabulated_spectrum(GRID, [1.117, 2.668, 1.001, 2.257, 2.463, 2.047, 1.843])
+    phi_n = tabulated_spectrum(GRID, [2.341, 0.721, 2.172, 2.722])
+    return UncodedScenario(36.9, phi_s, phi_n, 0.334489, 25.6)
+
+
+SCENARIOS = seeded_scenarios() + [near_kink_scenario(), tabulated_noise_scenario()]
+
+
+@pytest.mark.parametrize("index", range(len(SCENARIOS)))
+def test_solve_not_beaten_by_sweep_oracle(index):
+    sc = SCENARIOS[index]
+    assert solve(sc).rate >= sweep_golden_rate(sc) * (1 - 1e-12)
+
+
+def test_kink_search_when_the_prelog_support_exceeds_d_by_rounding():
+    # At P = 1e8 the prelog support's water-filling MSE lands 3e-17 above D,
+    # so the kink bracket must start below the prelog.
+    g = make_grid(512)
+    sc = UncodedScenario(2.3, ar1_spectrum(g, 1.0, 0.32), flat_spectrum(g, 1.0), 0.181267, 1e8)
+    sol = solve(sc)
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert sol.rate >= sweep_golden_rate(sc) * (1 - 1e-12)
+
+
+def test_set_reaches_the_case2_search():
+    tags = [solve(sc).case_tag for sc in SCENARIOS]
+    assert tags.count(CaseTag.BOTH_CONSTRAINTS_ACTIVE) >= 40
+    assert tags[-2:] == [CaseTag.BOTH_CONSTRAINTS_ACTIVE] * 2
+
+
+class Counter:
+    def __init__(self, monkeypatch, module, name):
+        self.calls = 0
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_case2_evaluation_budget(monkeypatch):
+    # At most 30 support evaluations per case-2 solve; the sweep-and-golden
+    # search made 101 on every solve, and up to 1241 fills on this set.
+    evals = Counter(monkeypatch, shaping, "_evaluate_support")
+    fills = Counter(monkeypatch, shaping, "_fill")
+    counts = []
+    for sc in SCENARIOS:
+        ws = shaping._Workspace(sc)
+        if shaping._case1_ws(ws, sc.P) is not None:
+            continue
+        evals.calls = fills.calls = 0
+        shaping._solve_case2_ws(ws, sc.P, sc.D)
+        counts.append((evals.calls, fills.calls))
+    assert len(counts) >= 40
+    assert max(e for e, _ in counts) <= 30
+    assert max(f for _, f in counts) <= 300
+
+
+def rescaled_ar1(c, P, grid=make_grid(4096)):
+    """AR(1) epsilon 0.1, a = 1000, D = 0.01 in units scaled by c: the same
+    problem and the same rate for every c."""
+    return UncodedScenario(1000.0 * c * c, ar1_spectrum(grid, 1.0 / c, 0.1),
+                           flat_spectrum(grid, c), 0.01 / c, c * P)
+
+
+@pytest.mark.parametrize("P", [1e2, 1e4])
+def test_search_cost_and_rate_do_not_depend_on_units(monkeypatch, P):
+    fills = Counter(monkeypatch, shaping, "_fill")
+    counts, rates = [], []
+    for c in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+        fills.calls = 0
+        sol = solve(rescaled_ar1(c, P))
+        assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+        counts.append(fills.calls)
+        rates.append(sol.rate)
+    assert max(counts) <= 1.1 * min(counts), counts
+    assert max(rates) - min(rates) <= 1e-12 * max(rates)
+
+
+def test_rate_curve_ar_plateau_point():
+    # The figure's AR(1) curve at 15 dB: the coarse rates of the sweep tied to
+    # the last ulp on a plateau of unpowered cells, and its golden bracket
+    # missed the peak at w = 0.4434, reporting 0.517230588.
+    g = make_grid(4096)
+    sc = UncodedScenario(1000.0, ar1_spectrum(g, 1.0, 0.1), flat_spectrum(g, 1.0), 0.01,
+                         10 ** 1.5)
+    sol = solve(sc)
+    assert sol.rate >= 0.517233269
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert rate_curve(sc, [sc.P], CurveMethod.SPECTRUM_SHAPING)[0][1] == sol.rate
+    assert mean_power(sol.phi_x) <= sc.P * (1 + 1e-12)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import flat_case_closed_form
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario, wk_floor, wk_mse
 from specshape.shaping import (
     CaseTag,
     CurveMethod,
-    flat_case_closed_form,
     onoff_prelog,
     preemphasized_psd,
     rate_curve,
