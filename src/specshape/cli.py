@@ -42,6 +42,7 @@ EXIT_SOLVER = 4
 
 _KINDS = ("uncoded", "multilegacy", "coded", "mimo")
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_TINY = sys.float_info.min
 
 
 class SchemaError(ValueError):
@@ -67,17 +68,6 @@ def _finite(x: float) -> float:
     if not math.isfinite(x):
         raise SolverError("the result is not finite")
     return x
-
-
-def _round12(obj):
-    """Round floats to 12 significant digits, recursively."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
 
 
 class _Params:
@@ -277,12 +267,59 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """repr(float(_fmt(x))) for each x of a float array, formatted in one pass.
+
+    A normal float rounded to 12 significant digits has a unique shortest
+    repr, and it has the digits of its %.12g form. The two layouts differ
+    only where repr appends ".0" or stays positional, that is on integral
+    values (every rounded value of 1e12 or more is one), and below the normal
+    range, where repr keeps fewer digits; those entries are laid out by repr
+    itself.
+    """
+    if not np.isfinite(values).all():
+        raise SolverError("the result is not finite")
+    texts = (("%.12g " * values.size) % tuple(values.tolist())).split()
+    rounded = list(map(float, texts))
+    r = np.array(rounded)
+    redo = (r == np.trunc(r)) | (np.abs(r) < _FLOAT_TINY)
+    for i in np.flatnonzero(redo).tolist():
+        texts[i] = repr(rounded[i])
+    return texts
+
+
+def _block(opening: str, items: list[str], closing: str, pad: str) -> str:
+    if not items:
+        return opening + closing
+    inner = "\n" + pad + "  "
+    return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out, with each
+    float written as repr(float(_fmt(x))) and numpy arrays written as lists.
+    NaN and infinities raise SolverError."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        return _block("{", [f"{json.dumps(k)}: {_json_text(v, inner)}"
+                            for k, v in sorted(obj.items())], "}", pad)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            items = _float_texts(obj)
+        elif obj.ndim == 1 and obj.dtype.kind in "iu":
+            items = list(map(str, obj.tolist()))
+        else:
+            items = [_json_text(v, inner) for v in obj.tolist()]
+        return _block("[", items, "]", pad)
+    if isinstance(obj, (list, tuple)):
+        return _block("[", [_json_text(v, inner) for v in obj], "]", pad)
+    if isinstance(obj, float):
+        return repr(float(_fmt(_finite(obj))))
+    return json.dumps(obj)
+
+
 def _write_json(path: str, payload: dict):
-    try:
-        text = json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as e:  # raised only for NaN and infinities
-        raise SolverError("the result is not finite") from e
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_json_text(payload) + "\n")
 
 
 def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
@@ -350,14 +387,23 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     sigma2_s = mean_power(phi_s)
     phi_n = flat_spectrum(grid, sigma2_n)
 
-    rows = []
-    for d_ratio in d_ratios:
-        for snr_db in snr_dbs:
-            a = db_to_linear(snr_db) * sigma2_n / sigma2_s
-            sc = UncodedScenario(a=a, phi_s=phi_s, phi_n=phi_n,
-                                 D=d_ratio * sigma2_s, P=1.0)
-            prelog = shaping.onoff_prelog(sc).prelog
-            rows.append([_fmt(d_ratio), _fmt(snr_db), _fmt(prelog)])
+    try:
+        gains = [db_to_linear(snr_db) * sigma2_n / sigma2_s for snr_db in snr_dbs]
+    except OverflowError as e:
+        raise SchemaError("mesh.snr_db is out of range") from e
+
+    # The workspace depends on the gain and not on D: one per snr_db column,
+    # released before the next is built (each holds a dozen grid-sized arrays).
+    columns = []
+    for a in gains:
+        cells = [UncodedScenario(a=a, phi_s=phi_s, phi_n=phi_n, D=d_ratio * sigma2_s, P=1.0)
+                 for d_ratio in d_ratios]
+        ws = shaping._Workspace(cells[0])
+        columns.append([shaping._onoff_prelog_ws(ws, sc.D).prelog for sc in cells])
+        del ws
+    rows = [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
+            for i, d_ratio in enumerate(d_ratios)
+            for snr_db, column in zip(snr_dbs, columns)]
     _write_csv(output_path, ["d_ratio", "snr_db", "prelog"], rows)
     if not quiet:
         print(f"wrote {len(rows)} rows to {output_path}", file=sys.stderr)
@@ -384,8 +430,8 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
         "mu": sol.mu,
         "prelog": prelog.prelog,
         "gamma": prelog.gamma,
-        "omega": list(grid.omegas),
-        "phi_x": list(sol.phi_x.values),
+        "omega": grid.omegas,
+        "phi_x": sol.phi_x.values,
     }
 
 
@@ -399,9 +445,9 @@ def _solve_multilegacy(p: _Params, grid_points: int) -> dict:
         "kind": "multilegacy",
         "prelog": res.prelog,
         "support_fraction": res.support_fraction,
-        "support": [int(b) for b in res.support],
-        "budgets": list(res.budgets),
-        "spent": list(res.spent),
+        "support": res.support.astype(int),
+        "budgets": res.budgets,
+        "spent": res.spent,
         "low_noise_support_fraction":
             float(grid.weights[low_noise].sum()) / math.pi,
     }

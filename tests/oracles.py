@@ -6,10 +6,14 @@
   support fraction plus golden-section refinement around the best sweep
   point. It shares only the per-support evaluation with the solver, so it
   checks the search over supports, at about 100 evaluations a solve.
+- `json_text`: the CLI's JSON layout as the standard library writes it,
+  every float rounded to 12 significant digits first. The CLI writes the
+  same text in one pass per array.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -104,3 +108,22 @@ def sweep_golden_rate(scenario) -> float:
     hi = sweep[k + 1] if k + 1 < sweep.size else 1.0
     _golden_max(f, lo, hi, GOLDEN_ITERS)
     return max(rates.values())
+
+
+def _round12(obj):
+    """Round floats to 12 significant digits, recursively; arrays become lists."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+def json_text(payload) -> str:
+    """What `cli._json_text` must return for payload. NaN and infinities
+    raise ValueError."""
+    return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False)

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from specshape import cli
+import oracles
+from specshape import cli, shaping
+from specshape.errors import SolverError
+from specshape.estimation import UncodedScenario
+from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid, mean_power
 
 SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 
@@ -105,6 +109,62 @@ def test_prelog_mesh_values_and_zeros(tmp_path):
     vals = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in lines[1:]}
     assert vals[("0.0005", "30")] == 0.0  # below the floor 1/1001
     assert vals[("0.01", "30")] == pytest.approx(0.00901, rel=1e-6)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.3])
+def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, epsilon):
+    # d_ratio 1e-4 is below the smoothing floor at every SNR (prelog 0), 1.5
+    # above the floor plus the whole pre-emphasis mass (prelog 1), and the
+    # ratios between give interior prelogs at the higher SNRs
+    d_ratios, snr_dbs = [1e-4, 0.01, 0.2, 0.8, 1.5], [0.0, 12.5, 30.0]
+    s2s, s2n, n = 1.3, 0.7, 2048
+    doc = {"kind": "uncoded", "sigma2_s": s2s, "sigma2_n": s2n,
+           "mesh": {"d_ratio": d_ratios, "snr_db": snr_dbs}}
+    grid = make_grid(n)
+    if epsilon is None:
+        phi_s = flat_spectrum(grid, s2s)
+    else:
+        doc["epsilon"] = epsilon
+        phi_s = ar1_spectrum(grid, s2s, epsilon)
+    phi_n = flat_spectrum(grid, s2n)
+    sigma2_s = mean_power(phi_s)
+    rows, prelogs = ["d_ratio,snr_db,prelog"], []
+    for d in d_ratios:
+        for snr in snr_dbs:
+            sc = UncodedScenario(a=cli.db_to_linear(snr) * s2n / sigma2_s, phi_s=phi_s,
+                                 phi_n=phi_n, D=d * sigma2_s, P=1.0)
+            prelog = shaping.onoff_prelog(sc).prelog
+            prelogs.append(prelog)
+            rows.append(f"{cli._fmt(d)},{cli._fmt(snr)},{cli._fmt(prelog)}")
+    assert 0.0 in prelogs and 1.0 in prelogs
+    assert any(0.0 < v < 1.0 for v in prelogs)
+    out = tmp_path / "mesh.csv"
+    assert cli.main(["prelog-mesh", write(tmp_path, doc), "-o", str(out),
+                     "--grid", str(n), "--quiet"]) == 0
+    assert out.read_text() == "\n".join(rows) + "\n"
+
+
+def run_mesh_bad(tmp_path, capsys, mesh):
+    doc = {"kind": "uncoded", "sigma2_s_db": 0, "sigma2_n_db": 0, "mesh": mesh}
+    out = tmp_path / "mesh.csv"
+    code = cli.main(["prelog-mesh", write(tmp_path, doc), "-o", str(out),
+                     "--grid", "256", "--quiet"])
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    return code
+
+
+def test_prelog_mesh_snr_overflow_exit_2(tmp_path, capsys):
+    assert run_mesh_bad(tmp_path, capsys, {"d_ratio": [0.1], "snr_db": [10.0, 4000.0]}) == 2
+
+
+def test_prelog_mesh_zero_gain_exit_2(tmp_path, capsys):
+    assert run_mesh_bad(tmp_path, capsys, {"d_ratio": [0.1], "snr_db": [-4000.0]}) == 2
+
+
+def test_prelog_mesh_negative_d_in_later_cell_exit_2(tmp_path, capsys):
+    assert run_mesh_bad(tmp_path, capsys,
+                        {"d_ratio": [0.1, 0.2, -0.3], "snr_db": [0.0, 10.0]}) == 2
 
 
 def test_prelog_mesh_ar_dominates_flat(tmp_path):
@@ -254,3 +314,77 @@ def test_complex_array_parsing():
     assert np.array_equal(mat, np.eye(2).astype(complex))
     with pytest.raises(cli.SchemaError):
         cli._complex_array([[[1, 2, 3]]], "H", 1)
+
+
+# Finite floats where repr and %.12g lay out the same digits differently
+# (integral, 1e12 <= |x| < 1e16, subnormal) or where rounding to 12 digits
+# crosses one of those edges.
+WRITER_EDGES = [999999999999.5, 1e15, 9999999999999999.0, 1e16, 5e-324,
+                2.5e-310, 1e300, 99999999999.95, 0.0, -0.0, 1.0, 123456789012.0,
+                2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(WRITER_EDGES + [-x for x in WRITER_EDGES]),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(min_value=1e12, max_value=1e16),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308))
+
+
+@settings(max_examples=300)
+@given(st.lists(finite_floats, max_size=40))
+def test_json_writer_matches_oracle_on_float_arrays(values):
+    payload = {"v": np.array(values, dtype=float), "s": values[0] if values else 0.5}
+    assert cli._json_text(payload) == oracles.json_text(payload)
+
+
+def test_json_writer_matches_oracle_on_edges_and_shapes():
+    edges = np.array(WRITER_EDGES + [-x for x in WRITER_EDGES])
+    payload = {
+        "edges": edges,
+        "edge_list": [float(x) for x in edges],
+        "scalar": np.float64(1e15),
+        "scalars": [np.float64(x) for x in edges[:4]],
+        "support": np.array([1, 0, 0, 1]),
+        "mask": np.array([True, False]),
+        "empty_list": [],
+        "empty_array": np.zeros(0),
+        "empty_dict": {},
+        "residuals": {"legacy": -1.5e-13, "decodability": 0.0},
+        "phi0_matrix": [[[1.0, 0.0], [0.25, -0.5]], [[0.25, 0.5], [2.0, 0.0]]],
+        "nested": {"b": {"a": [1, True, None, "x\u00e9"]}},
+        "kind": "uncoded",
+        "count": 3,
+        "flag": False,
+    }
+    assert cli._json_text(payload) == oracles.json_text(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite(bad):
+    for payload in ({"x": bad}, {"x": np.float64(bad)}, {"x": np.array([1.0, bad])},
+                    {"x": [[0.5, bad]]}, {"x": {"y": bad}}):
+        with pytest.raises(SolverError):
+            cli._json_text(payload)
+
+
+SOLVE_SCENARIOS = sorted(p.name for p in SCENARIOS.glob("*.json")
+                         if not p.name.endswith(("_curve.json", "_mesh.json")))
+
+
+@pytest.mark.parametrize("grid", [512, 4096, 32768])
+@pytest.mark.parametrize("name", SOLVE_SCENARIOS)
+def test_solve_file_matches_oracle_bytes(tmp_path, monkeypatch, name, grid):
+    payloads = []
+    write_json = cli._write_json
+
+    def spy(path, payload):
+        payloads.append(payload)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", str(SCENARIOS / name), "-o", str(out),
+                     "--grid", str(grid), "--quiet"]) == 0
+    [payload] = payloads
+    assert out.read_bytes() == (oracles.json_text(payload) + "\n").encode()
