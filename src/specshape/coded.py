@@ -4,7 +4,9 @@ The legacy codebook is fixed at rate R_l; the cognitive pair picks an on-off
 PSD with support fraction w and on-level P/w, which is optimal here because
 the legacy and noise spectra are flat. The search over w, in all three
 decoding regimes (A: legacy treated as noise, B-1: decoded and cancelled,
-B-2: rate-split), is the 1x1 case of the on-off search in `mimo`.
+B-2: rate-split), is the 1x1 case of the on-off search in `mimo`: each regime
+runs at the largest w its constraints allow, since at full power a wider
+support never lowers the rate.
 `legacy_rate` and `decode_rate_at_cognitive` are the scalar constraint
 formulas, kept as references for tests.
 """

@@ -10,11 +10,14 @@ Hermitian shape, on a support fraction w. Three operating regimes: the
 cognitive receiver cannot decode the legacy signal at all and treats it as
 noise (A), decodes it first and cancels (B-1), or rate-splits across the MAC
 dominant face (B-2). Every regime is a one-dimensional constrained
-maximization in w: feasible w-intervals are located on a dense scan with Brent
-refinement at the boundaries (constraint monotonicity in w is checked rather
-than assumed), then the objective is maximized per interval. The scalar coded
-solver `coded.solve_coded` is the 1x1 case. The high-power slope is
-insensitive to the spatial shape, scaling instead with rank(H_c).
+maximization in w whose objective never falls as w grows (full power spread
+over a wider support; Cover & Thomas, *Elements of Information Theory*, 9.3),
+so each regime runs at the largest feasible w. That w is located on a dense
+scan with Brent refinement at the constraint crossings and at the right end of
+the feasible set (constraint monotonicity in w is checked rather than
+assumed). The scalar coded solver `coded.solve_coded` is the 1x1 case. The
+high-power slope is insensitive to the spatial shape, scaling instead with
+rank(H_c).
 """
 
 from __future__ import annotations
@@ -230,16 +233,17 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
     return Q / tr
 
 
-def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
-    """Maximal w-intervals where every constraint function is >= 0.
+def _widest_feasible(constraints):
+    """The largest w in [_W_LO, 1] where every constraint function is >= 0, or
+    None when there is no such w.
 
     Each constraint's zero crossings are located first (dense scan plus Brent;
     the scan also covers non-monotone corner cases), then the joint feasible
-    set is read off a grid refined with those crossings. This resolves
-    intersection intervals much thinner than the scan spacing, which occur at
-    large power budgets.
+    set is read off a grid refined with those crossings, and its right end is
+    refined by Brent. This resolves feasible runs much thinner than the scan
+    spacing, which occur at large power budgets.
     """
-    base = np.linspace(lo, hi, _SCAN_POINTS)
+    base = np.linspace(_W_LO, 1.0, _SCAN_POINTS)
     crossings = []
     for c in constraints:
         vals = np.asarray(c(base), dtype=float)
@@ -251,35 +255,17 @@ def _feasible_intervals(constraints, lo=_W_LO, hi=1.0):
     mids = 0.5 * (grid[:-1] + grid[1:])
     w = np.unique(np.concatenate([grid, mids]))
     vals = np.minimum.reduce([np.asarray(c(w), dtype=float) for c in constraints])
+    feasible = np.flatnonzero(vals >= 0.0)
+    if feasible.size == 0:
+        return None
+    j = feasible[-1]
 
     def g(x):
         return min(float(c(x)) for c in constraints)
 
-    # runs of feasible points: [first, last] index pairs from the mask's edges
-    edges = np.diff(np.concatenate([[0], (vals >= 0.0).astype(np.int8), [0]]))
-    intervals = []
-    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
-        a, b = w[i], w[j]
-        if i > 0 and g(w[i - 1]) < 0:
-            a = _scalar.brentq(g, w[i - 1], w[i], xtol=1e-15, rtol=8.9e-16, maxiter=100)
-        if j + 1 < w.size and g(w[j + 1]) < 0:
-            b = _scalar.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16, maxiter=100)
-        intervals.append((a, b))
-    return intervals
-
-
-def _maximize_over_w(objective, constraints):
-    """Best (w, value) of a scalar objective over the feasible w set."""
-    best = None
-    for a, b in _feasible_intervals(constraints):
-        cands = [(a, float(objective(a))), (b, float(objective(b)))]
-        if b > a:
-            x = _scalar.minimize_bounded(lambda x: -objective(x), a, b, xatol=1e-14)
-            cands.append((x, float(objective(x))))
-        top = max(cands, key=lambda t: t[1])
-        if best is None or top[1] > best[1]:
-            best = top
-    return best
+    if j + 1 < w.size and g(w[j + 1]) < 0:
+        return _scalar.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16, maxiter=100)
+    return w[j]
 
 
 def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
@@ -323,16 +309,13 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
             p / (ch.g_c * (P / w) * m + ch.sigma2_nc) for m, p in zip(lam, proj))
         return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
 
-    candidates: list[tuple[DecodeMode, float, float]] = []
     if off_dec <= ch.R_l:
         mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco).tolist()
 
         def rate_a(w):
             return w * sum(np.log1p(ch.g_c * (P / w) * m) for m in mu_a)
 
-        best = _maximize_over_w(rate_a, [legacy_con])
-        if best is not None:
-            candidates.append((DecodeMode.TREAT_AS_NOISE, best[0], best[1]))
+        modes = [(DecodeMode.TREAT_AS_NOISE, rate_a, [legacy_con])]
     else:
         A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
         nu_b2 = (whitened_eigs(A_b2) / ch.sigma2_nc).tolist()
@@ -345,12 +328,19 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
             on = logdet_A + sum(np.log1p(ch.g_c * (P / w) * m) for m in nu_b2)
             return w * on + (1.0 - w) * off_dec - ch.R_l
 
-        b1 = _maximize_over_w(rate_b1, [legacy_con, decode_con])
-        if b1 is not None:
-            candidates.append((DecodeMode.SUCCESSIVE_B1, b1[0], b1[1]))
-        b2 = _maximize_over_w(rate_b2, [legacy_con, lambda w: -decode_con(w)])
-        if b2 is not None:
-            candidates.append((DecodeMode.RATE_SPLIT_B2, b2[0], b2[1]))
+        modes = [(DecodeMode.SUCCESSIVE_B1, rate_b1, [legacy_con, decode_con]),
+                 (DecodeMode.RATE_SPLIT_B2, rate_b2, [legacy_con, lambda w: -decode_con(w)])]
+
+    # Each mode's best w is its widest feasible support. Every rate is
+    # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
+    # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w. The
+    # linear terms of B-2, w logdet(A) + (1 - w) off_dec, do not depend on w:
+    # logdet(A) = off_dec by the matrix determinant lemma.
+    candidates: list[tuple[DecodeMode, float, float]] = []
+    for mode, rate_fn, constraints in modes:
+        w = _widest_feasible(constraints)
+        if w is not None:
+            candidates.append((mode, w, float(rate_fn(w))))
     if not candidates:
         raise InfeasibleScenarioError("no feasible operating point")
     mode, w, rate = max(candidates, key=lambda t: t[2])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from specshape import cli, shaping
+from specshape import cli, coded, shaping
 from specshape.errors import SolverError
 from specshape.estimation import UncodedScenario
 from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid, mean_power
@@ -292,12 +293,26 @@ def test_non_numeric_epsilon_exit_2(tmp_path, capsys):
     assert run_bad(tmp_path, capsys, uncoded_doc(epsilon=[0.1], P_db=30)) == 2
 
 
-def test_non_finite_result_exit_4(tmp_path, capsys):
+def test_non_finite_result_exit_4(tmp_path, capsys, monkeypatch):
+    solve = coded.solve_coded
+    monkeypatch.setattr(coded, "solve_coded", lambda sc: replace(solve(sc), rate=math.nan))
+    doc = json.loads((SCENARIOS / "coded_single.json").read_text())
+    assert run_bad(tmp_path, capsys, doc) == 4
+
+
+def test_huge_budget_over_a_vanishing_legacy_rate_exit_0(tmp_path, capsys):
+    # the whole band at P = 1e300: a finite rate, though P/w overflows in the scan
     doc = json.loads((SCENARIOS / "coded_single.json").read_text())
     del doc["P_db"]
     doc.update(legacy_load=1e-300, P=1e300)
-    with np.errstate(all="ignore"):
-        assert run_bad(tmp_path, capsys, doc) == 4
+    out = tmp_path / "o.json"
+    with np.errstate(over="ignore"):
+        code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    got = json.loads(out.read_text())
+    assert got["case_tag"] == "B1" and got["w"] == 1.0
+    assert got["rate"] == pytest.approx(693.0781129912077, rel=1e-11)
 
 
 def test_wrong_kind_for_mesh_exit_2(tmp_path):

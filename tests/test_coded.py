@@ -166,6 +166,16 @@ def test_vanishing_legacy_rate_recovers_single_user_bound():
     assert sol.w == pytest.approx(1.0, abs=1e-6)
 
 
+def test_huge_budget_over_a_vanishing_legacy_rate_is_finite():
+    # The optimum is the whole band; the scan's P/w overflows at small w.
+    sc = study_scenario(a_c=1.0, P=1e300, legacy_load=1e-300)
+    with np.errstate(over="ignore"):
+        sol = solve_coded(sc)
+    assert sol.case_tag is CodedCase.B1
+    assert sol.w == 1.0
+    assert sol.rate == math.log1p(sc.g_c * sc.P / sc.sigma2_nc) == 693.0781129912077
+
+
 def test_prelog_limits():
     assert coded_prelog(study_scenario(legacy_load=1e-9)) == pytest.approx(1.0, abs=1e-8)
     assert coded_prelog(study_scenario(legacy_load=0.999999)) == pytest.approx(0.0, abs=1e-5)
@@ -190,6 +200,12 @@ def quick_w_oracle(sc, objective, constraints, n=20001):
     return float(vals.max())
 
 
+def assert_narrow_support_is_active(sol, sc):
+    # the search widens w until a constraint binds or w = 1
+    if sol.w < 1.0:
+        assert min(map(abs, sol.residuals.values())) <= 1e-12 * max(1.0, sc.R_l)
+
+
 def test_case_a_beats_w_grid_oracle():
     sc = study_scenario(a_c=0.01, P=10.0)
     floor = sc.a_c * sc.sigma2_s + sc.sigma2_nc
@@ -201,6 +217,7 @@ def test_case_a_beats_w_grid_oracle():
     sol = solve_coded(sc)
     assert sol.case_tag is CodedCase.A
     assert sol.rate >= best - 1e-6 * abs(best)
+    assert_narrow_support_is_active(sol, sc)
 
 
 @pytest.mark.parametrize("P", [100.0, 1e4])
@@ -224,6 +241,7 @@ def test_case_b_beats_w_grid_oracle(P):
     sol = solve_coded(sc)
     assert sol.case_tag in (CodedCase.B1, CodedCase.B2)
     assert sol.rate >= best - 1e-6 * abs(best)
+    assert_narrow_support_is_active(sol, sc)
 
 
 def test_scenario_validation():

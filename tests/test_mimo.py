@@ -10,8 +10,7 @@ from specshape.mimo import (
     DecodeMode,
     MimoChannel,
     PsdMatrix,
-    _W_LO,
-    _feasible_intervals,
+    _widest_feasible,
     cognitive_rate_mimo,
     decode_rate_mimo,
     legacy_rate_mimo,
@@ -263,20 +262,22 @@ def test_non_finite_psd_and_shape_rejected():
 
 @pytest.mark.parametrize("constraints, expected", [
     # two separate interior runs
-    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], [(0.2, 0.3), (0.6, 0.8)]),
+    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], 0.8),
     # runs touching both ends of the scan
-    ([lambda w: (w - 0.3) * (w - 0.7)], [(_W_LO, 0.3), (0.7, 1.0)]),
+    ([lambda w: (w - 0.3) * (w - 0.7)], 1.0),
     # the intersection of two constraints
-    ([lambda w: w - 0.25, lambda w: 0.5 - w], [(0.25, 0.5)]),
-    ([lambda w: 1.0 + 0.0 * w], [(_W_LO, 1.0)]),
-    ([lambda w: -1.0 + 0.0 * w], []),
+    ([lambda w: w - 0.25, lambda w: 0.5 - w], 0.5),
+    ([lambda w: 1.0 + 0.0 * w], 1.0),
+    ([lambda w: -1.0 + 0.0 * w], None),
+    # a run narrower than the scan spacing
+    ([lambda w: w - 0.7, lambda w: 0.70002 - w], 0.70002),
 ])
-def test_feasible_intervals(constraints, expected):
-    got = _feasible_intervals(constraints)
-    assert len(got) == len(expected)
-    for (a, b), (ea, eb) in zip(got, expected):
-        assert a == pytest.approx(ea, abs=1e-14)
-        assert b == pytest.approx(eb, abs=1e-14)
+def test_widest_feasible(constraints, expected):
+    got = _widest_feasible(constraints)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected, abs=1e-14)
 
 
 def direct_onoff(ch, P, w):
@@ -338,6 +339,8 @@ def test_solve_mimo_beats_dense_w_oracle(shape):
             sol = solve_mimo(ch, P, grid=GRID)
             assert sol.mode in allowed
             assert sol.rate >= best - 1e-6 * abs(best)
+            if sol.w < 1.0:  # a support narrower than the band sits on a constraint
+                assert min(map(abs, sol.residuals.values())) <= 1e-12 * max(1.0, ch.R_l)
             # the reported rate and residuals are those of the returned w
             legacy, decode, _, rates = direct_onoff(ch, P, np.array([sol.w]))
             assert sol.rate == pytest.approx(rates[sol.mode][0], rel=1e-9)
@@ -347,3 +350,25 @@ def test_solve_mimo_beats_dense_w_oracle(shape):
                     decode[0] - ch.R_l, abs=1e-9)
             modes.add(sol.mode)
     assert DecodeMode.TREAT_AS_NOISE in modes and len(modes) >= 2
+
+
+def test_onoff_rates_nondecreasing_in_w():
+    # The on-off search takes each mode's widest feasible support; that rests
+    # on every mode's rate, at a fixed power, never falling as w grows.
+    rng = np.random.default_rng(23)
+    w = np.linspace(1e-9, 1.0, 20001)
+    for n_r in (1, 2, 3):
+        for n_t in (1, 2, 3):
+            H = rng.normal(size=(n_r, n_t)) + 1j * rng.normal(size=(n_r, n_t))
+            h_l = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+            h_c = rng.normal(size=n_r) + 1j * rng.normal(size=n_r)
+            ch = channel(H=H, h_l=h_l, h_c=h_c, a_c=10.0 ** rng.uniform(-3, 0),
+                         legacy_load=rng.uniform(0.1, 0.9))
+            for P in 10.0 ** rng.uniform([-2, 1, 5], [1, 5, 8]):
+                # Once the on-level nears 1/eps, the direct log-dets lose the
+                # noise eigenvalues of a rank-deficient H_c Q H_c^H.
+                _, _, _, rates = direct_onoff(ch, P, w[ch.g_c * P / w <= 1e12])
+                for mode, r in rates.items():
+                    if mode is DecodeMode.RATE_SPLIT_B2:
+                        r = r + ch.R_l  # positive, for a relative slack
+                    assert np.all(np.diff(r) >= -1e-12 * np.abs(r[1:])), (n_r, n_t, P, mode)

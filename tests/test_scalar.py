@@ -1,6 +1,7 @@
-"""The Brent ports against the installed SciPy, at the solvers' tolerances.
+"""The Brent root-finder port against the installed SciPy, at the solvers'
+tolerances.
 
-Each case records every abscissa either side evaluates; the ports must visit
+Each case records every abscissa either side evaluates; the port must visit
 the same points in the same order and return the same float, bit for bit.
 """
 
@@ -18,9 +19,8 @@ from specshape.errors import SolverError
 SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 
 # (xtol, rtol, maxiter) of the tilt root-find in shaping and of the
-# w crossings in mimo; xatol of the w maximization in mimo.
+# w crossings in mimo.
 ROOT_TOLS = [(1e-18, 8.9e-16, 200), (1e-15, 8.9e-16, 100)]
-XATOL = 1e-14
 
 
 def recorded(f):
@@ -86,44 +86,6 @@ def test_brentq_endpoint_roots():
     assert _scalar.brentq(f, 0.0, 0.25, 1e-15, 8.9e-16, 100) == 0.25
 
 
-def min_cases(seed):
-    """(f, a, b) triples: smooth and concave-perspective objectives, a kinked
-    and a flat minimum, a plateau and a staircase whose values tie, minima on
-    either bound and minima off the interval."""
-    rng = np.random.default_rng(1000 + seed)
-    lo = 10.0 ** rng.uniform(-9, -1)
-    hi = lo + 10.0 ** rng.uniform(-6, 0)
-    r = lo + (hi - lo) * rng.uniform(-0.3, 1.3)
-    c, P = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 8)
-    cost = rng.uniform(0.0, 2.0)
-    span = hi - lo
-    return [
-        (lambda x: c * ((x - r) / span) ** 2 - 1.0, lo, hi),
-        (lambda x: -x * math.log1p(c * P / x) + cost * x, lo, hi),
-        (lambda x: -float(x * np.log1p(c * (P / x))) - (1.0 - x) * cost, lo, hi),
-        (lambda x: abs(x - r) / span, lo, hi),
-        (lambda x: ((x - r) / span) ** 4, lo, hi),
-        (lambda x: max(abs(x - r) / span, 0.2), lo, hi),
-        (lambda x: round(8.0 * (x - r) / span) ** 2, lo, hi),
-        (lambda x: math.exp(-c * (x - lo) / span), lo, hi),
-        (lambda x: math.exp(c * (x - lo) / span), lo, hi),
-    ]
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_minimize_bounded_matches_scipy(seed):
-    for f, a, b in min_cases(seed):
-        f1, seen1 = recorded(f)
-        f2, seen2 = recorded(f)
-        res = optimize.minimize_scalar(f1, bounds=(a, b), method="bounded",
-                                       options={"xatol": XATOL})
-        assert res.success
-        got = _scalar.minimize_bounded(f2, a, b, xatol=XATOL)
-        assert got == float(res.x)
-        assert type(got) is float
-        assert seen2 == seen1
-
-
 def test_brentq_without_sign_change_raises_solver_error():
     with pytest.raises(SolverError, match="no sign change"):
         _scalar.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16, 100)
@@ -134,18 +96,10 @@ def test_brentq_at_maxiter_raises_solver_error():
         _scalar.brentq(lambda x: math.expm1(x) - 0.3, 0.0, 1.0, 1e-15, 8.9e-16, 3)
 
 
-def test_minimize_bounded_at_evaluation_cap_raises_solver_error(monkeypatch):
-    monkeypatch.setattr(_scalar, "_MAX_EVALS", 5)
-    with pytest.raises(SolverError, match="did not converge in 5 evaluations"):
-        _scalar.minimize_bounded(lambda x: (x - 0.3) ** 2, 0.0, 1.0, XATOL)
-
-
 def test_nan_function_value_raises_solver_error():
     with pytest.raises(SolverError, match="NaN"):
         _scalar.brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
                        1e-15, 8.9e-16, 100)
-    with pytest.raises(SolverError, match="NaN"):
-        _scalar.minimize_bounded(lambda x: math.nan, 0.0, 1.0, XATOL)
 
 
 def test_cli_reports_root_finder_failure_as_exit_4(tmp_path, capsys, monkeypatch):
