@@ -10,6 +10,7 @@ from specshape.mimo import (
     DecodeMode,
     MimoChannel,
     PsdMatrix,
+    _W_LO,
     _widest_feasible,
     cognitive_rate_mimo,
     decode_rate_mimo,
@@ -262,22 +263,23 @@ def test_non_finite_psd_and_shape_rejected():
 
 @pytest.mark.parametrize("constraints, expected", [
     # two separate interior runs
-    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], 0.8),
+    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], [(0.2, 0.3), (0.6, 0.8)]),
     # runs touching both ends of the scan
-    ([lambda w: (w - 0.3) * (w - 0.7)], 1.0),
+    ([lambda w: (w - 0.3) * (w - 0.7)], [(_W_LO, 0.3), (0.7, 1.0)]),
     # the intersection of two constraints
-    ([lambda w: w - 0.25, lambda w: 0.5 - w], 0.5),
-    ([lambda w: 1.0 + 0.0 * w], 1.0),
-    ([lambda w: -1.0 + 0.0 * w], None),
+    ([lambda w: w - 0.25, lambda w: 0.5 - w], [(0.25, 0.5)]),
+    ([lambda w: 1.0 + 0.0 * w], [(_W_LO, 1.0)]),
+    ([lambda w: -1.0 + 0.0 * w], []),
     # a run narrower than the scan spacing
-    ([lambda w: w - 0.7, lambda w: 0.70002 - w], 0.70002),
+    ([lambda w: w - 0.7, lambda w: 0.70002 - w], [(0.7, 0.70002)]),
 ])
-def test_widest_feasible(constraints, expected):
+def test_feasible_intervals(constraints, expected):
+    # _widest_feasible returns the right end of the last feasible interval
     got = _widest_feasible(constraints)
-    if expected is None:
+    if not expected:
         assert got is None
     else:
-        assert got == pytest.approx(expected, abs=1e-14)
+        assert got == pytest.approx(expected[-1][1], abs=1e-14)
 
 
 def direct_onoff(ch, P, w):
