@@ -6,7 +6,9 @@ the legacy and noise spectra are flat. The search over w, in all three
 decoding regimes (A: legacy treated as noise, B-1: decoded and cancelled,
 B-2: rate-split), is the 1x1 case of the on-off search in `mimo`: each regime
 runs at the largest w its constraints allow, since at full power a wider
-support never lowers the rate.
+support never lowers the rate. Neither the legacy rate nor the decode rate
+rises with w, so that w is the root of one constraint (A, B-2) or the smaller
+of two roots (B-1).
 `legacy_rate` and `decode_rate_at_cognitive` are the scalar constraint
 formulas, kept as references for tests.
 """

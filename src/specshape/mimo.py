@@ -12,12 +12,16 @@ noise (A), decodes it first and cancels (B-1), or rate-splits across the MAC
 dominant face (B-2). Every regime is a one-dimensional constrained
 maximization in w whose objective never falls as w grows (full power spread
 over a wider support; Cover & Thomas, *Elements of Information Theory*, 9.3),
-so each regime runs at the largest feasible w. That w is located on a dense
-scan with Brent refinement at the constraint crossings and at the right end of
-the feasible set (constraint monotonicity in w is checked rather than
-assumed). The scalar coded solver `coded.solve_coded` is the 1x1 case. The
-high-power slope is insensitive to the spatial shape, scaling instead with
-rank(H_c).
+so each regime runs at the largest feasible w.
+
+Both constraints, the legacy rate and the rate of decoding the legacy signal
+at the cognitive receiver, never rise with w. Each is w F(K/w) + (1 - w) F(0)
+with F(X) = log det(N + S + X) - log det(N + X). Gaussian mutual information
+is convex in the noise covariance (Diggavi & Cover, IEEE T-IT 2001), so F is
+convex and the derivative in w, F(y) - y F'(y) - F(0) at y = K/w, is at most
+0. One Brent root-find per constraint thus gives the widest feasible w. The
+scalar coded solver `coded.solve_coded` is the 1x1 case. The high-power slope
+is insensitive to the spatial shape, scaling instead with rank(H_c).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ _EIG_FLOOR = -1e-12
 _RANK_RTOL = 1e-9
 _MODE_TOL = 1e-9
 _W_LO = 1e-9
-_SCAN_POINTS = 513
 
 
 class DecodeMode(str, Enum):
@@ -225,54 +228,34 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
             raise ValueError("on-level shape matrix has wrong dimensions")
         if not np.isfinite(Q).all():
             raise ValueError("on-level shape matrix must be finite")
-        if np.abs(Q - Q.conj().T).max() > _HERM_TOL * max(1.0, np.abs(Q).max()):
+        scale = max(1.0, np.abs(Q).max())
+        if np.abs(Q - Q.conj().T).max() > _HERM_TOL * scale:
             raise ValueError("on-level shape matrix must be Hermitian")
+        if np.linalg.eigvalsh(Q).min() < _EIG_FLOOR * scale:
+            raise ValueError("on-level shape matrix must be positive semidefinite")
     tr = float(np.trace(Q).real)
     if tr <= 0:
         raise ValueError("on-level shape matrix must have positive trace")
     return Q / tr
 
 
-def _widest_feasible(constraints):
-    """The largest w in [_W_LO, 1] where every constraint function is >= 0, or
-    None when there is no such w.
-
-    Each constraint's zero crossings are located first (dense scan plus Brent;
-    the scan also covers non-monotone corner cases), then the joint feasible
-    set is read off a grid refined with those crossings, and its right end is
-    refined by Brent. This resolves feasible runs much thinner than the scan
-    spacing, which occur at large power budgets.
-    """
-    base = np.linspace(_W_LO, 1.0, _SCAN_POINTS)
-    crossings = []
-    for c in constraints:
-        vals = np.asarray(c(base), dtype=float)
-        sign_flip = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-        for i in sign_flip:
-            crossings.append(_scalar.brentq(c, base[i], base[i + 1],
-                                           xtol=1e-15, rtol=8.9e-16, maxiter=100))
-    grid = np.unique(np.concatenate([base, crossings])) if crossings else base
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w = np.unique(np.concatenate([grid, mids]))
-    vals = np.minimum.reduce([np.asarray(c(w), dtype=float) for c in constraints])
-    feasible = np.flatnonzero(vals >= 0.0)
-    if feasible.size == 0:
+def _widest_feasible(c):
+    """The largest w in [_W_LO, 1] with c(w) >= 0, for a constraint c that
+    never rises with w; None when c(_W_LO) < 0."""
+    if c(1.0) >= 0.0:
+        return 1.0
+    if c(_W_LO) < 0.0:
         return None
-    j = feasible[-1]
-
-    def g(x):
-        return min(float(c(x)) for c in constraints)
-
-    if j + 1 < w.size and g(w[j + 1]) < 0:
-        return _scalar.brentq(g, w[j], w[j + 1], xtol=1e-15, rtol=8.9e-16, maxiter=100)
-    return w[j]
+    return _scalar.brentq(c, _W_LO, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=100)
 
 
 def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     """Best (mode, w, rate, residuals) of the on-off strategy with on-level
     matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
 
-    Every function of w takes a float or an array of them."""
+    With w_l the root of the legacy constraint and w_d that of decodability,
+    A runs at w_l, B-1 at min(w_l, w_d), and B-2 at w_l when the legacy
+    signal is not decodable there. The functions of w take Python floats."""
     if not 0 < P < math.inf:
         raise ValueError("power budget must be positive and finite")
     if not ch.is_feasible:
@@ -287,11 +270,13 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
 
     # One-time eigendecompositions make every w-evaluation a stable sum of
     # log1p / rational terms over the eigenmodes, immune to the huge P/w
-    # spreads of the sweep. The modes are Python floats: a scalar w then
-    # costs a few float operations per mode instead of array set-up.
+    # spreads of the search. Every on-level is k * P / w with the gain folded
+    # into k >= 0, so a null mode gives 0 and an overflow +inf, never inf * 0.
     lam, U = np.linalg.eigh(HQH)
+    lam = np.maximum(lam, 0.0)
     proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
-    lam = np.maximum(lam, 0.0).tolist()
+    k_dec = (ch.g_c * lam).tolist()
+    k_l = ch.g_l * q_l
 
     def whitened_eigs(noise):
         L = np.linalg.cholesky(noise)
@@ -299,55 +284,47 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
         S = np.linalg.solve(L, X.conj().T).conj().T
         return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
 
+    def on_rate(gains, w):
+        return sum(np.log1p(k * P / w) for k in gains.tolist())
+
     def legacy_con(w):
-        on = np.log1p(ch.a_l * ch.sigma2_s /
-                      (ch.g_l * (P / w) * q_l + ch.sigma2_nl))
+        on = np.log1p(ch.a_l * ch.sigma2_s / (k_l * P / w + ch.sigma2_nl))
         return w * on + (1.0 - w) * C_l - ch.R_l
 
     def decode_con(w):
         sinr = ch.a_c * ch.sigma2_s * sum(
-            p / (ch.g_c * (P / w) * m + ch.sigma2_nc) for m, p in zip(lam, proj))
+            p / (k * P / w + ch.sigma2_nc) for k, p in zip(k_dec, proj))
         return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
-
-    if off_dec <= ch.R_l:
-        mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco).tolist()
-
-        def rate_a(w):
-            return w * sum(np.log1p(ch.g_c * (P / w) * m) for m in mu_a)
-
-        modes = [(DecodeMode.TREAT_AS_NOISE, rate_a, [legacy_con])]
-    else:
-        A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
-        nu_b2 = (whitened_eigs(A_b2) / ch.sigma2_nc).tolist()
-        logdet_A = float(np.linalg.slogdet(A_b2)[1])
-
-        def rate_b1(w):
-            return w * sum(np.log1p(ch.g_c / ch.sigma2_nc * (P / w) * m) for m in lam)
-
-        def rate_b2(w):
-            on = logdet_A + sum(np.log1p(ch.g_c * (P / w) * m) for m in nu_b2)
-            return w * on + (1.0 - w) * off_dec - ch.R_l
-
-        modes = [(DecodeMode.SUCCESSIVE_B1, rate_b1, [legacy_con, decode_con]),
-                 (DecodeMode.RATE_SPLIT_B2, rate_b2, [legacy_con, lambda w: -decode_con(w)])]
 
     # Each mode's best w is its widest feasible support. Every rate is
     # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
     # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w. The
     # linear terms of B-2, w logdet(A) + (1 - w) off_dec, do not depend on w:
     # logdet(A) = off_dec by the matrix determinant lemma.
-    candidates: list[tuple[DecodeMode, float, float]] = []
-    for mode, rate_fn, constraints in modes:
-        w = _widest_feasible(constraints)
-        if w is not None:
-            candidates.append((mode, w, float(rate_fn(w))))
+    w_l = _widest_feasible(legacy_con)
+    candidates = []
+    if w_l is not None and off_dec <= ch.R_l:
+        mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco)
+        candidates.append((DecodeMode.TREAT_AS_NOISE, w_l, w_l * on_rate(ch.g_c * mu_a, w_l)))
+    elif w_l is not None:
+        w_d = _widest_feasible(decode_con)
+        if w_d is not None:
+            w = min(w_l, w_d)
+            candidates.append((DecodeMode.SUCCESSIVE_B1, w,
+                               w * on_rate(ch.g_c / ch.sigma2_nc * lam, w)))
+        if decode_con(w_l) <= 0.0:
+            A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
+            nu_b2 = whitened_eigs(A_b2) / ch.sigma2_nc
+            on = float(np.linalg.slogdet(A_b2)[1]) + on_rate(ch.g_c * nu_b2, w_l)
+            candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
+                               w_l * on + (1.0 - w_l) * off_dec - ch.R_l))
     if not candidates:
         raise InfeasibleScenarioError("no feasible operating point")
     mode, w, rate = max(candidates, key=lambda t: t[2])
     residuals = {"legacy": float(legacy_con(w))}
     if mode is not DecodeMode.TREAT_AS_NOISE:
         residuals["decodability"] = float(decode_con(w))
-    return mode, w, rate, residuals
+    return mode, w, float(rate), residuals
 
 
 def solve_mimo(channel: MimoChannel, P: float,

@@ -4,9 +4,12 @@ Each of K legacy receivers sees the legacy signal through its own gain and
 noise; the asymptotic support must keep every receiver's pre-emphasis mass
 within its distortion slack. K = 1 reduces exactly to the single-receiver
 on-off construction; for K >= 2 a prefix-greedy fill ordered by the worst
-normalized cost density is used, followed by a bounded swap pass. The general
-problem has no known efficient algorithm, so the greedy is a documented
-heuristic anchored by the K = 1 and low-noise exact cases.
+normalized cost density is used, followed by a bounded swap pass. With the
+boundary cells taken fractionally the problem is a linear program (maximize
+the support measure subject to K mass constraints, each cell weight in
+[0, 1]), which an LP solver settles exactly. The greedy, which needs numpy
+alone, is exact for K = 1 and in the low-noise case and matches the LP on
+smooth spectra, but can fall short of it on rough ones.
 """
 
 from __future__ import annotations

@@ -129,10 +129,11 @@ class _Candidate:
 
 def _support_slices(ws: _Workspace, wfrac: float):
     """Cheapest cells of total measure wfrac*pi; the boundary cell enters
-    with its weight scaled by theta in [0, 1]."""
+    with its weight scaled by theta in [0, 1]. wfrac = 1 is the whole band,
+    whatever the rounding in the weight sum."""
     target = wfrac * np.pi
-    if target >= ws.cumw[-1]:
-        return ws.cumw.size, 0.0, ws.ws.copy()
+    if wfrac >= 1.0 or target >= ws.cumw[-1]:
+        return ws.cumw.size, 0.0, ws.ws
     j = int(np.searchsorted(ws.cumw, target, side="left"))
     below = ws.cumw[j - 1] if j > 0 else 0.0
     theta = (target - below) / ws.ws[j]
@@ -151,6 +152,13 @@ def _mse_terms(ws: _Workspace, n_full: int, theta: float, wts, phi) -> float:
     on_df = ws.prefix_wdf[n_full] + (theta * ws.ws[n_full] * ws.dfs[n_full] if n_full < ws.cumw.size else 0.0)
     off = ws.total_wdf - on_df
     return (float(np.dot(wts, on)) + off) / np.pi
+
+
+def _waterfill_on(ws: _Workspace, P: float, wfrac: float):
+    """(support, (mse, phi, tau)) of water-filling (nu = 0) on the support of
+    fraction wfrac."""
+    support = _support_slices(ws, wfrac)
+    return support, _tilted_fill(ws, P, *support, 0.0)
 
 
 def _tilted_fill(ws: _Workspace, P: float, n_full: int, theta: float, wts, nu: float):
@@ -257,18 +265,18 @@ def _solution_from(ws: _Workspace, cand: _Candidate, P: float) -> ShapingSolutio
     )
 
 
-def _solve_case2_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
+def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution:
     # Water-filling on a support of fraction w never loses rate as w grows (a
     # wider support can copy a narrower allocation), so the slack branch peaks
     # at the kink, the widest support whose water-filling MSE meets D. The
     # excess MSE is negative at the on-off prelog (on-cell MSEs stay below
     # phi_s) and positive on the full band (case 1 failed): root-find it.
-    fills = {}
+    # `full` is the full-band fill, _waterfill_on(ws, P, 1.0).
+    fills = {1.0: full}
 
     def excess(wfrac: float) -> float:
         if wfrac not in fills:
-            support = _support_slices(ws, wfrac)
-            fills[wfrac] = support, _tilted_fill(ws, P, *support, 0.0)
+            fills[wfrac] = _waterfill_on(ws, P, wfrac)
         return fills[wfrac][1][0] - D
 
     lo = _onoff_prelog_ws(ws, D).prelog
@@ -317,15 +325,16 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
     return _solution_from(ws, best, P)
 
 
-def _case1_ws(ws: _Workspace, P: float) -> ShapingSolution | None:
-    """Full-band water-filling; None when it violates the distortion target."""
-    mse, phi, tau = _tilted_fill(ws, P, ws.cumw.size, 0.0, ws.ws, 0.0)
+def _case1_ws(ws: _Workspace, full) -> ShapingSolution | None:
+    """Full-band water-filling from its fill `full`, _waterfill_on(ws, P, 1.0);
+    None when it violates the distortion target."""
+    mse, phi, tau = full[1]
     if mse > ws.scenario.D:
         return None
-    full = np.empty_like(phi)
-    full[ws.order] = phi
-    return ShapingSolution(Spectrum(ws.grid, full), rate_bins(phi, ws.bs, ws.ws), mse,
-                           ws.grid.mean(full), CaseTag.WATERFILL_FEASIBLE, 0.0, -0.5 / tau)
+    values = np.empty_like(phi)
+    values[ws.order] = phi
+    return ShapingSolution(Spectrum(ws.grid, values), rate_bins(phi, ws.bs, ws.ws), mse,
+                           ws.grid.mean(values), CaseTag.WATERFILL_FEASIBLE, 0.0, -0.5 / tau)
 
 
 def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
@@ -335,8 +344,9 @@ def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
         zero = Spectrum(ws.grid, np.zeros(ws.grid.n_points))
         tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
         return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
-    c1 = _case1_ws(ws, P)
-    return c1 if c1 is not None else _solve_case2_ws(ws, P, D)
+    full = _waterfill_on(ws, P, 1.0)
+    c1 = _case1_ws(ws, full)
+    return c1 if c1 is not None else _solve_case2_ws(ws, P, D, full)
 
 
 def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
@@ -344,7 +354,7 @@ def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
     ws = _Workspace(scenario)
     if scenario.D <= ws.dlow:
         raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return _case1_ws(ws, scenario.P)
+    return _case1_ws(ws, _waterfill_on(ws, scenario.P, 1.0))
 
 
 def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
@@ -352,7 +362,7 @@ def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
     ws = _Workspace(scenario)
     if scenario.D <= ws.dlow:
         raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return _solve_case2_ws(ws, scenario.P, scenario.D)
+    return _solve_case2_ws(ws, scenario.P, scenario.D, _waterfill_on(ws, scenario.P, 1.0))
 
 
 def solve(scenario: UncodedScenario) -> ShapingSolution:

@@ -107,10 +107,11 @@ def test_case2_evaluation_budget(monkeypatch):
     counts = []
     for sc in SCENARIOS:
         ws = shaping._Workspace(sc)
-        if shaping._case1_ws(ws, sc.P) is not None:
+        full = shaping._waterfill_on(ws, sc.P, 1.0)
+        if shaping._case1_ws(ws, full) is not None:
             continue
         evals.calls = fills.calls = 0
-        shaping._solve_case2_ws(ws, sc.P, sc.D)
+        shaping._solve_case2_ws(ws, sc.P, sc.D, full)
         counts.append((evals.calls, fills.calls))
     assert len(counts) >= 40
     assert max(e for e, _ in counts) <= 30

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -301,18 +302,38 @@ def test_non_finite_result_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_huge_budget_over_a_vanishing_legacy_rate_exit_0(tmp_path, capsys):
-    # the whole band at P = 1e300: a finite rate, though P/w overflows in the scan
+    # the whole band at P = 1e300: a finite rate and no overflow warning
     doc = json.loads((SCENARIOS / "coded_single.json").read_text())
     del doc["P_db"]
     doc.update(legacy_load=1e-300, P=1e300)
     out = tmp_path / "o.json"
-    with np.errstate(over="ignore"):
-        code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
+    code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
     got = json.loads(out.read_text())
     assert got["case_tag"] == "B1" and got["w"] == 1.0
     assert got["rate"] == pytest.approx(693.0781129912077, rel=1e-11)
+
+
+def test_huge_budget_on_a_rank_deficient_channel_exit_0(tmp_path, capsys):
+    # H_c of rank 1 has a null eigenmode; where P/w overflows, its on-level
+    # must stay 0 rather than inf * 0 = NaN
+    doc = {"kind": "mimo", "H_c": [[1, 0], [0, 0]], "h_l": [1, 0], "h_c": [1, 0.1],
+           "a_l": 1, "g_l": 1, "a_c": 1, "g_c": 10, "sigma2_s": 1000,
+           "sigma2_nl": 1, "sigma2_nc": 1, "legacy_load": 0.5}
+    got = {}
+    for P in (1e290, 1e300):
+        out = tmp_path / f"{P}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", write(tmp_path, dict(doc, P=P)), "-o", str(out),
+                             "--grid", "64", "--quiet"])
+        assert code == 0
+        got[P] = json.loads(out.read_text())
+    assert capsys.readouterr().err == ""
+    assert got[1e300]["mode"] == got[1e290]["mode"] == "SuccessiveB1"
+    assert got[1e300]["w"] == got[1e290]["w"] == 0.5
+    assert math.isfinite(got[1e300]["rate"]) and got[1e300]["rate"] > got[1e290]["rate"]
 
 
 def test_wrong_kind_for_mesh_exit_2(tmp_path):

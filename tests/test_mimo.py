@@ -261,25 +261,38 @@ def test_non_finite_psd_and_shape_rejected():
         solve_mimo(channel(), 10.0, grid=GRID, shape=[[1.0, 0.0], [0.0, math.inf]])
 
 
+@pytest.mark.parametrize("P", [1.0, 100.0])
+def test_indefinite_shape_rejected(P):
+    # a negative eigenvalue would put a negative on-level on the legacy link
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        solve_mimo(channel(h_l=[0.0, 1.0]), P, grid=GRID, shape=[[1.0, 0.0], [0.0, -0.5]])
+
+
 @pytest.mark.parametrize("constraints, expected", [
-    # two separate interior runs
-    ([lambda w: -(w - 0.2) * (w - 0.3) * (w - 0.6) * (w - 0.8)], [(0.2, 0.3), (0.6, 0.8)]),
-    # runs touching both ends of the scan
-    ([lambda w: (w - 0.3) * (w - 0.7)], [(_W_LO, 0.3), (0.7, 1.0)]),
-    # the intersection of two constraints
-    ([lambda w: w - 0.25, lambda w: 0.5 - w], [(0.25, 0.5)]),
-    ([lambda w: 1.0 + 0.0 * w], [(_W_LO, 1.0)]),
-    ([lambda w: -1.0 + 0.0 * w], []),
-    # a run narrower than the scan spacing
-    ([lambda w: w - 0.7, lambda w: 0.70002 - w], [(0.7, 0.70002)]),
+    ([lambda w: 0.3 - w], [0.3]),
+    # feasible on the whole band
+    ([lambda w: 1.0 - w], [1.0]),
+    ([lambda w: 0.5 - w, lambda w: math.log(0.25 / w)], [0.5, 0.25]),
+    ([lambda w: -1.0], [None]),
+    # a root at 3e-9, within the first 1/512 of the band
+    ([lambda w: 3e-9 - w], [3e-9]),
+    ([lambda w: 0.70002 - w, lambda w: 1.0, lambda w: 0.7 - w], [0.70002, 1.0, 0.7]),
 ])
 def test_feasible_intervals(constraints, expected):
-    # _widest_feasible returns the right end of the last feasible interval
-    got = _widest_feasible(constraints)
-    if not expected:
-        assert got is None
-    else:
-        assert got == pytest.approx(expected[-1][1], abs=1e-14)
+    # A constraint nonincreasing in w is feasible on [_W_LO, root]: the root
+    # is found to 1e-14, 1.0 when c(1) >= 0, None when c(_W_LO) < 0.
+    for c, e in zip(constraints, expected):
+        got = _widest_feasible(c)
+        if e is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(e, rel=0, abs=1e-14)
+
+
+def test_widest_feasible_ends():
+    assert _widest_feasible(lambda w: 1.0 - w) == 1.0
+    assert _widest_feasible(lambda w: _W_LO - w) == _W_LO
+    assert _widest_feasible(lambda w: 0.5 * _W_LO - w) is None
 
 
 def direct_onoff(ch, P, w):
@@ -356,7 +369,8 @@ def test_solve_mimo_beats_dense_w_oracle(shape):
 
 def test_onoff_rates_nondecreasing_in_w():
     # The on-off search takes each mode's widest feasible support; that rests
-    # on every mode's rate, at a fixed power, never falling as w grows.
+    # on every mode's rate, at a fixed power, never falling as w grows, and on
+    # the legacy and decode rates never rising.
     rng = np.random.default_rng(23)
     w = np.linspace(1e-9, 1.0, 20001)
     for n_r in (1, 2, 3):
@@ -369,8 +383,24 @@ def test_onoff_rates_nondecreasing_in_w():
             for P in 10.0 ** rng.uniform([-2, 1, 5], [1, 5, 8]):
                 # Once the on-level nears 1/eps, the direct log-dets lose the
                 # noise eigenvalues of a rank-deficient H_c Q H_c^H.
-                _, _, _, rates = direct_onoff(ch, P, w[ch.g_c * P / w <= 1e12])
+                legacy, decode, _, rates = direct_onoff(ch, P, w[ch.g_c * P / w <= 1e12])
                 for mode, r in rates.items():
                     if mode is DecodeMode.RATE_SPLIT_B2:
                         r = r + ch.R_l  # positive, for a relative slack
                     assert np.all(np.diff(r) >= -1e-12 * np.abs(r[1:])), (n_r, n_t, P, mode)
+                # and each constraint has one root: the legacy and decode
+                # rates never rise with w
+                for name, r in (("legacy", legacy), ("decode", decode)):
+                    assert np.all(np.diff(r) <= 1e-12 * np.abs(r[1:])), (n_r, n_t, P, name)
+
+
+def test_null_mode_at_huge_budget():
+    # rank(H_c) = 1: the on-level of the null eigenmode is 0 at every w, also
+    # where P/w overflows, and the search must not meet it as inf * 0
+    ch = channel(H=[[1.0, 0.0], [0.0, 0.0]], h_l=[1.0, 0.0], h_c=[1.0, 0.1])
+    ref = solve_mimo(ch, 1e290, grid=GRID)
+    sol = solve_mimo(ch, 1e300, grid=GRID)
+    assert (sol.mode, sol.w) == (ref.mode, ref.w) == (DecodeMode.SUCCESSIVE_B1, 0.5)
+    assert math.isfinite(sol.rate) and sol.rate > ref.rate
+    assert all(map(math.isfinite, sol.residuals.values()))
+    assert abs(sol.residuals["legacy"]) <= 1e-12 * max(1.0, ch.R_l)
