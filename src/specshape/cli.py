@@ -473,9 +473,9 @@ def _solve_mimo(p: _Params, grid_points: int, factor: float) -> dict:
     ch = _mimo_channel(p)
     p.finish()
     sol = mimo_mod.solve_mimo(ch, P, grid=make_grid(grid_points))
-    on_cells = np.abs(sol.psd.values).sum(axis=(1, 2)) > 0
-    first_on = int(np.argmax(on_cells)) if on_cells.any() else 0
-    phi0 = sol.psd.values[first_on]
+    # the support is the prefix cum <= w*pi with sample 0 forced on, so
+    # sample 0 always holds the on-level
+    phi0 = sol.psd.values[0]
     return {
         "kind": "mimo",
         "mode": sol.mode.value,

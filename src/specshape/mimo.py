@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import _scalar
-from .errors import InfeasibleScenarioError
+from .errors import InfeasibleScenarioError, SolverError
 from .spectra import FrequencyGrid, make_grid
 
 _HERM_TOL = 1e-12
@@ -49,9 +49,32 @@ class DecodeMode(str, Enum):
     RATE_SPLIT_B2 = "RateSplitB2"
 
 
+def _checked(v: np.ndarray) -> np.ndarray:
+    """Hermitian part of a complex (k, N, N) stack, after checking that the
+    stack is finite, Hermitian and positive semidefinite to the tolerances
+    scaled by max(1, max|v|) over the whole stack."""
+    if not np.isfinite(v).all():
+        raise ValueError("PSD matrices must be finite")
+    herm = v.conj().transpose(0, 2, 1)
+    scale = max(1.0, float(np.abs(v).max()))
+    if np.abs(v - herm).max() > _HERM_TOL * scale:
+        raise ValueError("PSD matrices must be Hermitian")
+    v = 0.5 * (v + herm)
+    if np.linalg.eigvalsh(v).min() < _EIG_FLOOR * scale:
+        raise ValueError("PSD matrices must be positive semidefinite")
+    return v
+
+
 @dataclass(frozen=True)
 class PsdMatrix:
-    """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid."""
+    """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid.
+
+    The constructor checks every sample and stores the Hermitian part. An
+    on-off field (one level on a set of samples, zero elsewhere) is built by
+    `_on_off`, which checks the level alone: a zero sample passes every test
+    and never raises the scale max(1, max|v|), so the outcome, the error and
+    the stored bytes are those of the per-sample check.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -60,18 +83,22 @@ class PsdMatrix:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != self.grid.n_points or v.shape[1] != v.shape[2]:
             raise ValueError("PSD matrix field must have shape (n_points, Nt, Nt)")
-        if not np.isfinite(v).all():
-            raise ValueError("PSD matrices must be finite")
-        herm = v.conj().transpose(0, 2, 1)
-        scale = max(1.0, float(np.abs(v).max()))
-        if np.abs(v - herm).max() > _HERM_TOL * scale:
-            raise ValueError("PSD matrices must be Hermitian")
-        v = 0.5 * (v + herm)
-        eig = np.linalg.eigvalsh(v)
-        if eig.min() < _EIG_FLOOR * scale:
-            raise ValueError("PSD matrices must be positive semidefinite")
+        v = _checked(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _on_off(cls, grid: FrequencyGrid, mask: np.ndarray, level: np.ndarray) -> PsdMatrix:
+        """The field equal to the complex N x N `level` where `mask` holds and
+        zero elsewhere; `mask` holds at least one sample."""
+        level = _checked(level[None])[0]
+        v = np.zeros((grid.n_points,) + level.shape, dtype=complex)
+        v[mask] = level
+        v.flags.writeable = False
+        psd = object.__new__(cls)
+        object.__setattr__(psd, "grid", grid)
+        object.__setattr__(psd, "values", v)
+        return psd
 
     @property
     def n_t(self) -> int:
@@ -336,7 +363,10 @@ def solve_mimo(channel: MimoChannel, P: float,
     (isotropic by default); only the support fraction w is optimized, per
     mode, and the best mode wins. The reported rate is the analytic optimum;
     the returned PSD field quantizes the support to whole grid cells with the
-    level rescaled so trace power is exactly P.
+    level rescaled so trace power is exactly P. The support is a prefix of
+    the grid that always holds sample 0, and the field is checked through its
+    one on-level, which decides as checking every sample would. An on-level
+    P/frac that overflows raises SolverError.
     """
     Q = _shape_matrix(channel, shape)
     mode, w, rate, residuals = _onoff_search(channel, P, Q)
@@ -347,7 +377,9 @@ def solve_mimo(channel: MimoChannel, P: float,
     if not mask.any():
         mask[0] = True
     frac = float(grid.weights[mask].sum()) / np.pi
-    field = np.zeros((grid.n_points, channel.n_t, channel.n_t), dtype=complex)
-    field[mask] = (P / frac) * Q
-    return MimoSolution(psd=PsdMatrix(grid, field), rate=rate, mode=mode, w=w,
-                        residuals=residuals)
+    level = float(P) / frac
+    if not math.isfinite(level):
+        # the level cannot be written: inf * 0 would put NaN in the field
+        raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
+    return MimoSolution(psd=PsdMatrix._on_off(grid, mask, level * Q), rate=rate,
+                        mode=mode, w=w, residuals=residuals)

@@ -315,18 +315,20 @@ def test_huge_budget_over_a_vanishing_legacy_rate_exit_0(tmp_path, capsys):
     assert got["rate"] == pytest.approx(693.0781129912077, rel=1e-11)
 
 
+RANK1_MIMO = {"kind": "mimo", "H_c": [[1, 0], [0, 0]], "h_l": [1, 0], "h_c": [1, 0.1],
+              "a_l": 1, "g_l": 1, "a_c": 1, "g_c": 10, "sigma2_s": 1000,
+              "sigma2_nl": 1, "sigma2_nc": 1, "legacy_load": 0.5}
+
+
 def test_huge_budget_on_a_rank_deficient_channel_exit_0(tmp_path, capsys):
     # H_c of rank 1 has a null eigenmode; where P/w overflows, its on-level
     # must stay 0 rather than inf * 0 = NaN
-    doc = {"kind": "mimo", "H_c": [[1, 0], [0, 0]], "h_l": [1, 0], "h_c": [1, 0.1],
-           "a_l": 1, "g_l": 1, "a_c": 1, "g_c": 10, "sigma2_s": 1000,
-           "sigma2_nl": 1, "sigma2_nc": 1, "legacy_load": 0.5}
     got = {}
     for P in (1e290, 1e300):
         out = tmp_path / f"{P}.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["solve", write(tmp_path, dict(doc, P=P)), "-o", str(out),
+            code = cli.main(["solve", write(tmp_path, dict(RANK1_MIMO, P=P)), "-o", str(out),
                              "--grid", "64", "--quiet"])
         assert code == 0
         got[P] = json.loads(out.read_text())
@@ -334,6 +336,14 @@ def test_huge_budget_on_a_rank_deficient_channel_exit_0(tmp_path, capsys):
     assert got[1e300]["mode"] == got[1e290]["mode"] == "SuccessiveB1"
     assert got[1e300]["w"] == got[1e290]["w"] == 0.5
     assert math.isfinite(got[1e300]["rate"]) and got[1e300]["rate"] > got[1e290]["rate"]
+
+
+def test_overflowing_mimo_on_level_exit_4(tmp_path, capsys):
+    # the search runs at w = 0.5, where the on-level P/w overflows and cannot
+    # be written: a non-finite result, not an input error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_bad(tmp_path, capsys, dict(RANK1_MIMO, P=1.7e308)) == 4
 
 
 def test_wrong_kind_for_mesh_exit_2(tmp_path):

@@ -1,16 +1,19 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from specshape.coded import CodedScenario, solve_coded, coded_prelog
-from specshape.errors import InfeasibleScenarioError
+from specshape.errors import InfeasibleScenarioError, SolverError
 from specshape.mimo import (
     DecodeMode,
     MimoChannel,
     PsdMatrix,
     _W_LO,
+    _onoff_search,
+    _shape_matrix,
     _widest_feasible,
     cognitive_rate_mimo,
     decode_rate_mimo,
@@ -404,3 +407,128 @@ def test_null_mode_at_huge_budget():
     assert math.isfinite(sol.rate) and sol.rate > ref.rate
     assert all(map(math.isfinite, sol.residuals.values()))
     assert abs(sol.residuals["legacy"]) <= 1e-12 * max(1.0, ch.R_l)
+
+
+def test_overflowing_on_level_raises_solver_error():
+    # at w = 0.5 the on-level P/w overflows; a zero of the shape would meet it
+    # as inf * 0 = NaN, so the solve ends as a non-finite result
+    ch = channel(H=[[1.0, 0.0], [0.0, 0.0]], h_l=[1.0, 0.0], h_c=[1.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="not finite"):
+            solve_mimo(ch, 1.7e308, grid=GRID)
+
+
+def per_sample_psd(ch, P, grid, shape=None):
+    """The on-off field of solve_mimo, built in full and checked sample by
+    sample by the public constructor."""
+    Q = _shape_matrix(ch, shape)
+    _, w, _, _ = _onoff_search(ch, P, Q)
+    mask = np.cumsum(grid.weights) <= w * np.pi
+    if not mask.any():
+        mask[0] = True
+    frac = float(grid.weights[mask].sum()) / np.pi
+    field = np.zeros((grid.n_points, ch.n_t, ch.n_t), dtype=complex)
+    field[mask] = (P / frac) * Q
+    return PsdMatrix(grid, field)
+
+
+def outcome(build):
+    """The field's bytes, or the type and message of the ValueError raised."""
+    try:
+        return build().values.tobytes()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def random_draw(rng):
+    n_r, n_t = rng.integers(1, 5, size=2)
+    cplx = rng.random() < 0.5
+
+    def normal(*size):
+        z = rng.normal(size=size)
+        return z + 1j * rng.normal(size=size) if cplx else z
+
+    rank = min(n_r, n_t)
+    if rank > 1 and rng.random() < 0.3:
+        rank = int(rng.integers(1, rank))
+    H = normal(n_r, rank) @ normal(rank, n_t)
+    a_c = float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
+    ch = channel(H=H, h_l=normal(n_t), h_c=normal(n_r), a_c=a_c,
+                 legacy_load=rng.uniform(0.2, 0.8))
+    shape = None
+    if rng.random() < 0.5:
+        G = normal(n_t, int(rng.integers(1, n_t + 1)))
+        shape = G @ G.conj().T
+    return ch, shape
+
+
+def test_solve_mimo_field_matches_per_sample_check():
+    rng = np.random.default_rng(2008)
+    grids = {n: make_grid(n) for n in (16, 64, 512, 4096)}
+    fields = 0
+    for i in range(48):
+        ch, shape = random_draw(rng)
+        P = 10.0 ** rng.uniform(-3, 9)
+        grid = grids[(16, 64, 512, 4096)[i % 4]]
+        got = outcome(lambda: solve_mimo(ch, P, grid=grid, shape=shape).psd)
+        assert got == outcome(lambda: per_sample_psd(ch, P, grid, shape)), (i, P)
+        fields += isinstance(got, bytes)
+    assert fields >= 40
+
+
+@pytest.mark.parametrize("level", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, math.inf]],
+    [[1.0, 1e-9], [0.0, 1.0]],       # not Hermitian
+    [[1e3, 0.0], [0.0, -1e-6]],      # indefinite
+    [[2.0, 1j], [-1j, 1.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+])
+def test_on_off_level_check_matches_per_sample_check(level):
+    level = np.asarray(level, dtype=complex)
+    grid = make_grid(64)
+    for n_on in (1, 17, 64):
+        mask = np.arange(grid.n_points) < n_on
+        field = np.zeros((grid.n_points, 2, 2), dtype=complex)
+        field[mask] = level
+        assert (outcome(lambda: PsdMatrix._on_off(grid, mask, level))
+                == outcome(lambda: PsdMatrix(grid, field)))
+
+
+@pytest.mark.parametrize("P, accepted", [(1e-3, True), (1.0, False), (1e3, False)])
+def test_level_check_scale_matches_per_sample_check(P, accepted):
+    # the shape passes its own check at scale 1; the field's tolerance
+    # scales with the on-level, so the -1.8e-12 eigenvalue of the unit-trace
+    # shape is rejected once P/w reaches 1
+    shape = np.diag([0.5, -0.9e-12])
+    ch = channel()
+    _shape_matrix(ch, shape)
+    got = outcome(lambda: solve_mimo(ch, P, grid=GRID, shape=shape).psd)
+    assert got == outcome(lambda: per_sample_psd(ch, P, GRID, shape))
+    if accepted:
+        assert isinstance(got, bytes)
+    else:
+        assert got == (ValueError, "PSD matrices must be positive semidefinite")
+
+
+def test_solve_mimo_eigvalsh_budget(monkeypatch):
+    # the shape, at most one whitened noise and the on-level: a few matrices
+    # per solve, where a per-sample field check decomposes all 4096 samples
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        matrices.append(a.size // a.shape[-1] ** 2)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(4096)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for a_c in (1e-3, 1.0):  # treat-as-noise / successive or rate-split
+        matrices.clear()
+        sol = solve_mimo(channel(H=rng.normal(size=(3, 3)), a_c=a_c), 1e3,
+                         grid=make_grid(4096), shape=G @ G.conj().T)
+        assert sol.psd.values.shape == (4096, 3, 3)
+        assert 2 <= sum(matrices) <= 4, matrices
