@@ -53,12 +53,6 @@ def db_to_linear(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError("dB undefined for non-positive values")
-    return 10.0 * math.log10(x)
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -175,26 +169,24 @@ def _uncoded_scenario(p: _Params, grid: FrequencyGrid, P: float = 1.0) -> Uncode
                            D=p.value("D"), P=P)
 
 
-def _coded_scenario(p: _Params, P: float) -> coded_mod.CodedScenario:
+def _legacy_link(p: _Params) -> dict:
+    """The gains, noise powers and legacy rate R_l of a coded or mimo file, as
+    keyword arguments; read in one fixed order, so the first bad key reported
+    is the same for both kinds."""
     a_l = p.value("a_l")
     sigma2_s = p.value("sigma2_s")
     sigma2_nl = p.value("sigma2_nl")
-    R_l = _legacy_rate_value(p, a_l, sigma2_s, sigma2_nl)
-    return coded_mod.CodedScenario(
-        a_l=a_l, g_l=p.value("g_l"), a_c=p.value("a_c"), g_c=p.value("g_c"),
-        sigma2_s=sigma2_s, sigma2_nl=sigma2_nl, sigma2_nc=p.value("sigma2_nc"),
-        R_l=R_l, P=P)
-
-
-def _legacy_rate_value(p: _Params, a_l: float, sigma2_s: float, sigma2_nl: float) -> float:
     has_load = "legacy_load" in p._doc
-    has_rate = p.has("R_l")
-    if has_load == has_rate:
+    if has_load == p.has("R_l"):
         raise SchemaError("give exactly one of legacy_load or R_l (R_l in nats)")
     if has_load:
         load = p._number("legacy_load", p.raw("legacy_load"))
-        return load * math.log1p(a_l * sigma2_s / sigma2_nl)
-    return p.value("R_l")
+        R_l = load * math.log1p(a_l * sigma2_s / sigma2_nl)
+    else:
+        R_l = p.value("R_l")
+    return dict(a_l=a_l, g_l=p.value("g_l"), a_c=p.value("a_c"), g_c=p.value("g_c"),
+                sigma2_s=sigma2_s, sigma2_nl=sigma2_nl, sigma2_nc=p.value("sigma2_nc"),
+                R_l=R_l)
 
 
 def _array(raw, name: str) -> np.ndarray:
@@ -220,15 +212,7 @@ def _mimo_channel(p: _Params) -> mimo_mod.MimoChannel:
     H_c = _complex_array(p.raw("H_c"), "H_c", ndim=2)
     h_l = _complex_array(p.raw("h_l"), "h_l", ndim=1)
     h_c = _complex_array(p.raw("h_c"), "h_c", ndim=1)
-    a_l = p.value("a_l")
-    sigma2_s = p.value("sigma2_s")
-    sigma2_nl = p.value("sigma2_nl")
-    R_l = _legacy_rate_value(p, a_l, sigma2_s, sigma2_nl)
-    return mimo_mod.MimoChannel(
-        H_c=H_c, h_l=h_l, h_c=h_c,
-        a_l=a_l, g_l=p.value("g_l"), a_c=p.value("a_c"), g_c=p.value("g_c"),
-        sigma2_s=sigma2_s, sigma2_nl=sigma2_nl, sigma2_nc=p.value("sigma2_nc"),
-        R_l=R_l)
+    return mimo_mod.MimoChannel(H_c=H_c, h_l=h_l, h_c=h_c, **_legacy_link(p))
 
 
 def _multilegacy_scenario(p: _Params, grid: FrequencyGrid) -> multi_mod.MultiLegacyScenario:
@@ -347,7 +331,7 @@ def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
         _write_csv(output_path, ["P_db", "rate_it", "rate_shaping"], rows)
     elif kind == "coded":
         db_axis, powers = _power_sweep(p)
-        sc0 = _coded_scenario(p, P=1.0)
+        sc0 = coded_mod.CodedScenario(**_legacy_link(p), P=1.0)
         p.finish()
         rows = []
         for db, pw in zip(db_axis, powers):
@@ -454,7 +438,8 @@ def _solve_multilegacy(p: _Params, grid_points: int) -> dict:
 
 
 def _solve_coded(p: _Params, factor: float) -> dict:
-    sc = _coded_scenario(p, P=p.value("P"))
+    P = p.value("P")
+    sc = coded_mod.CodedScenario(**_legacy_link(p), P=P)
     p.finish()
     sol = coded_mod.solve_coded(sc)
     return {

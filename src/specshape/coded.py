@@ -8,9 +8,9 @@ B-2: rate-split), is the 1x1 case of the on-off search in `mimo`: each regime
 runs at the largest w its constraints allow, since at full power a wider
 support never lowers the rate. Neither the legacy rate nor the decode rate
 rises with w, so that w is the root of one constraint (A, B-2) or the smaller
-of two roots (B-1).
-`legacy_rate` and `decode_rate_at_cognitive` are the scalar constraint
-formulas, kept as references for tests.
+of two roots (B-1). `solve_coded(...).case_tag` reports the regime: A when
+the legacy signal is undecodable at the cognitive receiver even in silence,
+else the better of B-1 and B-2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleScenarioError
 from .mimo import DecodeMode, MimoChannel, _onoff_search
 
 
@@ -69,32 +68,6 @@ class CodedSolution:
     rate: float
     case_tag: CodedCase
     residuals: dict
-
-
-def legacy_rate(sc: CodedScenario, w) -> np.ndarray:
-    """Legacy link rate under on-off cognitive interference of fraction w."""
-    w = np.asarray(w, dtype=float)
-    on = np.log1p(sc.a_l * sc.sigma2_s / (sc.g_l * sc.P / w + sc.sigma2_nl))
-    return w * on + (1.0 - w) * sc.legacy_capacity
-
-
-def decode_rate_at_cognitive(sc: CodedScenario, w) -> np.ndarray:
-    """Rate at which the cognitive receiver can decode the legacy signal while
-    treating its own on-off signal as noise."""
-    w = np.asarray(w, dtype=float)
-    off = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
-    on = np.log1p(sc.a_c * sc.sigma2_s / (sc.g_c * sc.P / w + sc.sigma2_nc))
-    return w * on + (1.0 - w) * off
-
-
-def classify(sc: CodedScenario) -> str:
-    """'A' when the legacy signal is undecodable at the cognitive receiver
-    even in silence, else 'B'."""
-    if not sc.is_feasible:
-        raise InfeasibleScenarioError(
-            "legacy rate exceeds the legacy channel capacity")
-    quiet = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
-    return "A" if quiet <= sc.R_l else "B"
 
 
 _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,

@@ -54,16 +54,6 @@ class UncodedScenario:
         return self.a * self.phi_s.values + self.phi_n.values
 
 
-def memoryless_mse(sigma2_s: float, sigma2_x: float, sigma2_n: float, a: float) -> float:
-    """MSE of symbol-by-symbol MMSE estimation of the legacy symbol."""
-    if min(sigma2_s, sigma2_x, sigma2_n) < 0 or a < 0:
-        raise ValueError("variances and gain must be nonnegative")
-    denom = a * sigma2_s + sigma2_x + sigma2_n
-    if denom == 0.0:
-        raise ValueError("memoryless MSE undefined when all terms vanish")
-    return sigma2_s * (sigma2_x + sigma2_n) / denom
-
-
 def memoryless_floor(sigma2_s: float, sigma2_n: float, a: float) -> float:
     """Smallest distortion a memoryless receiver can reach (zero cognitive power)."""
     return 1.0 / (1.0 / sigma2_s + a / sigma2_n)

@@ -3,7 +3,9 @@ one on-off search behind the scalar and the vector coded solvers.
 
 The cognitive pair carries N_t transmit / N_r receive antennas; the legacy
 transceivers stay scalar. PSD matrices are sampled Hermitian-PSD fields on the
-half-band grid; rates come from the log-det entropy-rate formula.
+half-band grid. The search evaluates the log-det rates of an on-off field in
+closed form over the eigenmodes of its on-level; the sampled log-det
+evaluators it is checked against are test references (`tests/oracles.py`).
 
 The on-off search puts the on-level matrix (P/w) Q, with Q a fixed unit-trace
 Hermitian shape, on a support fraction w. Three operating regimes: the
@@ -39,7 +41,6 @@ from .spectra import FrequencyGrid, make_grid
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _RANK_RTOL = 1e-9
-_MODE_TOL = 1e-9
 _W_LO = 1e-9
 
 
@@ -59,7 +60,8 @@ def _checked(v: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(v).max()))
     if np.abs(v - herm).max() > _HERM_TOL * scale:
         raise ValueError("PSD matrices must be Hermitian")
-    v = 0.5 * (v + herm)
+    # halved before the sum, which would overflow past half the largest float
+    v = 0.5 * v + 0.5 * herm
     if np.linalg.eigvalsh(v).min() < _EIG_FLOOR * scale:
         raise ValueError("PSD matrices must be positive semidefinite")
     return v
@@ -163,79 +165,6 @@ class MimoSolution:
     residuals: dict
 
 
-def trace_power(psd: PsdMatrix) -> float:
-    """Total transmit power (1/2pi) int trace(phi(w)) dw."""
-    tr = np.trace(psd.values, axis1=1, axis2=2).real
-    return psd.grid.mean(tr)
-
-
-def legacy_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
-    """Legacy rate with the vector cognitive signal collapsed through h_l."""
-    hl = channel.h_l
-    if hl.size != psd.n_t:
-        raise ValueError("PSD matrix dimension does not match h_l")
-    interf = np.einsum("i,kij,j->k", hl, psd.values, hl.conj()).real
-    sinr = channel.a_l * channel.sigma2_s / (
-        channel.g_l * interf + channel.sigma2_nl)
-    return psd.grid.mean(np.log1p(sinr))
-
-
-def _batched_logdet(mats: np.ndarray) -> np.ndarray:
-    sign, ld = np.linalg.slogdet(mats)
-    if np.any(sign.real <= 0):
-        raise ValueError("log-det argument is not positive definite")
-    return ld
-
-
-def _quiet_decode_rate(channel: MimoChannel) -> float:
-    hc2 = float(np.vdot(channel.h_c, channel.h_c).real)
-    return math.log1p(channel.a_c * channel.sigma2_s * hc2 / channel.sigma2_nc)
-
-
-def decode_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
-    """Rate for decoding the scalar legacy signal at the cognitive array while
-    treating the cognitive signal as noise."""
-    H, hc = channel.H_c, channel.h_c
-    n_r = channel.n_r
-    cov = channel.g_c * np.einsum("ri,kij,sj->krs", H, psd.values, H.conj())
-    cov = cov + channel.sigma2_nc * np.eye(n_r)
-    sol = np.linalg.solve(cov, np.broadcast_to(hc, (psd.grid.n_points, n_r))[..., None])
-    sinr = channel.a_c * channel.sigma2_s * np.einsum(
-        "i,ki->k", hc.conj(), sol[..., 0]).real
-    return psd.grid.mean(np.log1p(sinr))
-
-
-def cognitive_rate_mimo(psd: PsdMatrix, channel: MimoChannel,
-                        decode_mode: DecodeMode | str, check: bool = True) -> float:
-    """Cognitive log-det rate under the selected legacy-handling mode."""
-    mode = DecodeMode(decode_mode)
-    H = channel.H_c
-    if H.shape[1] != psd.n_t:
-        raise ValueError("PSD matrix dimension does not match H_c")
-    n_r = channel.n_r
-    eye = np.eye(n_r)
-    HQH = np.einsum("ri,kij,sj->krs", H, psd.values, H.conj())
-    hco = np.outer(channel.h_c, channel.h_c.conj())
-
-    if mode is DecodeMode.TREAT_AS_NOISE:
-        if check and _quiet_decode_rate(channel) > channel.R_l * (1 + _MODE_TOL):
-            raise ValueError("legacy signal is decodable: treat-as-noise mode does not apply")
-        noise = channel.sigma2_nc * eye + channel.a_c * channel.sigma2_s * hco
-        arg = eye + channel.g_c * HQH @ np.linalg.inv(noise)
-        return psd.grid.mean(_batched_logdet(arg))
-
-    if mode is DecodeMode.SUCCESSIVE_B1:
-        if check and decode_rate_mimo(psd, channel) < channel.R_l * (1 - _MODE_TOL) - _MODE_TOL:
-            raise ValueError("legacy signal not decodable: successive decoding does not apply")
-        arg = eye + (channel.g_c / channel.sigma2_nc) * HQH
-        return psd.grid.mean(_batched_logdet(arg))
-
-    if check and decode_rate_mimo(psd, channel) > channel.R_l * (1 + _MODE_TOL) + _MODE_TOL:
-        raise ValueError("legacy decodable as-is: rate splitting does not apply")
-    arg = eye + (channel.g_c * HQH + channel.a_c * channel.sigma2_s * hco) / channel.sigma2_nc
-    return psd.grid.mean(_batched_logdet(arg)) - channel.R_l
-
-
 def mimo_prelog(channel: MimoChannel) -> float:
     """High-power slope: the scalar legacy-load prelog scaled by rank(H_c)."""
     if not channel.is_feasible:
@@ -282,7 +211,10 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
 
     With w_l the root of the legacy constraint and w_d that of decodability,
     A runs at w_l, B-1 at min(w_l, w_d), and B-2 at w_l when the legacy
-    signal is not decodable there. The functions of w take Python floats."""
+    signal is not decodable there. The functions of w take Python floats, and
+    P is made one too, so that an overflow gives inf without a numpy warning;
+    a winning rate that is not finite raises SolverError."""
+    P = float(P)
     if not 0 < P < math.inf:
         raise ValueError("power budget must be positive and finite")
     if not ch.is_feasible:
@@ -293,7 +225,8 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     hco = np.outer(ch.h_c, ch.h_c.conj())
     eye = np.eye(ch.n_r)
     C_l = ch.legacy_capacity
-    off_dec = _quiet_decode_rate(ch)
+    hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
+    off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
 
     # One-time eigendecompositions make every w-evaluation a stable sum of
     # log1p / rational terms over the eigenmodes, immune to the huge P/w
@@ -348,6 +281,8 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     if not candidates:
         raise InfeasibleScenarioError("no feasible operating point")
     mode, w, rate = max(candidates, key=lambda t: t[2])
+    if not math.isfinite(rate):
+        raise SolverError(f"the on-off rate is not finite (P = {P:g}, w = {w:g})")
     residuals = {"legacy": float(legacy_con(w))}
     if mode is not DecodeMode.TREAT_AS_NOISE:
         residuals["decodability"] = float(decode_con(w))
@@ -366,7 +301,7 @@ def solve_mimo(channel: MimoChannel, P: float,
     level rescaled so trace power is exactly P. The support is a prefix of
     the grid that always holds sample 0, and the field is checked through its
     one on-level, which decides as checking every sample would. An on-level
-    P/frac that overflows raises SolverError.
+    P/frac or a rate that overflows raises SolverError.
     """
     Q = _shape_matrix(channel, shape)
     mode, w, rate, residuals = _onoff_search(channel, P, Q)

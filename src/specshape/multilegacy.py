@@ -73,13 +73,6 @@ def _receiver_scenario(scenario: MultiLegacyScenario, r: LegacyReceiver) -> Unco
     return UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0)
 
 
-def per_receiver_floor(scenario: MultiLegacyScenario, k: int) -> float:
-    """Smoothing MSE of receiver k with zero cognitive transmission."""
-    if not 0 <= k < len(scenario.receivers):
-        raise IndexError(f"receiver index {k} out of range")
-    return wk_floor(_receiver_scenario(scenario, scenario.receivers[k]))
-
-
 def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     """Largest on-off support meeting all K pre-emphasis mass constraints.
 

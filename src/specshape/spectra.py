@@ -7,7 +7,6 @@ spectra live on the half band [0, pi] and full-band integrals
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,32 +64,6 @@ class Spectrum:
         if (v < 0).any():
             raise ValueError("PSD samples must be nonnegative")
         object.__setattr__(self, "values", _frozen(v))
-
-
-@dataclass(frozen=True)
-class OnOffSpectrum:
-    """PSD taking only the values {0, level} on a boolean support mask."""
-
-    grid: FrequencyGrid
-    support: np.ndarray
-    level: float
-
-    def __post_init__(self):
-        if not 0 <= self.level < math.inf:
-            raise ValueError("on-level must be nonnegative and finite")
-        mask = np.asarray(self.support, dtype=bool)
-        if mask.shape != self.grid.omegas.shape:
-            raise ValueError("support mask does not match the grid")
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "support", mask)
-
-    @property
-    def support_fraction(self) -> float:
-        return float(np.dot(self.grid.weights, self.support)) / np.pi
-
-    def to_spectrum(self) -> Spectrum:
-        return Spectrum(self.grid, np.where(self.support, self.level, 0.0))
 
 
 def flat_spectrum(grid: FrequencyGrid, variance: float) -> Spectrum:

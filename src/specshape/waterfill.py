@@ -72,13 +72,11 @@ def waterfill(base: Spectrum, budget: float) -> WaterfillResult:
     )
 
 
-def rate(phi_x: Spectrum, base: Spectrum, bits: bool = False) -> float:
-    """Achievable rate (1/2pi) int log(1 + phi_x/base); nats by default,
-    bits per symbol with the units flag."""
+def rate(phi_x: Spectrum, base: Spectrum) -> float:
+    """Achievable rate (1/2pi) int log(1 + phi_x/base) in nats."""
     if phi_x.grid is not base.grid:
         raise ValueError("spectra must share a grid")
-    r = rate_bins(phi_x.values, base.values, base.grid.weights)
-    return r / np.log(2.0) if bits else r
+    return rate_bins(phi_x.values, base.values, base.grid.weights)
 
 
 def rate_bins(phi_x: np.ndarray, base: np.ndarray, weights: np.ndarray) -> float:

@@ -9,6 +9,18 @@
 - `json_text`: the CLI's JSON layout as the standard library writes it,
   every float rounded to 12 significant digits first. The CLI writes the
   same text in one pass per array.
+- `memoryless_mse`: the MSE of symbol-by-symbol MMSE estimation, the
+  flat-spectrum limit that the Wiener-Kolmogorov `wk_mse` must reduce to.
+- `legacy_rate`, `decode_rate_at_cognitive`: the scalar coded constraints
+  as written in the paper, vectorized over the support fraction w. They
+  check `solve_coded`'s w against a dense grid over w, and the acceptance
+  gate's coded criterion.
+- `trace_power`, `legacy_rate_mimo`, `decode_rate_mimo`,
+  `cognitive_rate_mimo`: the MIMO power and log-det rates evaluated sample
+  by sample on a PSD-matrix field, for any field and not only an on-off one.
+  `cognitive_rate_mimo` takes a decode mode and, with `check`, first tests
+  that the mode applies. They check the power of `solve_mimo`'s rendered
+  field and, in their 1x1 case, the scalar formulas.
 """
 
 from __future__ import annotations
@@ -19,13 +31,16 @@ import math
 import numpy as np
 
 from specshape import shaping
+from specshape.coded import CodedScenario
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario
+from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix
 from specshape.shaping import CaseTag, ShapingSolution
 from specshape.spectra import Spectrum
 
 SWEEP_POINTS = 40
 GOLDEN_ITERS = 56
+_MODE_TOL = 1e-9
 
 
 def flat_case_closed_form(scenario: UncodedScenario) -> ShapingSolution:
@@ -127,3 +142,100 @@ def json_text(payload) -> str:
     """What `cli._json_text` must return for payload. NaN and infinities
     raise ValueError."""
     return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
+def memoryless_mse(sigma2_s: float, sigma2_x: float, sigma2_n: float, a: float) -> float:
+    """MSE of symbol-by-symbol MMSE estimation of the legacy symbol."""
+    if min(sigma2_s, sigma2_x, sigma2_n) < 0 or a < 0:
+        raise ValueError("variances and gain must be nonnegative")
+    denom = a * sigma2_s + sigma2_x + sigma2_n
+    if denom == 0.0:
+        raise ValueError("memoryless MSE undefined when all terms vanish")
+    return sigma2_s * (sigma2_x + sigma2_n) / denom
+
+
+def legacy_rate(sc: CodedScenario, w) -> np.ndarray:
+    """Legacy link rate under on-off cognitive interference of fraction w."""
+    w = np.asarray(w, dtype=float)
+    on = np.log1p(sc.a_l * sc.sigma2_s / (sc.g_l * sc.P / w + sc.sigma2_nl))
+    return w * on + (1.0 - w) * sc.legacy_capacity
+
+
+def decode_rate_at_cognitive(sc: CodedScenario, w) -> np.ndarray:
+    """Rate at which the cognitive receiver can decode the legacy signal while
+    treating its own on-off signal as noise."""
+    w = np.asarray(w, dtype=float)
+    off = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
+    on = np.log1p(sc.a_c * sc.sigma2_s / (sc.g_c * sc.P / w + sc.sigma2_nc))
+    return w * on + (1.0 - w) * off
+
+
+
+def trace_power(psd: PsdMatrix) -> float:
+    """Total transmit power (1/2pi) int trace(phi(w)) dw."""
+    tr = np.trace(psd.values, axis1=1, axis2=2).real
+    return psd.grid.mean(tr)
+
+
+def legacy_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
+    """Legacy rate with the vector cognitive signal collapsed through h_l."""
+    hl = channel.h_l
+    if hl.size != psd.n_t:
+        raise ValueError("PSD matrix dimension does not match h_l")
+    interf = np.einsum("i,kij,j->k", hl, psd.values, hl.conj()).real
+    sinr = channel.a_l * channel.sigma2_s / (
+        channel.g_l * interf + channel.sigma2_nl)
+    return psd.grid.mean(np.log1p(sinr))
+
+
+def _batched_logdet(mats: np.ndarray) -> np.ndarray:
+    sign, ld = np.linalg.slogdet(mats)
+    if np.any(sign.real <= 0):
+        raise ValueError("log-det argument is not positive definite")
+    return ld
+
+
+def decode_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
+    """Rate for decoding the scalar legacy signal at the cognitive array while
+    treating the cognitive signal as noise."""
+    H, hc = channel.H_c, channel.h_c
+    n_r = channel.n_r
+    cov = channel.g_c * np.einsum("ri,kij,sj->krs", H, psd.values, H.conj())
+    cov = cov + channel.sigma2_nc * np.eye(n_r)
+    sol = np.linalg.solve(cov, np.broadcast_to(hc, (psd.grid.n_points, n_r))[..., None])
+    sinr = channel.a_c * channel.sigma2_s * np.einsum(
+        "i,ki->k", hc.conj(), sol[..., 0]).real
+    return psd.grid.mean(np.log1p(sinr))
+
+
+def cognitive_rate_mimo(psd: PsdMatrix, channel: MimoChannel,
+                        decode_mode: DecodeMode | str, check: bool = True) -> float:
+    """Cognitive log-det rate under the selected legacy-handling mode."""
+    mode = DecodeMode(decode_mode)
+    H = channel.H_c
+    if H.shape[1] != psd.n_t:
+        raise ValueError("PSD matrix dimension does not match H_c")
+    n_r = channel.n_r
+    eye = np.eye(n_r)
+    HQH = np.einsum("ri,kij,sj->krs", H, psd.values, H.conj())
+    hco = np.outer(channel.h_c, channel.h_c.conj())
+
+    if mode is DecodeMode.TREAT_AS_NOISE:
+        hc2 = float(np.vdot(channel.h_c, channel.h_c).real)
+        quiet = math.log1p(channel.a_c * channel.sigma2_s * hc2 / channel.sigma2_nc)
+        if check and quiet > channel.R_l * (1 + _MODE_TOL):
+            raise ValueError("legacy signal is decodable: treat-as-noise mode does not apply")
+        noise = channel.sigma2_nc * eye + channel.a_c * channel.sigma2_s * hco
+        arg = eye + channel.g_c * HQH @ np.linalg.inv(noise)
+        return psd.grid.mean(_batched_logdet(arg))
+
+    if mode is DecodeMode.SUCCESSIVE_B1:
+        if check and decode_rate_mimo(psd, channel) < channel.R_l * (1 - _MODE_TOL) - _MODE_TOL:
+            raise ValueError("legacy signal not decodable: successive decoding does not apply")
+        arg = eye + (channel.g_c / channel.sigma2_nc) * HQH
+        return psd.grid.mean(_batched_logdet(arg))
+
+    if check and decode_rate_mimo(psd, channel) > channel.R_l * (1 + _MODE_TOL) + _MODE_TOL:
+        raise ValueError("legacy decodable as-is: rate splitting does not apply")
+    arg = eye + (channel.g_c * HQH + channel.a_c * channel.sigma2_s * hco) / channel.sigma2_nc
+    return psd.grid.mean(_batched_logdet(arg)) - channel.R_l

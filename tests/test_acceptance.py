@@ -9,9 +9,8 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import optimize
 
-from oracles import flat_case_closed_form
-from specshape.coded import CodedScenario, coded_prelog, decode_rate_at_cognitive, \
-    legacy_rate, solve_coded
+from oracles import decode_rate_at_cognitive, flat_case_closed_form, legacy_rate
+from specshape.coded import CodedScenario, coded_prelog, solve_coded
 from specshape.estimation import UncodedScenario, wk_floor
 from specshape.mimo import MimoChannel, mimo_prelog, solve_mimo
 from specshape.multilegacy import LegacyReceiver, MultiLegacyScenario, max_prelog_support

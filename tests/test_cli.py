@@ -32,7 +32,15 @@ def uncoded_doc(**kw):
 
 @given(st.floats(min_value=1e-6, max_value=1e9))
 def test_db_round_trip(x):
-    assert cli.db_to_linear(cli.linear_to_db(x)) == pytest.approx(x, rel=1e-12)
+    assert cli.db_to_linear(10.0 * math.log10(x)) == pytest.approx(x, rel=1e-12)
+
+
+def test_db_to_linear_hand_values():
+    assert cli.db_to_linear(0.0) == 1.0
+    assert cli.db_to_linear(10.0) == 10.0
+    assert cli.db_to_linear(30.0) == 1000.0
+    assert cli.db_to_linear(-20.0) == pytest.approx(0.01, rel=1e-15)
+    assert cli.db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-15)
 
 
 def test_rate_curve_flat_saturation_and_growth(tmp_path):
@@ -275,9 +283,9 @@ def test_case2_at_waterfilling_mse_exit_0(tmp_path):
     assert json.loads(out.read_text())["case_tag"] == "BothConstraintsActive"
 
 
-def run_bad(tmp_path, capsys, doc):
+def run_bad(tmp_path, capsys, doc, *opts):
     out = tmp_path / "o.json"
-    code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
+    code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet", *opts])
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
     return code
@@ -344,6 +352,27 @@ def test_overflowing_mimo_on_level_exit_4(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_bad(tmp_path, capsys, dict(RANK1_MIMO, P=1.7e308)) == 4
+
+
+def test_overflowing_mimo_rate_exit_4(tmp_path, capsys):
+    # at w = 0.5 the on-level is finite but the rate's g_c P/w overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_bad(tmp_path, capsys, dict(RANK1_MIMO, P=5e307), "--grid", "64") == 4
+
+
+@pytest.mark.parametrize("P", [5e307, 8e307])
+def test_on_level_near_the_float_limit_exit_0(tmp_path, capsys, P):
+    # an on-level above half the largest float passes the field check
+    doc = dict(RANK1_MIMO, H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_c=0.01, g_c=1, P=P)
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--grid", "64", "--quiet"])
+    assert code == 0 and capsys.readouterr().err == ""
+    got = json.loads(out.read_text())
+    assert got["mode"] == "TreatAsNoise" and math.isfinite(got["rate"])
+    assert got["phi0_matrix"][0][0][0] >= 1e308
 
 
 def test_wrong_kind_for_mesh_exit_2(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import memoryless_mse
 from specshape.estimation import (
     UncodedScenario,
     memoryless_floor,
-    memoryless_mse,
     memoryless_power_cap,
     wk_floor,
     wk_mse,

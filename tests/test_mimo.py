@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import cognitive_rate_mimo, legacy_rate_mimo, trace_power
 from specshape.coded import CodedScenario, solve_coded, coded_prelog
 from specshape.errors import InfeasibleScenarioError, SolverError
 from specshape.mimo import (
@@ -12,15 +13,12 @@ from specshape.mimo import (
     MimoChannel,
     PsdMatrix,
     _W_LO,
+    _checked,
     _onoff_search,
     _shape_matrix,
     _widest_feasible,
-    cognitive_rate_mimo,
-    decode_rate_mimo,
-    legacy_rate_mimo,
     mimo_prelog,
     solve_mimo,
-    trace_power,
 )
 from specshape.spectra import make_grid
 
@@ -95,7 +93,6 @@ def test_legacy_rate_scalar_reduction():
     sc = CodedScenario(ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s,
                        ch.sigma2_nl, ch.sigma2_nc, ch.R_l, P=10.0)
     psd, w = onoff_identity_psd(GRID, 40.0, 1, 0.3)
-    from specshape.coded import legacy_rate as scalar_legacy
     expected = w * math.log1p(sc.a_l * sc.sigma2_s / (sc.g_l * 40.0 + sc.sigma2_nl)) \
         + (1 - w) * sc.legacy_capacity
     assert legacy_rate_mimo(psd, ch) == pytest.approx(expected, rel=1e-12)
@@ -417,6 +414,43 @@ def test_overflowing_on_level_raises_solver_error():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="not finite"):
             solve_mimo(ch, 1.7e308, grid=GRID)
+
+
+@pytest.mark.parametrize("P", [5e307, np.float64(5e307)], ids=["float", "float64"])
+def test_overflowing_rate_raises_solver_error(P):
+    # at w = 0.5 the on-level P/w is finite, but the B-1 mode gain
+    # g_c P/w = 1e309 overflows, so the rate is inf; a float64 P must not warn
+    ch = channel(H=[[1.0, 0.0], [0.0, 0.0]], h_l=[1.0, 0.0], h_c=[1.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="rate is not finite"):
+            solve_mimo(ch, P, grid=make_grid(64))
+        with pytest.raises(SolverError, match="rate is not finite"):
+            solve_coded(CodedScenario(ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s,
+                                      ch.sigma2_nl, ch.sigma2_nc, ch.R_l, P=P))
+
+
+@pytest.mark.parametrize("P", [5e307, 8e307])
+def test_on_level_near_the_float_limit_is_checked(P):
+    # the on-level P/w is at least 1e308, past half the largest float: the
+    # Hermitian part must be formed without adding two such entries
+    ch = scalar_channel(a_c=0.01, g_c=1.0)
+    g = make_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_mimo(ch, P, grid=g)
+    assert sol.mode is DecodeMode.TREAT_AS_NOISE
+    assert math.isfinite(sol.rate)
+    field = sol.psd.values[:, 0, 0]
+    frac = float(g.weights[field != 0].sum()) / np.pi
+    assert field[0] == P / frac >= 1e308
+
+
+def test_hermitian_part_of_huge_entries():
+    v = np.array([[[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_checked(v), v)
 
 
 def per_sample_psd(ch, P, grid, shape=None):

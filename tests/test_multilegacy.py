@@ -9,7 +9,6 @@ from specshape.multilegacy import (
     MultiLegacyScenario,
     low_noise_support,
     max_prelog_support,
-    per_receiver_floor,
 )
 from specshape.shaping import onoff_prelog, preemphasized_psd
 from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
@@ -22,27 +21,27 @@ def one_receiver(a=1000.0, s2n=1.0, D=0.01, grid=GRID):
     return LegacyReceiver(a, flat_spectrum(grid, s2n), D)
 
 
+def receiver_floor(sc, k):
+    """Smoothing MSE of receiver k with zero cognitive transmission."""
+    r = sc.receivers[k]
+    return wk_floor(UncodedScenario(r.a, sc.phi_s, r.phi_n, r.D, 1.0))
+
+
 def test_floor_flat_hand_value():
     sc = MultiLegacyScenario(flat_spectrum(GRID, 1.0), (one_receiver(),))
-    assert per_receiver_floor(sc, 0) == pytest.approx(1.0 / 1001.0, rel=1e-12)
+    assert receiver_floor(sc, 0) == pytest.approx(1.0 / 1001.0, rel=1e-12)
 
 
 def test_floor_vanishes_for_huge_gain():
     sc = MultiLegacyScenario(flat_spectrum(GRID, 1.0), (one_receiver(a=1e12),))
-    assert per_receiver_floor(sc, 0) < 1e-11
+    assert receiver_floor(sc, 0) < 1e-11
 
 
 def test_floor_matches_single_receiver_module():
     phi_s = ar1_spectrum(GRID, 1.0, 0.2)
-    sc = MultiLegacyScenario(phi_s, (one_receiver(a=37.0, s2n=0.7),))
+    sc = MultiLegacyScenario(phi_s, (one_receiver(a=37.0, s2n=0.7, D=0.1),))
     ref = UncodedScenario(37.0, phi_s, flat_spectrum(GRID, 0.7), 0.1, 1.0)
-    assert per_receiver_floor(sc, 0) == pytest.approx(wk_floor(ref), rel=1e-14)
-
-
-def test_floor_index_out_of_range():
-    sc = MultiLegacyScenario(flat_spectrum(GRID, 1.0), (one_receiver(),))
-    with pytest.raises(IndexError):
-        per_receiver_floor(sc, 1)
+    assert max_prelog_support(sc).budgets[0] == pytest.approx(0.1 - wk_floor(ref), rel=1e-14)
 
 
 def test_k1_matches_prop2_support_exactly():
@@ -75,7 +74,7 @@ def test_flat_two_receivers_min_budget_caps():
     got = max_prelog_support(sc)
     # flat cost density u0 = a/(a+1); binding receiver is the tighter target
     u0 = 1000.0 / 1001.0
-    floors = [per_receiver_floor(sc, k) for k in range(2)]
+    floors = [receiver_floor(sc, k) for k in range(2)]
     expected = min((r.D - f) / u0 for r, f in zip((r1, r2), floors))
     assert got.prelog == pytest.approx(expected, rel=1e-9)
 
@@ -101,7 +100,7 @@ def test_support_satisfies_all_inequalities():
     for k, r in enumerate(sc.receivers):
         dens = r.a * s * s / (r.a * s + r.phi_n.values)
         used = float(np.dot(w[got.support], dens[got.support])) / np.pi
-        budget = r.D - per_receiver_floor(sc, k)
+        budget = r.D - receiver_floor(sc, k)
         assert used <= budget + 1e-9
 
 
@@ -135,7 +134,7 @@ def test_swap_pass_grows_prelog_within_budgets(monkeypatch, seed, n, K):
         dens = r.a * s * s / (r.a * s + r.phi_n.values)
         used = float(np.dot(w[got.support], dens[got.support])) / np.pi
         assert used <= got.budgets[k] * (1 + 1e-12)
-        assert got.budgets[k] == r.D - per_receiver_floor(sc, k)
+        assert got.budgets[k] == r.D - receiver_floor(sc, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +165,7 @@ def lp_prelog(sc):
     w, s = sc.grid.weights, sc.phi_s.values
     costs = np.array([r.a * s * s / (r.a * s + r.phi_n.values) * w / np.pi
                       for r in sc.receivers])
-    budgets = [r.D - per_receiver_floor(sc, k) for k, r in enumerate(sc.receivers)]
+    budgets = [r.D - receiver_floor(sc, k) for k, r in enumerate(sc.receivers)]
     res = optimize.linprog(-w / np.pi, A_ub=costs, b_ub=budgets, bounds=(0.0, 1.0),
                            method="highs")
     assert res.status == 0

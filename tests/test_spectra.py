@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from specshape.spectra import (
     FrequencyGrid,
-    OnOffSpectrum,
+    Spectrum,
     ar1_spectrum,
     flat_spectrum,
     make_grid,
@@ -107,24 +107,15 @@ def test_mean_power_onoff():
     g = make_grid(4096)
     cum = np.cumsum(g.weights)
     mask = cum <= 0.25 * np.pi
-    oo = OnOffSpectrum(g, mask, 8.0)
-    w = oo.support_fraction
-    assert mean_power(oo.to_spectrum()) == pytest.approx(w * 8.0, rel=1e-12)
+    w = float(np.dot(g.weights, mask)) / np.pi
+    assert mean_power(Spectrum(g, np.where(mask, 8.0, 0.0))) == pytest.approx(w * 8.0, rel=1e-12)
     assert 0.24 < w < 0.26
-
-
-@pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])
-def test_onoff_rejects_bad_level(level):
-    g = make_grid(16)
-    with pytest.raises(ValueError):
-        OnOffSpectrum(g, np.ones(g.n_points, dtype=bool), level)
 
 
 def test_spectrum_rejects_bad_values():
     g = make_grid(16)
     with pytest.raises(ValueError):
         flat_spectrum(g, np.nan)
-    from specshape.spectra import Spectrum
     with pytest.raises(ValueError):
         Spectrum(g, -np.ones(g.n_points))
     with pytest.raises(ValueError):

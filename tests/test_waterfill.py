@@ -61,10 +61,9 @@ def test_rate_zero_input():
     assert rate(flat_spectrum(g, 0.0), flat_spectrum(g, 1.0)) == 0.0
 
 
-def test_rate_bits_flag():
+def test_rate_flat_hand_value():
     g = make_grid(64)
     phi, base = flat_spectrum(g, 3.0), flat_spectrum(g, 1.0)
-    assert rate(phi, base, bits=True) == pytest.approx(2.0, rel=1e-12)
     assert rate(phi, base) == pytest.approx(np.log(4.0), rel=1e-12)
 
 
