@@ -13,11 +13,12 @@ On a given support, the stationary PSD family
     phi_x = (1 + sqrt(1 + 4*lam*mu*a*phi_s^2)) / (-2*mu) - a*phi_s - phi_n
 
 is swept by a change of variables: with tau = 1/(-2*mu) and nu = lam*(-mu),
-phi_x = max(tau*h - base, 0) with h = 1 + sqrt(1 - 4*nu*u), so matching the
-power budget is a one-dimensional monotone fill in tau (solved exactly by
-sorting the cells by base/h) and matching the distortion target is a
-one-dimensional root-find in nu. Plain water-filling is the same fill at
-nu = 0, so the case-1 test is the fill at nu = 0 on the full band.
+phi_x = max(tau*h - base, 0) with h = 1 + sqrt(1 - 4*nu*a*phi_s^2), so
+matching the power budget is a one-dimensional monotone fill in tau (solved
+exactly by Newton steps on tau that drop inactive cells, with no sort) and
+matching the distortion target is a one-dimensional root-find in nu. Plain
+water-filling is the same fill at nu = 0, so the case-1 test is the fill at
+nu = 0 on the full band.
 The support fraction starts from the kink, the widest support on which plain
 water-filling meets the target (a root-find at one fill per step); past it
 the tight branch's slope is the boundary cell's Lagrangian value, whose sign
@@ -97,11 +98,11 @@ class _Workspace:
         self.s = scenario.phi_s.values
         self.n = scenario.phi_n.values
         self.b = scenario.base()
-        self.u = preemphasized_psd(scenario).values
-        df = np.zeros_like(self.s)
+        self.u, df = np.zeros_like(self.s), np.zeros_like(self.s)
+        np.divide(scenario.a * self.s * self.s, self.b, out=self.u, where=self.b > 0)
         np.divide(self.s * self.n, self.b, out=df, where=self.b > 0)
         self.dlow = grid.mean(df)
-        order = np.lexsort((np.arange(grid.n_points), self.u))
+        order = np.argsort(self.u, kind="stable")
         self.order = order
         self.us = self.u[order]
         self.bs = self.b[order]

@@ -23,37 +23,35 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
     (1/pi) sum_i w_i phi_i and never more; cells with h <= 0 stay at zero.
     Returns (phi, tau), or None when no cell of positive weight has h > 0.
 
-    Sort-based (Palomar & Fonollosa, IEEE TSP 2005): a cell turns on once tau
-    passes base/h, so with the cells sorted by that threshold the power at
-    each threshold is read off prefix sums, and tau is linear in the budget on
-    the active prefix.
+    Active-set Newton on tau, no sort: spent power is convex and piecewise
+    linear in tau, so the closed-form tau on the cells taken as active falls
+    onto the exact one as cells with tau*h <= base leave; at most one pass per
+    cell, one when all are active. The set keeps a cell of positive weight,
+    which rounding can drop when the budget is tiny next to the base mass.
     """
-    on = np.flatnonzero(h > 0.0)
-    thr = base[on] / h[on]
-    order = np.argsort(thr, kind="stable")
-    idx, thr = on[order], thr[order]
-    wh = np.cumsum(weights[idx] * h[idx])
-    if wh.size == 0 or wh[-1] <= 0.0:
-        return None
-    wb = np.cumsum(weights[idx] * base[idx])
+    hs, bs, ws, keep = h, base, weights, h > 0.0  # the first pass drops h <= 0
     target = budget * np.pi
-    # Power at each threshold is nondecreasing; the first cell of positive
-    # weight spends nothing at its own threshold, so it is always active.
-    k = max(int(np.searchsorted(thr * wh - wb, target)), int(np.argmax(wh > 0.0)) + 1)
-    act = idx[:k]
-    tau = (target + wb[k - 1]) / wh[k - 1]
-    # The prefix-sum level cancels when the budget is small next to the base
+    while True:
+        if not keep.all():
+            hs, bs, ws = hs[keep], bs[keep], ws[keep]
+        wh = float(np.dot(ws, hs))
+        if wh <= 0.0:
+            return None
+        tau = (target + float(np.dot(ws, bs))) / wh
+        gap = tau * hs - bs
+        keep = gap > 0.0
+        if keep.all() or not ws[keep].any():
+            break
+    # The closed-form level cancels when the budget is small next to the base
     # mass; one linear step on the active cells restores the spent power.
-    spent = float(np.dot(weights[act], np.maximum(tau * h[act] - base[act], 0.0)))
-    tau += (target - spent) / wh[k - 1]
-    phi = np.zeros_like(base)
+    tau += (target - float(np.dot(ws, np.maximum(gap, 0.0, out=gap)))) / wh
     step = 0.0
     while True:
-        phi[on] = np.maximum(tau * h[on] - base[on], 0.0)
+        phi = np.where(h > 0.0, np.maximum(tau * h - base, 0.0), 0.0)
         over = float(np.dot(weights, phi)) / np.pi - budget
         if over <= 0.0:
             return phi, tau
-        step = max(2.0 * step, over * np.pi / wh[k - 1], np.spacing(tau))
+        step = max(2.0 * step, over * np.pi / wh, np.spacing(tau))
         tau -= step
 
 

@@ -6,6 +6,9 @@
   support fraction plus golden-section refinement around the best sweep
   point. It shares only the per-support evaluation with the solver, so it
   checks the search over supports, at about 100 evaluations a solve.
+- `sorted_fill`: the exact power fill as the solvers computed it before
+  the active-set iteration, by sorting the cells by base/h and reading the
+  level off prefix sums. It checks `waterfill._fill` level for level.
 - `json_text`: the CLI's JSON layout as the standard library writes it,
   every float rounded to 12 significant digits first. The CLI writes the
   same text in one pass per array.
@@ -123,6 +126,45 @@ def sweep_golden_rate(scenario) -> float:
     hi = sweep[k + 1] if k + 1 < sweep.size else 1.0
     _golden_max(f, lo, hi, GOLDEN_ITERS)
     return max(rates.values())
+
+
+def sorted_fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
+    """Exact fill phi = max(tau*h - base, 0) spending `budget` of power
+    (1/pi) sum_i w_i phi_i and never more; cells with h <= 0 stay at zero.
+    Returns (phi, tau), or None when no cell of positive weight has h > 0.
+
+    Sort-based (Palomar & Fonollosa, IEEE TSP 2005): a cell turns on once tau
+    passes base/h, so with the cells sorted by that threshold the power at
+    each threshold is read off prefix sums, and tau is linear in the budget on
+    the active prefix.
+    """
+    on = np.flatnonzero(h > 0.0)
+    thr = base[on] / h[on]
+    order = np.argsort(thr, kind="stable")
+    idx, thr = on[order], thr[order]
+    wh = np.cumsum(weights[idx] * h[idx])
+    if wh.size == 0 or wh[-1] <= 0.0:
+        return None
+    wb = np.cumsum(weights[idx] * base[idx])
+    target = budget * np.pi
+    # Power at each threshold is nondecreasing; the first cell of positive
+    # weight spends nothing at its own threshold, so it is always active.
+    k = max(int(np.searchsorted(thr * wh - wb, target)), int(np.argmax(wh > 0.0)) + 1)
+    act = idx[:k]
+    tau = (target + wb[k - 1]) / wh[k - 1]
+    # The prefix-sum level cancels when the budget is small next to the base
+    # mass; one linear step on the active cells restores the spent power.
+    spent = float(np.dot(weights[act], np.maximum(tau * h[act] - base[act], 0.0)))
+    tau += (target - spent) / wh[k - 1]
+    phi = np.zeros_like(base)
+    step = 0.0
+    while True:
+        phi[on] = np.maximum(tau * h[on] - base[on], 0.0)
+        over = float(np.dot(weights, phi)) / np.pi - budget
+        if over <= 0.0:
+            return phi, tau
+        step = max(2.0 * step, over * np.pi / wh[k - 1], np.spacing(tau))
+        tau -= step
 
 
 def _round12(obj):

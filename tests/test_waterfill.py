@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshape.spectra import Spectrum, flat_spectrum, make_grid, mean_power
+from oracles import sorted_fill
+from specshape import shaping
+from specshape.estimation import UncodedScenario
+from specshape.shaping import CaseTag
+from specshape.spectra import (Spectrum, ar1_spectrum, flat_spectrum, make_grid, mean_power,
+                               tabulated_spectrum)
 from specshape.waterfill import _fill, rate, waterfill
 
 
@@ -152,6 +157,79 @@ def test_fill_matches_bisection_oracle(seed, budget):
     assert phi == pytest.approx(np.where(h > 0, np.maximum(tau * h - base, 0.0), 0.0),
                                 abs=1e-12 * tau)
     assert tau == pytest.approx(bisection_level(h, base, weights, budget), rel=1e-12)
+
+
+def tilted_h(q, nu):
+    # _tilted_fill's h: 1 + sqrt(1 - 4 nu q), and 0 where the root is complex.
+    disc = 1.0 - 4.0 * nu * q
+    return np.where(disc >= 0.0, 1.0 + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 32768])
+def test_fill_matches_sorted_fill(n):
+    # Solver-shaped inputs: a prefix of a workspace's pre-emphasis order whose
+    # last cell is a boundary cell of zero weight (theta = 0), tilted past
+    # 0.25/max q in about half the draws so that cells drop out (h = 0).
+    rng = np.random.default_rng(n)
+    g = make_grid(n)
+    dropped = 0
+    for _ in range(12):
+        if rng.uniform() < 0.5:
+            phi_s = ar1_spectrum(g, 1.0, 10.0 ** rng.uniform(-2.0, np.log10(0.9)))
+        else:
+            phi_s = tabulated_spectrum(g, np.exp(rng.uniform(-1.0, 1.0, 9)))
+        phi_n = (flat_spectrum(g, 1.0) if rng.uniform() < 0.5
+                 else tabulated_spectrum(g, np.exp(rng.uniform(-2.0, 2.0, 5))))
+        ws = shaping._Workspace(UncodedScenario(float(np.exp(rng.uniform(0.0, 7.0))),
+                                                phi_s, phi_n, 1.0, 1.0))
+        m = int(rng.integers(2, n + 1))
+        weights = ws.ws[:m].copy()
+        weights[-1] = 0.0
+        q, base = ws.qs[:m], ws.bs[:m]
+        h = tilted_h(q, rng.uniform(0.0, 2.0) * 0.25 / q.max())
+        budget = 10.0 ** rng.uniform(-4.0, 10.0)
+        filled, ref = _fill(h, base, weights, budget), sorted_fill(h, base, weights, budget)
+        if ref is None:
+            assert filled is None
+            continue
+        dropped += bool(np.any(h == 0.0))
+        (phi, tau), (ref_phi, ref_tau) = filled, ref
+        assert tau == pytest.approx(ref_tau, rel=1e-14, abs=0.0)
+        # Against a base mass far above the budget the spent power is known
+        # only to rounding of that mass, for the sorted fill as well.
+        slack = max(1e-13 * budget, np.finfo(float).eps * float(np.dot(weights, base)) / np.pi)
+        assert budget - slack <= float(np.dot(weights, phi)) / np.pi <= budget
+        np.testing.assert_array_equal(phi == 0.0, ref_phi == 0.0)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("budget", [1e-20, 1e-14, 1e-10, 1e-6])
+def test_fill_survives_degenerate_budgets(budget):
+    # A budget tiny next to the base mass cancels in the closed-form level, so
+    # every cell can test inactive; the fill must still come back, spend no
+    # more than the budget and stay finite.
+    n = 4096
+    g = make_grid(n)
+    rng = np.random.default_rng(5)
+    bases = [np.full(n, level) for level in (1.0, 1e8, 1e15)]
+    bases += [ar1_spectrum(g, 1.0, 0.01).values, rng.uniform(0.05, 20.0, n)]
+    for base in bases:
+        for h in (np.ones(n), tilted_h(rng.uniform(0.0, 1.0, n), 0.5)):
+            filled = _fill(h, base, g.weights, budget)
+            assert filled is not None
+            phi, tau = filled
+            assert np.all(np.isfinite(phi)) and np.isfinite(tau)
+            assert float(np.dot(g.weights, phi)) / np.pi <= budget
+
+
+@pytest.mark.parametrize("n", [512, 4096, 32768])
+def test_solve_with_a_budget_below_rounding_of_the_floor(n):
+    # Case 1 at a budget that vanishes next to the floor a*phi_s + phi_n.
+    g = make_grid(n)
+    sc = UncodedScenario(1e15, flat_spectrum(g, 1.0), flat_spectrum(g, 1.0), 0.5, 1e-6)
+    sol = shaping.solve(sc)
+    assert sol.case_tag is CaseTag.WATERFILL_FEASIBLE
+    assert sol.rate == 0.0
 
 
 def test_fill_without_a_usable_cell_is_none():
