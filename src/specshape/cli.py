@@ -377,7 +377,7 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
         raise SchemaError("mesh.snr_db is out of range") from e
 
     # The workspace depends on the gain and not on D: one per snr_db column,
-    # released before the next is built (each holds a dozen grid-sized arrays).
+    # released before the next is built (each holds seven grid-sized arrays).
     columns = []
     for a in gains:
         cells = [UncodedScenario(a=a, phi_s=phi_s, phi_n=phi_n, D=d_ratio * sigma2_s, P=1.0)

@@ -20,9 +20,15 @@ matching the distortion target is a one-dimensional root-find in nu. Plain
 water-filling is the same fill at nu = 0, so the case-1 test is the fill at
 nu = 0 on the full band.
 The support fraction starts from the kink, the widest support on which plain
-water-filling meets the target (a root-find at one fill per step); past it
-the tight branch's slope is the boundary cell's Lagrangian value, whose sign
-change a bracket over cell edges and then inside one cell locates.
+water-filling meets the target; past it the tight branch's slope is the
+boundary cell's Lagrangian value, whose sign change a bracket over cell edges
+and then inside one cell locates.
+While every cell of a support is active the fill has a closed form, so the
+root-finds read the MSE off prefix sums (nu = 0: the case-1 test and every
+kink step) or one pass over the support (nu > 0), and the fill runs for the
+candidates kept: the kink and each support's final nu. It also runs where a
+cell would be off, or where rounding in the closed form could reach the
+root-finds' stop tolerance (low power).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ _TIGHT_RTOL = 1e-6
 _MSE_RTOL = 1e-13  # tight MSE to this fraction of D - floor
 _RTOL = 8.9e-16  # 4 eps, the smallest relative tolerance SciPy's brentq accepts
 _PEAK_RTOL = 1e-12  # rate the support search may leave, relative
+_CANCEL = 16 * np.finfo(float).eps  # rounding of the closed-form MSE, relative to its sums
 
 
 class CaseTag(str, Enum):
@@ -87,34 +94,62 @@ def preemphasized_psd(scenario: UncodedScenario) -> Spectrum:
     return Spectrum(scenario.grid, out)
 
 
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """[0, t_0, t_0 + t_1, ...] of nonnegative terms, to a few ulps. A plain
+    cumsum's rounding grows with the length (1e-13 relative at 32768 cells).
+    Here t_i - (s_i - s_{i-1}) is step i's rounding error, exactly when
+    t_i <= s_{i-1} (Fast2Sum) and to an ulp of s_i otherwise, which only
+    happens while the sum doubles; the running error is added back."""
+    out = np.zeros(terms.size + 1)
+    run = out[1:]
+    np.cumsum(terms, out=run)
+    err = run[1:] - run[:-1]
+    np.subtract(terms[1:], err, out=err)
+    np.cumsum(err, out=err)
+    run[1:] += err
+    return out
+
+
 class _Workspace:
-    """Scenario-level arrays shared across budgets: pre-emphasis order and
-    prefix sums. Everything here is independent of P."""
+    """Scenario-level arrays shared across budgets, all independent of P: the
+    cells in pre-emphasis order and, along that order, prefix sums of the
+    weight w and of w*u (q = a*phi_s^2, u = q/base). The closed-form fill
+    also reads prefix sums of w*base and w*q and prefix maxima of base and q,
+    built on first use: the on-off prelog needs none of them."""
 
     def __init__(self, scenario: UncodedScenario):
         self.scenario = scenario
         grid = scenario.grid
         self.grid = grid
-        self.s = scenario.phi_s.values
-        self.n = scenario.phi_n.values
-        self.b = scenario.base()
-        self.u, df = np.zeros_like(self.s), np.zeros_like(self.s)
-        np.divide(scenario.a * self.s * self.s, self.b, out=self.u, where=self.b > 0)
-        np.divide(self.s * self.n, self.b, out=df, where=self.b > 0)
+        s, b = scenario.phi_s.values, scenario.base()
+        u, df = np.zeros_like(s), np.zeros_like(s)
+        np.divide(scenario.a * s * s, b, out=u, where=b > 0)
+        np.divide(s * scenario.phi_n.values, b, out=df, where=b > 0)
         self.dlow = grid.mean(df)
-        order = np.argsort(self.u, kind="stable")
+        order = np.argsort(u, kind="stable")
         self.order = order
-        self.us = self.u[order]
-        self.bs = self.b[order]
-        self.ss = self.s[order]
-        self.ns = self.n[order]
-        self.qs = scenario.a * self.ss * self.ss  # discriminant term a*phi_s^2
-        self.ws = grid.weights[order]
-        self.dfs = df[order]
-        self.cumw = np.cumsum(self.ws)
-        self.prefix_wdf = np.concatenate([[0.0], np.cumsum(self.ws * self.dfs)])
-        self.total_wdf = self.prefix_wdf[-1]
-        self.prefix_wu = np.concatenate([[0.0], np.cumsum(self.ws * self.us)])
+        self.us, self.bs, self.ws = u[order], b[order], grid.weights[order]
+        ss = s[order]
+        self.qs = scenario.a * ss * ss  # discriminant term a*phi_s^2
+        self.prefix_w = _prefix_sums(self.ws)
+        self.prefix_wu = _prefix_sums(self.ws * self.us)
+        self.cumw = self.prefix_w[1:]
+
+    @functools.cached_property
+    def prefix_wb(self) -> np.ndarray:
+        return _prefix_sums(self.ws * self.bs)
+
+    @functools.cached_property
+    def prefix_wq(self) -> np.ndarray:
+        return _prefix_sums(self.ws * self.qs)
+
+    @functools.cached_property
+    def maxb(self) -> np.ndarray:
+        return np.maximum.accumulate(self.bs)
+
+    @functools.cached_property
+    def maxq(self) -> np.ndarray:
+        return np.maximum.accumulate(self.qs)
 
 
 @dataclass
@@ -128,81 +163,147 @@ class _Candidate:
     tau: float
 
 
-def _support_slices(ws: _Workspace, wfrac: float):
-    """Cheapest cells of total measure wfrac*pi; the boundary cell enters
-    with its weight scaled by theta in [0, 1]. wfrac = 1 is the whole band,
+def _support(ws: _Workspace, wfrac: float):
+    """(n_full, theta): the cheapest cells of total measure wfrac*pi are the
+    first n_full plus the boundary cell n_full, whose weight enters scaled by
+    theta in [0, 1]. wfrac = 1 is the whole band (n_full = n, theta = 0),
     whatever the rounding in the weight sum."""
     target = wfrac * np.pi
     if wfrac >= 1.0 or target >= ws.cumw[-1]:
-        return ws.cumw.size, 0.0, ws.ws
+        return ws.cumw.size, 0.0
     j = int(np.searchsorted(ws.cumw, target, side="left"))
     below = ws.cumw[j - 1] if j > 0 else 0.0
-    theta = (target - below) / ws.ws[j]
-    wts = ws.ws[: j + 1].copy()
+    return j, (target - below) / ws.ws[j]
+
+
+def _weights(ws: _Workspace, n_full: int, theta: float) -> np.ndarray:
+    """Cell weights of a support, the boundary cell's scaled by theta."""
+    if n_full == ws.cumw.size:
+        return ws.ws
+    wts = ws.ws[: n_full + 1].copy()
     wts[-1] *= theta
-    return j, theta, wts
+    return wts
 
 
-def _mse_terms(ws: _Workspace, n_full: int, theta: float, wts, phi) -> float:
-    m = wts.size
-    son, non, bon = ws.ss[:m], ws.ns[:m], ws.bs[:m]
-    num = son * (phi + non)
-    den = bon + phi
-    on = np.zeros_like(num)
-    np.divide(num, den, out=on, where=den > 0)
-    on_df = ws.prefix_wdf[n_full] + (theta * ws.ws[n_full] * ws.dfs[n_full] if n_full < ws.cumw.size else 0.0)
-    off = ws.total_wdf - on_df
-    return (float(np.dot(wts, on)) + off) / np.pi
+def _closed_mse(ws: _Workspace, P: float, n_full: int, theta: float, wts,
+                nu: float) -> float | None:
+    """MSE of the fill at tilt nu on a support, in closed form while every
+    cell is active; None when one is not (a negative discriminant or
+    tau*h <= base) or when rounding may hide the MSE from the root-finds.
+
+    With every cell active, tau = (pi*P + sum w*base)/sum w*h and
+    phi = tau*h - base, so each cell adds u*phi/(base + phi) =
+    u - q/(tau*h) to the smoothing floor, and pi*(MSE - floor) = su - sr with
+    su = sum w*u and sr = sum w*q/h over tau. At nu = 0 (h = 2) that is four
+    prefix-sum reads; at nu > 0 (`wts` are the support's weights) one pass
+    over the support. Both sums carry a relative error of a few ulps (the
+    level, the compensated prefix sums, pairwise sums), so su - sr is known
+    to within _CANCEL*(su + sr), and the MSE to that over pi plus an ulp for
+    adding the floor. At low power, where su and sr nearly cancel, the bound
+    can pass the fraction _MSE_RTOL of su - sr (at the root, the root-finds'
+    stop tolerance); then the real fill takes over. The test compares MSEs,
+    so its outcome does not depend on the units."""
+    m = min(n_full + 1, ws.cumw.size)
+    sw, swb, swq, su = (float(p[n_full]) for p in (ws.prefix_w, ws.prefix_wb, ws.prefix_wq,
+                                                    ws.prefix_wu))
+    if n_full < ws.cumw.size:
+        tw = float(ws.ws[n_full] * theta)
+        sw, swb, swq, su = (sw + tw, swb + tw * float(ws.bs[n_full]),
+                            swq + tw * float(ws.qs[n_full]), su + tw * float(ws.us[n_full]))
+    target = P * np.pi
+    if nu == 0.0:
+        tau = (target + swb) / (2.0 * sw)
+        if not 2.0 * tau > ws.maxb[m - 1]:
+            return None
+        sr = swq / (2.0 * tau)
+    else:
+        if 4.0 * nu * ws.maxq[m - 1] > 1.0:
+            return None
+        h = np.multiply(ws.qs[:m], -4.0 * nu)
+        h += 1.0
+        np.sqrt(h, out=h)
+        h += 1.0
+        tau = (target + swb) / float((wts * h).sum())
+        np.divide(ws.bs[:m], h, out=h)
+        if not tau > h.max():
+            return None
+        h *= ws.us[:m]  # u*base/h = q/h
+        h *= wts
+        sr = float(h.sum()) / tau
+    if _CANCEL * (su + sr) > _MSE_RTOL * (su - sr):
+        return None
+    return ws.dlow + (su - sr) / np.pi
 
 
-def _waterfill_on(ws: _Workspace, P: float, wfrac: float):
-    """(support, (mse, phi, tau)) of water-filling (nu = 0) on the support of
-    fraction wfrac."""
-    support = _support_slices(ws, wfrac)
-    return support, _tilted_fill(ws, P, *support, 0.0)
-
-
-def _tilted_fill(ws: _Workspace, P: float, n_full: int, theta: float, wts, nu: float):
+def _tilted_fill(ws: _Workspace, P: float, wts, nu: float):
     """Exact power fill of max(tau*h - base, 0), h = 1 + sqrt(1 - 4 nu a phi_s^2),
-    on a support; cells failing the discriminant test carry zero PSD.
-    Returns (mse, phi, tau), or None when no cell passes."""
+    on the support with weights `wts`; cells failing the discriminant test
+    carry zero PSD. Returns (mse, phi, tau), or None when no cell passes."""
     m = wts.size
     disc = 1.0 - 4.0 * nu * ws.qs[:m]
     h = np.where(disc >= 0.0, 1.0 + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-    filled = _fill(h, ws.bs[:m], wts, P)
+    bs = ws.bs[:m]
+    filled = _fill(h, bs, wts, P)
     if filled is None:
         return None
     phi, tau = filled
-    return _mse_terms(ws, n_full, theta, wts, phi), phi, tau
+    # Each powered cell adds u*phi/(base + phi) to the smoothing floor.
+    np.add(bs, phi, out=h)
+    np.divide(phi, h, out=h, where=h > 0.0)
+    h *= ws.us[:m]
+    h *= wts
+    return ws.dlow + float(h.sum()) / np.pi, phi, tau
 
 
-def _candidate(ws: _Workspace, support, filled, nu: float) -> _Candidate:
-    (n_full, theta, wts), (mse, phi, tau) = support, filled
+def _waterfill_on(ws: _Workspace, P: float, wfrac: float):
+    """Water-filling (nu = 0) on the support of fraction wfrac as (mse, fill):
+    the closed-form MSE and no fill where that holds, else the real fill
+    (mse, phi, tau) and its MSE."""
+    n_full, theta = _support(ws, wfrac)
+    mse = _closed_mse(ws, P, n_full, theta, None, 0.0)
+    if mse is not None:
+        return mse, None
+    filled = _tilted_fill(ws, P, _weights(ws, n_full, theta), 0.0)
+    return filled[0], filled
+
+
+def _candidate(ws: _Workspace, n_full: int, theta: float, wts, filled, nu: float) -> _Candidate:
+    mse, phi, tau = filled
     return _Candidate(n_full, theta, phi, rate_bins(phi, ws.bs[: wts.size], wts), mse, nu, tau)
 
 
 def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float,
                       nu0: float = 0.0) -> _Candidate | None:
     """The best candidate on one support: water-filling when it meets D,
-    otherwise the tilt nu that makes the MSE tight, searched from nu0."""
-    support = _support_slices(ws, wfrac)
-    fill = functools.lru_cache(maxsize=None)(functools.partial(_tilted_fill, ws, P, *support))
+    otherwise the tilt nu that makes the MSE tight, searched from nu0. The
+    search reads closed-form MSEs; the real fill runs for the result, and
+    for the steps where the closed form does not hold."""
+    n_full, theta = _support(ws, wfrac)
+    wts = _weights(ws, n_full, theta)
+    fill = functools.lru_cache(maxsize=None)(functools.partial(_tilted_fill, ws, P, wts))
+
+    def mse(nu: float):
+        closed = _closed_mse(ws, P, n_full, theta, wts, nu)
+        if closed is not None:
+            return closed
+        return None if fill(nu) is None else fill(nu)[0]
 
     # Water-filling (nu = 0) on the support; optimal whenever the target stays
     # slack. Every support has a cell of positive weight, so the fill exists.
-    if fill(0.0)[0] <= D:
-        return _candidate(ws, support, fill(0.0), 0.0)
+    if mse(0.0) <= D:
+        return _candidate(ws, n_full, theta, wts, fill(0.0), 0.0)
 
     # Both constraints tight: root-find the stationarity tilt nu (the residual
     # at nu = 0 is the excess above), until the MSE meets D to a fraction of
     # the shaping budget D - floor, a stop that does not depend on the units.
     def residual(nu: float):
-        r = None if fill(nu) is None else fill(nu)[0] - D
+        r = mse(nu)
+        r = None if r is None else r - D
         return 0.0 if r is not None and abs(r) <= _MSE_RTOL * (D - ws.dlow) else r
 
     # Up to nu_all every cell passes the discriminant test; past it cells drop
     # out, so a warm start below it steps up to nu_all before doubling.
-    qmax = float(ws.qs[: support[2].size].max())
+    qmax = float(ws.maxq[wts.size - 1])
     if qmax <= 0.0:
         return None
     nu_all = 0.25 / qmax
@@ -218,7 +319,7 @@ def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float,
     filled = fill(nu)
     if abs(filled[0] - D) > _TIGHT_RTOL * D:
         return None
-    return _candidate(ws, support, filled, nu)
+    return _candidate(ws, n_full, theta, wts, filled, nu)
 
 
 def _gain(ws: _Workspace, cand: _Candidate | None, i: int) -> float:
@@ -227,15 +328,19 @@ def _gain(ws: _Workspace, cand: _Candidate | None, i: int) -> float:
     that of the first powered cell from i on; 0 without a candidate or one."""
     if cand is None:
         return 0.0
-    q, b, tau = ws.qs[i:], ws.bs[i:], cand.tau
-    disc = 1.0 - 4.0 * cand.nu * q
-    phi = np.where(disc >= 0.0, tau * (1.0 + np.sqrt(np.maximum(disc, 0.0))) - b, 0.0)
-    on = np.flatnonzero(phi > 0.0)
-    if on.size == 0:
-        return 0.0
-    j = on[0]
-    q, b, phi = float(q[j]), float(b[j]), float(phi[j])
-    return math.log1p(phi / b) - phi * (0.5 / tau + 2.0 * cand.nu * tau * q / (b * (b + phi)))
+    q, b, tau, nu = float(ws.qs[i]), float(ws.bs[i]), cand.tau, cand.nu
+    disc = 1.0 - 4.0 * nu * q
+    phi = tau * (1.0 + math.sqrt(disc)) - b if disc >= 0.0 else 0.0
+    if not phi > 0.0:  # cell i is off: scan the rest for the first powered one
+        q, b = ws.qs[i + 1:], ws.bs[i + 1:]
+        disc = 1.0 - 4.0 * nu * q
+        phi = np.where(disc >= 0.0, tau * (1.0 + np.sqrt(np.maximum(disc, 0.0))) - b, 0.0)
+        on = np.flatnonzero(phi > 0.0)
+        if on.size == 0:
+            return 0.0
+        j = on[0]
+        q, b, phi = float(q[j]), float(b[j]), float(phi[j])
+    return math.log1p(phi / b) - phi * (0.5 / tau + 2.0 * nu * tau * q / (b * (b + phi)))
 
 
 def _render(ws: _Workspace, cand: _Candidate) -> Spectrum:
@@ -271,22 +376,26 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
     # wider support can copy a narrower allocation), so the slack branch peaks
     # at the kink, the widest support whose water-filling MSE meets D. The
     # excess MSE is negative at the on-off prelog (on-cell MSEs stay below
-    # phi_s) and positive on the full band (case 1 failed): root-find it.
-    # `full` is the full-band fill, _waterfill_on(ws, P, 1.0).
-    fills = {1.0: full}
+    # phi_s) and positive on the full band (case 1 failed): root-find it,
+    # mostly in closed form, and fill only the kink.
+    # `full` is the full-band evaluation, _waterfill_on(ws, P, 1.0).
+    evals = {1.0: full}
 
     def excess(wfrac: float) -> float:
-        if wfrac not in fills:
-            fills[wfrac] = _waterfill_on(ws, P, wfrac)
-        return fills[wfrac][1][0] - D
+        if wfrac not in evals:
+            evals[wfrac] = _waterfill_on(ws, P, wfrac)
+        return evals[wfrac][0] - D
 
     lo = _onoff_prelog_ws(ws, D).prelog
     while excess(lo) > 0.0:  # at high power the margin can fall below rounding
         lo *= 0.5
     if excess(1.0) > 0.0:
         _scalar.brentq(excess, lo, 1.0, xtol=0.0, rtol=_RTOL, maxiter=200)
-    w_kink = max(w for w in fills if excess(w) <= 0.0)
-    best = _candidate(ws, *fills[w_kink], 0.0)
+    w_kink = max(w for w in evals if excess(w) <= 0.0)
+    n_full, theta = _support(ws, w_kink)
+    wts = _weights(ws, n_full, theta)
+    best = _candidate(ws, n_full, theta, wts,
+                      evals[w_kink][1] or _tilted_fill(ws, P, wts, 0.0), 0.0)
     if w_kink >= 1.0:
         return _solution_from(ws, best, P)
 
@@ -300,7 +409,7 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
     # hi_k); it can gain at most lo_g times the bracket width.
     n, nu0, step = ws.cumw.size, 0.0, 1
     w_probe = min(w_kink * (1.0 + _PEAK_RTOL), 1.0)
-    lo_w, lo_k = w_kink, min(_support_slices(ws, w_probe)[0], n - 1)
+    lo_w, lo_k = w_kink, min(_support(ws, w_probe)[0], n - 1)
     lo_g = _gain(ws, best, lo_k)
     hi_w = hi_k = None
     while lo_g > 0.0 and (hi_w is None or lo_g * (hi_w - lo_w) > _PEAK_RTOL * best.rate):
@@ -326,12 +435,12 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
     return _solution_from(ws, best, P)
 
 
-def _case1_ws(ws: _Workspace, full) -> ShapingSolution | None:
-    """Full-band water-filling from its fill `full`, _waterfill_on(ws, P, 1.0);
-    None when it violates the distortion target."""
-    mse, phi, tau = full[1]
-    if mse > ws.scenario.D:
+def _case1_ws(ws: _Workspace, P: float, full) -> ShapingSolution | None:
+    """Full-band water-filling from its evaluation `full`,
+    _waterfill_on(ws, P, 1.0); None when it violates the distortion target."""
+    if full[0] > ws.scenario.D:
         return None
+    mse, phi, tau = full[1] or _tilted_fill(ws, P, ws.ws, 0.0)
     values = np.empty_like(phi)
     values[ws.order] = phi
     return ShapingSolution(Spectrum(ws.grid, values), rate_bins(phi, ws.bs, ws.ws), mse,
@@ -346,7 +455,7 @@ def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
         tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
         return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
     full = _waterfill_on(ws, P, 1.0)
-    c1 = _case1_ws(ws, full)
+    c1 = _case1_ws(ws, P, full)
     return c1 if c1 is not None else _solve_case2_ws(ws, P, D, full)
 
 
@@ -355,7 +464,7 @@ def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
     ws = _Workspace(scenario)
     if scenario.D <= ws.dlow:
         raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return _case1_ws(ws, _waterfill_on(ws, scenario.P, 1.0))
+    return _case1_ws(ws, scenario.P, _waterfill_on(ws, scenario.P, 1.0))
 
 
 def solve_case2(scenario: UncodedScenario) -> ShapingSolution:

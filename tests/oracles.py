@@ -4,8 +4,10 @@
 - `sweep_golden_rate`: the case-2 support search the uncoded solver used
   before it searched from the water-filling kink, a geometric sweep of the
   support fraction plus golden-section refinement around the best sweep
-  point. It shares only the per-support evaluation with the solver, so it
-  checks the search over supports, at about 100 evaluations a solve.
+  point, at about 100 evaluations a solve. Each support is scored by
+  `support_rate`, which root-finds the tilt over real fills (SciPy's
+  `brentq`) where the solver reads closed-form MSEs, so the oracle checks
+  both the search over supports and the evaluation of each one.
 - `sorted_fill`: the exact power fill as the solvers computed it before
   the active-set iteration, by sorting the cells by base/h and reading the
   level off prefix sums. It checks `waterfill._fill` level for level.
@@ -40,6 +42,7 @@ from specshape.estimation import UncodedScenario
 from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix
 from specshape.shaping import CaseTag, ShapingSolution
 from specshape.spectra import Spectrum
+from specshape.waterfill import rate_bins
 
 SWEEP_POINTS = 40
 GOLDEN_ITERS = 56
@@ -105,14 +108,12 @@ def sweep_golden_rate(scenario) -> float:
     and two times the on-off prelog) and 56 golden-section steps between the
     neighbours of the best sweep point."""
     ws = shaping._Workspace(scenario)
-    P, D = scenario.P, scenario.D
     rates: dict[float, float] = {}
 
     def f(wfrac: float) -> float:
         wfrac = min(max(wfrac, 1e-9), 1.0)
         if wfrac not in rates:
-            cand = shaping._evaluate_support(ws, P, D, wfrac)
-            rates[wfrac] = -math.inf if cand is None else cand.rate
+            rates[wfrac] = support_rate(ws, scenario.P, scenario.D, wfrac)
         return rates[wfrac]
 
     sweep = np.geomspace(1e-6, 1.0, SWEEP_POINTS)
@@ -126,6 +127,42 @@ def sweep_golden_rate(scenario) -> float:
     hi = sweep[k + 1] if k + 1 < sweep.size else 1.0
     _golden_max(f, lo, hi, GOLDEN_ITERS)
     return max(rates.values())
+
+
+def support_rate(ws, P: float, D: float, wfrac: float) -> float:
+    """Best rate on the support of fraction wfrac, from real fills only:
+    water-filling when its MSE meets D, otherwise the tilt nu at which the
+    fill's MSE meets D (to 1e-13 of D minus the floor), bracketed by
+    doubling from 0.25/max q; -inf when no tilt meets D."""
+    from scipy import optimize
+
+    n_full, theta = shaping._support(ws, wfrac)
+    wts = shaping._weights(ws, n_full, theta)
+
+    def rate(filled) -> float:
+        return rate_bins(filled[1], ws.bs[: wts.size], wts)
+
+    def excess(nu: float) -> float:
+        r = shaping._tilted_fill(ws, P, wts, nu)[0] - D
+        return 0.0 if abs(r) <= 1e-13 * (D - ws.dlow) else r
+
+    filled = shaping._tilted_fill(ws, P, wts, 0.0)
+    if filled[0] <= D:
+        return rate(filled)
+    nu_hi = 0.25 / float(ws.qs[: wts.size].max())
+    for _ in range(80):
+        filled = shaping._tilted_fill(ws, P, wts, nu_hi)
+        if filled is None:
+            return -math.inf
+        if filled[0] <= D:
+            break
+        nu_hi *= 2.0
+    else:
+        return -math.inf
+    nu = optimize.brentq(excess, 0.0, nu_hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                         maxiter=200)
+    filled = shaping._tilted_fill(ws, P, wts, nu)
+    return rate(filled) if abs(filled[0] - D) <= 1e-6 * D else -math.inf
 
 
 def sorted_fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):

@@ -88,13 +88,20 @@ def test_set_reaches_the_case2_search():
 
 
 class Counter:
+    """Counts the calls of module.name, the ones that return None, and the
+    size of each call's first argument."""
+
     def __init__(self, monkeypatch, module, name):
-        self.calls = 0
+        self.calls = self.nones = 0
+        self.sizes = []
         inner = getattr(module, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
-            return inner(*args, **kwargs)
+            self.sizes.append(np.size(args[0]))
+            out = inner(*args, **kwargs)
+            self.nones += out is None
+            return out
 
         monkeypatch.setattr(module, name, counted)
 
@@ -108,7 +115,7 @@ def test_case2_evaluation_budget(monkeypatch):
     for sc in SCENARIOS:
         ws = shaping._Workspace(sc)
         full = shaping._waterfill_on(ws, sc.P, 1.0)
-        if shaping._case1_ws(ws, full) is not None:
+        if shaping._case1_ws(ws, sc.P, full) is not None:
             continue
         evals.calls = fills.calls = 0
         shaping._solve_case2_ws(ws, sc.P, sc.D, full)
@@ -118,25 +125,56 @@ def test_case2_evaluation_budget(monkeypatch):
     assert max(f for _, f in counts) <= 300
 
 
-def rescaled_ar1(c, P, grid=make_grid(4096)):
-    """AR(1) epsilon 0.1, a = 1000, D = 0.01 in units scaled by c: the same
-    problem and the same rate for every c."""
+def test_case2_fill_budget_at_high_power(monkeypatch):
+    # At P = 1e8 every cell of every support the search visits is active, so
+    # the kink root-find and the tilt root-finds read closed-form MSEs and
+    # the real fill runs once for the kink and once per support evaluation,
+    # never on the full band.
+    g = make_grid(32768)
+    sc = UncodedScenario(1000.0, ar1_spectrum(g, 1.0, 0.1), flat_spectrum(g, 1.0), 0.01, 1e8)
+    evals = Counter(monkeypatch, shaping, "_evaluate_support")
+    fills = Counter(monkeypatch, shaping, "_fill")
+    sol = solve(sc)
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert evals.calls >= 1
+    assert fills.calls <= evals.calls + 2
+    assert g.n_points not in fills.sizes
+
+
+def rescaled_ar1(c, P, D=0.01, grid=make_grid(4096)):
+    """AR(1) epsilon 0.1, a = 1000, D = 0.01 (by default) in units scaled by
+    c: the same problem and the same rate for every c."""
     return UncodedScenario(1000.0 * c * c, ar1_spectrum(grid, 1.0 / c, 0.1),
-                           flat_spectrum(grid, c), 0.01 / c, c * P)
+                           flat_spectrum(grid, c), D / c, c * P)
+
+
+def search_costs_agree_across_units(monkeypatch, P, D=0.01):
+    # The fills, and the closed-form MSEs that hand their step to a fill (a
+    # cell off, or the rounding guard), are the same in every unit.
+    fills = Counter(monkeypatch, shaping, "_fill")
+    closed = Counter(monkeypatch, shaping, "_closed_mse")
+    counts, fallbacks, rates = [], [], []
+    for c in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+        fills.calls = closed.nones = 0
+        sol = solve(rescaled_ar1(c, P, D))
+        assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+        counts.append(fills.calls)
+        fallbacks.append(closed.nones)
+        rates.append(sol.rate)
+    assert max(counts) <= 1.1 * min(counts), counts
+    assert len(set(fallbacks)) == 1 and fallbacks[0] > 0, fallbacks
+    assert max(rates) - min(rates) <= 1e-12 * max(rates)
 
 
 @pytest.mark.parametrize("P", [1e2, 1e4])
 def test_search_cost_and_rate_do_not_depend_on_units(monkeypatch, P):
-    fills = Counter(monkeypatch, shaping, "_fill")
-    counts, rates = [], []
-    for c in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
-        fills.calls = 0
-        sol = solve(rescaled_ar1(c, P))
-        assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
-        counts.append(fills.calls)
-        rates.append(sol.rate)
-    assert max(counts) <= 1.1 * min(counts), counts
-    assert max(rates) - min(rates) <= 1e-12 * max(rates)
+    search_costs_agree_across_units(monkeypatch, P)
+
+
+def test_rounding_guard_does_not_depend_on_units(monkeypatch):
+    # At P = 1e-3 with D 8.4e-7 above the floor, the guard hands six steps of
+    # the search to the fill.
+    search_costs_agree_across_units(monkeypatch, 1e-3, 9.8236e-4)
 
 
 def test_rate_curve_ar_plateau_point():
