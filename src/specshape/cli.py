@@ -42,7 +42,6 @@ EXIT_SOLVER = 4
 
 _KINDS = ("uncoded", "multilegacy", "coded", "mimo")
 _FLOAT_MAX = sys.float_info.max
-_FLOAT_TINY = sys.float_info.min
 
 
 class SchemaError(ValueError):
@@ -258,17 +257,19 @@ def _float_texts(values: np.ndarray) -> list[str]:
     repr, and it has the digits of its %.12g form. The two layouts differ
     only where repr appends ".0" or stays positional, that is on integral
     values (every rounded value of 1e12 or more is one), and below the normal
-    range, where repr keeps fewer digits; those entries are laid out by repr
-    itself.
+    range, where repr keeps fewer digits. Rounding to 12 digits moves x by at
+    most 5e-12 |x|, so every such entry has |x| >= 1e11, |x| < 2.3e-308 or
+    x within 1e-11 |x| of an integer; those entries are laid out by repr, and
+    on the others repr gives the %.12g text back.
     """
     if not np.isfinite(values).all():
         raise SolverError("the result is not finite")
     texts = (("%.12g " * values.size) % tuple(values.tolist())).split()
-    rounded = list(map(float, texts))
-    r = np.array(rounded)
-    redo = (r == np.trunc(r)) | (np.abs(r) < _FLOAT_TINY)
+    mag = np.abs(values)
+    redo = ((mag >= 1e11) | (mag < 2.3e-308)
+            | (np.abs(values - np.rint(values)) <= 1e-11 * mag))
     for i in np.flatnonzero(redo).tolist():
-        texts[i] = repr(rounded[i])
+        texts[i] = repr(float(texts[i]))
     return texts
 
 

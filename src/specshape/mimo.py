@@ -24,6 +24,16 @@ convex and the derivative in w, F(y) - y F'(y) - F(0) at y = K/w, is at most
 0. One Brent root-find per constraint thus gives the widest feasible w. The
 scalar coded solver `coded.solve_coded` is the 1x1 case. The high-power slope
 is insensitive to the spatial shape, scaling instead with rank(H_c).
+
+The search has a power-independent half, `_Link`: the eigenmodes of
+H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
+eigenvalues of modes A and B-2. Its per-power half runs only the root-finds
+and the rate sums. A rate curve asks for one link at power after power, so
+the module keeps the last link set up in one slot, keyed by every field of
+the channel and the bytes of Q; any other link replaces it. Results do not
+depend on the slot: a link found there is the one a fresh setup would build.
+The checks of P, feasibility, the shape and the rendered field run on every
+call.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -205,6 +216,133 @@ def _widest_feasible(c):
     return _scalar.brentq(c, _W_LO, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=100)
 
 
+class _Link:
+    """The power-independent half of the on-off search on one channel and one
+    unit-trace shape Q: the eigenmodes of H_c Q H_c^H, the projections of h_c
+    on them, the legacy and decode gains, and, on the first search that needs
+    them, the whitened eigenvalues of modes A and B-2 and B-2's log-det.
+
+    One-time eigendecompositions make every w-evaluation a stable sum of
+    log1p / rational terms over the eigenmodes, immune to the huge P/w
+    spreads of the search. Every on-level is k * P / w with the gain folded
+    into k >= 0, so a null mode gives 0 and an overflow +inf, never inf * 0.
+    """
+
+    def __init__(self, ch: MimoChannel, Q: np.ndarray):
+        HQH = ch.H_c @ Q @ ch.H_c.conj().T
+        HQH = 0.5 * (HQH + HQH.conj().T)
+        q_l = float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
+        hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
+        lam, U = np.linalg.eigh(HQH)
+        lam = np.maximum(lam, 0.0)
+        self.ch = ch
+        self.HQH = HQH
+        self.hco = np.outer(ch.h_c, ch.h_c.conj())
+        self.lam = lam
+        self.proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
+        self.k_dec = (ch.g_c * lam).tolist()
+        self.k_l = ch.g_l * q_l
+        self.C_l = ch.legacy_capacity
+        self.off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
+
+    def _whitened_eigs(self, noise):
+        L = np.linalg.cholesky(noise)
+        X = np.linalg.solve(L, self.HQH)
+        S = np.linalg.solve(L, X.conj().T).conj().T
+        return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
+
+    @cached_property
+    def gains_a(self) -> list:
+        ch = self.ch
+        mu_a = self._whitened_eigs(ch.sigma2_nc * np.eye(ch.n_r)
+                                   + ch.a_c * ch.sigma2_s * self.hco)
+        return (ch.g_c * mu_a).tolist()
+
+    @cached_property
+    def gains_b1(self) -> list:
+        return (self.ch.g_c / self.ch.sigma2_nc * self.lam).tolist()
+
+    @cached_property
+    def b2(self) -> tuple[float, list]:
+        """B-2's log det(A) and its on-level gains."""
+        ch = self.ch
+        A_b2 = np.eye(ch.n_r) + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * self.hco
+        nu_b2 = self._whitened_eigs(A_b2) / ch.sigma2_nc
+        return float(np.linalg.slogdet(A_b2)[1]), (ch.g_c * nu_b2).tolist()
+
+    def search(self, P: float):
+        """Best (mode, w, rate, residuals) at the float budget P; see
+        `_onoff_search`."""
+        ch, k_l, k_dec, proj = self.ch, self.k_l, self.k_dec, self.proj
+        C_l, off_dec = self.C_l, self.off_dec
+
+        def on_rate(gains, w):
+            return sum(np.log1p(k * P / w) for k in gains)
+
+        def legacy_con(w):
+            on = np.log1p(ch.a_l * ch.sigma2_s / (k_l * P / w + ch.sigma2_nl))
+            return w * on + (1.0 - w) * C_l - ch.R_l
+
+        def decode_con(w):
+            sinr = ch.a_c * ch.sigma2_s * sum(
+                p / (k * P / w + ch.sigma2_nc) for k, p in zip(k_dec, proj))
+            return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
+
+        # Each mode's best w is its widest feasible support. Every rate is
+        # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
+        # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w. The
+        # linear terms of B-2, w logdet(A) + (1 - w) off_dec, do not depend on
+        # w: logdet(A) = off_dec by the matrix determinant lemma.
+        w_l = _widest_feasible(legacy_con)
+        candidates = []
+        if w_l is not None and off_dec <= ch.R_l:
+            candidates.append((DecodeMode.TREAT_AS_NOISE, w_l,
+                               w_l * on_rate(self.gains_a, w_l)))
+        elif w_l is not None:
+            w_d = _widest_feasible(decode_con)
+            if w_d is not None:
+                w = min(w_l, w_d)
+                candidates.append((DecodeMode.SUCCESSIVE_B1, w,
+                                   w * on_rate(self.gains_b1, w)))
+            if decode_con(w_l) <= 0.0:
+                logdet_a, gains_b2 = self.b2
+                on = logdet_a + on_rate(gains_b2, w_l)
+                candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
+                                   w_l * on + (1.0 - w_l) * off_dec - ch.R_l))
+        if not candidates:
+            raise InfeasibleScenarioError("no feasible operating point")
+        mode, w, rate = max(candidates, key=lambda t: t[2])
+        if not math.isfinite(rate):
+            raise SolverError(f"the on-off rate is not finite (P = {P:g}, w = {w:g})")
+        residuals = {"legacy": float(legacy_con(w))}
+        if mode is not DecodeMode.TREAT_AS_NOISE:
+            residuals["decodability"] = float(decode_con(w))
+        return mode, w, float(rate), residuals
+
+
+# The last link set up, as one (key, link) tuple. It is replaced whole, so a
+# reader never pairs one link's key with another link's setup, and only once
+# the setup has returned, so a setup that raises leaves nothing behind.
+_last_link: tuple = (None, None)
+
+
+def _link(ch: MimoChannel, Q: np.ndarray) -> _Link:
+    """The setup of (ch, Q), reused while consecutive searches ask for the same
+    link, as every power of a rate curve does. The key is every field of the
+    channel and the bytes of Q; the scalars' types enter too, since an int
+    product is exact where a float one rounds."""
+    global _last_link
+    vals = (ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s, ch.sigma2_nl,
+            ch.sigma2_nc, ch.R_l)
+    key = (ch.H_c.shape, ch.H_c.tobytes(), ch.h_l.tobytes(), ch.h_c.tobytes(),
+           vals, tuple(map(type, vals)), Q.dtype.str, Q.shape, Q.tobytes())
+    last_key, link = _last_link
+    if key != last_key:
+        link = _Link(ch, Q)
+        _last_link = key, link
+    return link
+
+
 def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     """Best (mode, w, rate, residuals) of the on-off strategy with on-level
     matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
@@ -219,74 +357,7 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
         raise ValueError("power budget must be positive and finite")
     if not ch.is_feasible:
         raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
-    HQH = ch.H_c @ Q @ ch.H_c.conj().T
-    HQH = 0.5 * (HQH + HQH.conj().T)
-    q_l = float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
-    hco = np.outer(ch.h_c, ch.h_c.conj())
-    eye = np.eye(ch.n_r)
-    C_l = ch.legacy_capacity
-    hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
-    off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
-
-    # One-time eigendecompositions make every w-evaluation a stable sum of
-    # log1p / rational terms over the eigenmodes, immune to the huge P/w
-    # spreads of the search. Every on-level is k * P / w with the gain folded
-    # into k >= 0, so a null mode gives 0 and an overflow +inf, never inf * 0.
-    lam, U = np.linalg.eigh(HQH)
-    lam = np.maximum(lam, 0.0)
-    proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
-    k_dec = (ch.g_c * lam).tolist()
-    k_l = ch.g_l * q_l
-
-    def whitened_eigs(noise):
-        L = np.linalg.cholesky(noise)
-        X = np.linalg.solve(L, HQH)
-        S = np.linalg.solve(L, X.conj().T).conj().T
-        return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
-
-    def on_rate(gains, w):
-        return sum(np.log1p(k * P / w) for k in gains.tolist())
-
-    def legacy_con(w):
-        on = np.log1p(ch.a_l * ch.sigma2_s / (k_l * P / w + ch.sigma2_nl))
-        return w * on + (1.0 - w) * C_l - ch.R_l
-
-    def decode_con(w):
-        sinr = ch.a_c * ch.sigma2_s * sum(
-            p / (k * P / w + ch.sigma2_nc) for k, p in zip(k_dec, proj))
-        return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
-
-    # Each mode's best w is its widest feasible support. Every rate is
-    # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
-    # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w. The
-    # linear terms of B-2, w logdet(A) + (1 - w) off_dec, do not depend on w:
-    # logdet(A) = off_dec by the matrix determinant lemma.
-    w_l = _widest_feasible(legacy_con)
-    candidates = []
-    if w_l is not None and off_dec <= ch.R_l:
-        mu_a = whitened_eigs(ch.sigma2_nc * eye + ch.a_c * ch.sigma2_s * hco)
-        candidates.append((DecodeMode.TREAT_AS_NOISE, w_l, w_l * on_rate(ch.g_c * mu_a, w_l)))
-    elif w_l is not None:
-        w_d = _widest_feasible(decode_con)
-        if w_d is not None:
-            w = min(w_l, w_d)
-            candidates.append((DecodeMode.SUCCESSIVE_B1, w,
-                               w * on_rate(ch.g_c / ch.sigma2_nc * lam, w)))
-        if decode_con(w_l) <= 0.0:
-            A_b2 = eye + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * hco
-            nu_b2 = whitened_eigs(A_b2) / ch.sigma2_nc
-            on = float(np.linalg.slogdet(A_b2)[1]) + on_rate(ch.g_c * nu_b2, w_l)
-            candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
-                               w_l * on + (1.0 - w_l) * off_dec - ch.R_l))
-    if not candidates:
-        raise InfeasibleScenarioError("no feasible operating point")
-    mode, w, rate = max(candidates, key=lambda t: t[2])
-    if not math.isfinite(rate):
-        raise SolverError(f"the on-off rate is not finite (P = {P:g}, w = {w:g})")
-    residuals = {"legacy": float(legacy_con(w))}
-    if mode is not DecodeMode.TREAT_AS_NOISE:
-        residuals["decodability"] = float(decode_con(w))
-    return mode, w, float(rate), residuals
+    return _link(ch, Q).search(P)
 
 
 def solve_mimo(channel: MimoChannel, P: float,

@@ -396,7 +396,12 @@ def test_complex_array_parsing():
 # crosses one of those edges.
 WRITER_EDGES = [999999999999.5, 1e15, 9999999999999999.0, 1e16, 5e-324,
                 2.5e-310, 1e300, 99999999999.95, 0.0, -0.0, 1.0, 123456789012.0,
-                2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+                2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+                # where the writer's test for entries laid out by repr changes
+                12345.0000000001, 1.00000000001, 1.000000000004, 1.0000000000000002,
+                0.49999999999999994,
+                math.nextafter(1e11, 0.0), 1e11, math.nextafter(1e11, math.inf),
+                math.nextafter(2.3e-308, 0.0), 2.3e-308, math.nextafter(2.3e-308, 1.0)]
 
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

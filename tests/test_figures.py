@@ -1,23 +1,54 @@
-"""The six figure tables of scripts/make_figure_data.py, byte for byte
-against the copies committed under tests/data/figures. A cell that moves
-fails here; update the copy in the same change and say why."""
+"""Committed outputs, byte for byte: the six figure tables of
+scripts/make_figure_data.py against tests/data/figures, and the coded and MIMO
+outputs (`specshape solve` on the coded and MIMO scenario files, the stdout of
+scripts/rank_scaling_sweep.py) against tests/data/coded_mimo. A cell that
+moves fails here; update the copy in the same change and say why."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from specshape import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "figures"
+CODED_MIMO = ROOT / "tests" / "data" / "coded_mimo"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_figure_tables_match_the_committed_copies(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "make_figure_data", ROOT / "scripts" / "make_figure_data.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("make_figure_data")
     monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "-o", str(tmp_path)])
     assert script.main() == 0
     names = sorted(target for _, _, target in script.JOBS)
     assert sorted(p.name for p in GOLDEN.glob("*.csv")) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("scenario, grid, golden", [
+    ("coded_single", None, "coded_single.json"),
+    ("mimo_single", 64, "mimo_single.64.json"),
+    ("mimo_single", 4096, "mimo_single.4096.json"),
+])
+def test_coded_mimo_solves_match_the_committed_copies(tmp_path, scenario, grid, golden):
+    out = tmp_path / golden
+    argv = ["solve", str(ROOT / "scripts" / "scenarios" / f"{scenario}.json"),
+            "-o", str(out), "--quiet"]
+    assert cli.main(argv + (["--grid", str(grid)] if grid else [])) == 0
+    assert out.read_bytes() == (CODED_MIMO / golden).read_bytes()
+
+
+def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):
+    script = load_script("rank_scaling_sweep")
+    monkeypatch.setattr(sys, "argv", ["rank_scaling_sweep.py"])
+    assert script.main() == 0
+    assert capsys.readouterr().out == (CODED_MIMO / "rank_scaling_sweep.txt").read_text()

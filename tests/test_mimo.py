@@ -7,10 +7,12 @@ import pytest
 
 from oracles import cognitive_rate_mimo, legacy_rate_mimo, trace_power
 from specshape.coded import CodedScenario, solve_coded, coded_prelog
+from specshape import mimo
 from specshape.errors import InfeasibleScenarioError, SolverError
 from specshape.mimo import (
     DecodeMode,
     MimoChannel,
+    MimoSolution,
     PsdMatrix,
     _W_LO,
     _checked,
@@ -566,3 +568,115 @@ def test_solve_mimo_eigvalsh_budget(monkeypatch):
                          grid=make_grid(4096), shape=G @ G.conj().T)
         assert sol.psd.values.shape == (4096, 3, 3)
         assert 2 <= sum(matrices) <= 4, matrices
+
+
+# The last-link slot: consecutive searches on one channel and shape reuse the
+# power-independent setup, and nothing else may change.
+
+POWERS9 = tuple(np.geomspace(1.0, 1e8, 9))
+
+
+def fingerprint(sol):
+    if isinstance(sol, MimoSolution):
+        return sol.mode, sol.w, sol.rate, sol.residuals, sol.psd.values.tobytes()
+    return sol.case_tag, sol.w, sol.phi0, sol.rate, sol.residuals
+
+
+def cold(monkeypatch, solve, *args, **kwargs):
+    monkeypatch.setattr(mimo, "_last_link", (None, None))
+    return fingerprint(solve(*args, **kwargs))
+
+
+def test_link_sweeps_match_cold_solves(monkeypatch):
+    rng = np.random.default_rng(15)
+    H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    link_a = channel(H=H, a_c=1.0)                     # successive / rate-split
+    link_b = channel(H=np.eye(2), a_c=0.003)           # treat-as-noise
+    steps = ([(link_a, P) for P in POWERS9] + [(link_b, P) for P in POWERS9]
+             + [(link_a, P) for P in POWERS9])
+    warm = [fingerprint(solve_mimo(ch, P, grid=GRID)) for ch, P in steps]
+    assert warm == [cold(monkeypatch, solve_mimo, ch, P, grid=GRID) for ch, P in steps]
+    assert {m for m, *_ in warm} == set(DecodeMode)
+
+    scs = [CodedScenario(a_l=1.0, g_l=1.0, a_c=a_c, g_c=10.0, sigma2_s=1000.0,
+                         sigma2_nl=1.0, sigma2_nc=1.0, R_l=0.5 * math.log(1001.0), P=P)
+           for a_c in (0.003, 1.0, 0.003) for P in POWERS9]
+    warm = [fingerprint(solve_coded(sc)) for sc in scs]
+    assert warm == [cold(monkeypatch, solve_coded, sc) for sc in scs]
+
+
+def test_link_alternating_shapes_match_cold_solves(monkeypatch):
+    rng = np.random.default_rng(16)
+    ch = channel(H=rng.normal(size=(3, 3)), a_c=1.0)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    steps = [(P, shape) for P in POWERS9 for shape in (None, G @ G.conj().T)]
+    warm = [fingerprint(solve_mimo(ch, P, grid=GRID, shape=s)) for P, s in steps]
+    assert warm == [cold(monkeypatch, solve_mimo, ch, P, grid=GRID, shape=s)
+                    for P, s in steps]
+
+
+def test_link_scalar_types_match_cold_solves(monkeypatch):
+    # the twins hold the same values as other types, and each must solve as
+    # it would with the slot empty: an int product is exact where a float one
+    # rounds, so the int twin's legacy capacity, and its rate, differ
+    a_l, s2s, s2nl = 687, 3901345800446953, 6903573505426311872512
+    ch = channel(H=[[1.0, 0.5], [0.0, 2.0]], a_l=float(a_l), sigma2_s=float(s2s),
+                 sigma2_nl=float(s2nl))
+    assert (ch.a_l, ch.sigma2_s, ch.sigma2_nl) == (a_l, s2s, s2nl)
+    numpy_twin = replace(ch, **{f: np.float64(getattr(ch, f)) for f in (
+        "a_l", "g_l", "a_c", "g_c", "sigma2_s", "sigma2_nl", "sigma2_nc", "R_l")})
+    int_twin = replace(ch, a_l=a_l, sigma2_s=s2s, sigma2_nl=s2nl)
+    steps = [(c, P * s2nl) for P in (0.1, 1.0, 10.0) for c in (ch, numpy_twin, int_twin)]
+    warm = [fingerprint(solve_mimo(c, P, grid=GRID)) for c, P in steps]
+    assert warm == [cold(monkeypatch, solve_mimo, c, P, grid=GRID) for c, P in steps]
+    assert warm[-1][2] != warm[-3][2]
+
+
+def test_failed_link_setup_leaves_nothing_behind(monkeypatch):
+    ch = channel(a_c=0.003)
+    expected = cold(monkeypatch, solve_mimo, ch, 1e4, grid=GRID)
+    for name in ("eigh", "cholesky"):  # the eager setup, then the lazy mode-A part
+        monkeypatch.setattr(mimo, "_last_link", (None, None))
+        with monkeypatch.context() as m:
+            def broken(*args, **kwargs):
+                raise np.linalg.LinAlgError("broken")
+            m.setattr(np.linalg, name, broken)
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_mimo(ch, 1e4, grid=GRID)
+        if name == "eigh":
+            assert mimo._last_link == (None, None)
+        assert fingerprint(solve_mimo(ch, 1e4, grid=GRID)) == expected
+
+
+def test_link_setup_runs_once_per_sweep(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(mimo, "_last_link", (None, None))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    ch = channel(H=np.eye(2), a_c=1.0)
+    for P in POWERS9:
+        solve_mimo(ch, P, grid=GRID)
+    assert len(calls) == 1
+    solve_mimo(replace(ch, g_c=ch.g_c * 2.0), 1e3, grid=GRID)
+    assert len(calls) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the field renders sample 0 at power P when w is below "
+                   "its cell, so it breaks the legacy constraint it reports met")
+def test_sub_cell_support_renders_a_feasible_field():
+    grid = make_grid(64)
+    ch = MimoChannel(H_c=np.eye(2), h_l=np.ones(2) / math.sqrt(2), h_c=[1.0, 0.0],
+                     a_l=1.0, g_l=1.0, a_c=0.003, g_c=10.0, sigma2_s=1000.0,
+                     sigma2_nl=1.0, sigma2_nc=1.0, R_l=0.999 * math.log(1001.0))
+    sol = solve_mimo(ch, 1e4, grid=grid)
+    # w is 1.0e-3, the first cell 1/126 of the band; the field's legacy rate
+    # is 0.048 short of R_l and its own rate 0.238, against a reported 0.034
+    assert sol.w < grid.weights[0] / np.pi
+    assert sol.residuals["legacy"] == pytest.approx(0.0, abs=1e-12)
+    assert legacy_rate_mimo(sol.psd, ch) >= ch.R_l - 1e-9
