@@ -2,14 +2,11 @@
 
 Each of K legacy receivers sees the legacy signal through its own gain and
 noise; the asymptotic support must keep every receiver's pre-emphasis mass
-within its distortion slack. K = 1 reduces exactly to the single-receiver
-on-off construction; for K >= 2 a prefix-greedy fill ordered by the worst
-normalized cost density is used, followed by a bounded swap pass. With the
-boundary cells taken fractionally the problem is a linear program (maximize
-the support measure subject to K mass constraints, each cell weight in
-[0, 1]), which an LP solver settles exactly. The greedy, which needs numpy
-alone, is exact for K = 1 and in the low-noise case and matches the LP on
-smooth spectra, but can fall short of it on rough ones.
+within its distortion slack. With boundary cells fractional this is a linear
+program (maximize the support measure subject to K mass constraints, each cell
+weight in [0, 1]) whose optimum has at most K fractional cells. K = 1 is the
+single-receiver on-off construction exactly; K >= 2 is solved exactly as an
+LP by a bounded simplex from the greedy start.
 """
 
 from __future__ import annotations
@@ -19,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .estimation import UncodedScenario, wk_floor
 from .shaping import _prefix_length, preemphasized_psd
 from .spectra import Spectrum, mean_power
 
-_SWAP_PASSES = 16
+_MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,20 @@ class MultiPrelogResult:
     budgets: np.ndarray
 
 
-def _receiver_scenario(scenario: MultiLegacyScenario, r: LegacyReceiver) -> UncodedScenario:
-    """Receiver r as a single-receiver scenario (the power budget is unused)."""
-    return UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0)
-
-
 def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     """Largest on-off support meeting all K pre-emphasis mass constraints.
 
     Cells are ranked by max_k cost_density_k / slack_k and filled prefix-wise;
-    the stop cell enters fractionally so the K = 1 case matches the
-    single-receiver construction exactly. A bounded swap pass then tries to
-    trade one included cell for cheaper excluded ones.
+    the stop cell enters fractionally, so K = 1 matches the single-receiver
+    construction exactly. The simplex starts there, with the stop cell basic
+    in the row that stopped it. The support is the cells taken whole.
     """
     w = scenario.grid.weights
     n = scenario.grid.n_points
     K = len(scenario.receivers)
 
-    singles = [_receiver_scenario(scenario, r) for r in scenario.receivers]
+    # each receiver as a single-receiver scenario (the power budget is unused)
+    singles = [UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0) for r in scenario.receivers]
     budgets = np.array([sc.D - wk_floor(sc) for sc in singles])
     if (budgets <= 0).any():
         return MultiPrelogResult(0.0, 0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
@@ -96,58 +90,64 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
         key = np.max(dens / budgets[:, None], axis=0)
     order = np.lexsort((np.arange(n), key))
 
-    def filled_measure(mask, spent):
-        # whole cells, plus the leftover budget spent on the cheapest
-        # excluded cell, partially
-        whole = float(w[mask].sum())
-        rest = order[~mask[order]]
-        if rest.size == 0:
-            return whole
-        c = costs[:, rest[0]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(c > 0, (budgets - spent) / c, np.inf)
-        return whole + min(1.0, max(0.0, float(np.min(ratios)))) * w[rest[0]]
-
     running = np.cumsum(costs[:, order], axis=1)
     take = _prefix_length(running, budgets)
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:take]] = True
-    spent = running[:, take - 1].copy() if take > 0 else np.zeros(K)
-    measure = filled_measure(mask, spent)
+    x = np.zeros(n)
+    x[order[:take]] = 1.0
+    if take < n:
+        stop = order[take]
+        spent = running[:, take - 1] if take > 0 else np.zeros(K)
+        c = costs[:, stop]
+        ratios = np.divide(budgets - spent, c, out=np.full(K, np.inf), where=c > 0)
+        row = int(np.argmin(ratios))
+        x[stop] = min(1.0, float(ratios[row]))
+        basis = np.where(np.arange(K) == row, stop, np.arange(n, n + K))
+        x = _simplex(w, costs / budgets[:, None], x, basis)
 
-    for _ in range(_SWAP_PASSES):
-        if take == n:
-            break
-        # trade the included cell that loads the binding budget hardest for
-        # cheaper excluded cells; keep only strict growth in filled measure
-        binding = int(np.argmin(budgets - spent))
-        inc = np.flatnonzero(mask)
-        if inc.size == 0:
-            break
-        worst = inc[np.argmax(costs[binding, inc])]
-        rest = order[~mask[order]]
-        trial = mask.copy()
-        trial[worst] = False
-        t_spent = spent - costs[:, worst]
-        # one pass over the excluded cells in rank order, taking each that
-        # fits; spending only grows, so a cell that does not fit now never will
-        while True:
-            rest = rest[np.all(t_spent[:, None] + costs[:, rest] <= budgets[:, None], axis=0)]
-            if rest.size == 0:
-                break
-            running = np.cumsum(np.column_stack([t_spent, costs[:, rest]]), axis=1)[:, 1:]
-            got = _prefix_length(running, budgets)
-            trial[rest[:got]] = True
-            t_spent = running[:, got - 1].copy()
-            rest = rest[got:]
-        t_measure = filled_measure(trial, t_spent)
-        if t_measure > measure + 1e-15:
-            mask, spent, measure = trial, t_spent, t_measure
-        else:
-            break
+    support = x >= 1.0
+    taken = order[support[order]]
+    spent = np.cumsum(costs[:, taken], axis=1)[:, -1] if taken.size else np.zeros(K)
+    frac = min(1.0, float(w @ x) / np.pi)
+    return MultiPrelogResult(frac, frac, support, spent, budgets)
 
-    frac = min(1.0, measure / np.pi)
-    return MultiPrelogResult(frac, frac, mask, spent, budgets)
+
+def _simplex(w, A, x, basis):
+    """Bounded-variable primal simplex for max w.x subject to A x <= 1 and
+    0 <= x <= 1, from a basic feasible x. Variable n + k is the slack of row
+    k, also in [0, 1] as A >= 0; basis holds one variable per row. Dantzig
+    pricing, Bland's rule after a degenerate step; an entering variable that
+    reaches its other bound first flips instead."""
+    K, n = A.shape
+    M, cost = np.hstack([A, np.eye(K)]), np.append(w, np.zeros(K))
+    tol = 1e-12 * np.append(w, np.full(K, w.sum()))
+    v = np.append(x, 1.0 - A @ x)
+    side = np.where(v < 1.0, 1.0, -1.0)  # +1 at the lower bound, -1 at the upper
+    side[basis] = 0.0
+    v[side > 0] = 0.0
+    t = 1.0
+    for _ in range(_MAX_PIVOTS):
+        inv = np.linalg.inv(M[:, basis])
+        gain = (cost[basis] @ inv) @ M  # then in place: no more n-cell temporaries
+        np.subtract(cost, gain, out=gain)
+        gain *= side
+        gain -= tol
+        q = int(np.argmax(gain > 0) if t == 0.0 else np.argmax(gain))  # Bland if degenerate
+        if gain[q] <= 0:
+            return v[:n]
+        # basic variable i falls by t * col[i] while v[q] moves by t * side[q]
+        col = side[q] * (inv @ M[:, q])
+        room = np.divide(np.where(col > 0, v[basis], v[basis] - 1.0), col, out=np.full(K, np.inf),
+                         where=np.abs(col) > 1e-12 * np.abs(col).max()).clip(0.0)
+        i = int(np.argmin(np.where(room == room.min(), basis, n + K)))
+        t = min(float(room[i]), 1.0)
+        v[basis] -= t * col
+        if t == 1.0:  # v[q] reaches its other bound first
+            v[q], side[q] = float(side[q] > 0), -side[q]
+        else:  # basis[i] leaves at the bound it reached
+            out, v[q] = basis[i], v[q] + t * side[q]
+            v[out], side[out] = (0.0, 1.0) if col[i] > 0 else (1.0, -1.0)
+            side[q], basis[i] = 0.0, q
+    raise SolverError(f"the support LP did not settle in {_MAX_PIVOTS} pivots")
 
 
 def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:

@@ -8,6 +8,10 @@
   `support_rate`, which root-finds the tilt over real fills (SciPy's
   `brentq`) where the solver reads closed-form MSEs, so the oracle checks
   both the search over supports and the evaluation of each one.
+- `dual_bound`: the Lagrange dual of the case-2 problem, minimized over its
+  two multipliers. By weak duality it bounds every feasible PSD's rate from
+  above, boundary cells fractional or not, so it checks the case-2 solve
+  without searching the support family the solver searches.
 - `sorted_fill`: the exact power fill as the solvers computed it before
   the active-set iteration, by sorting the cells by base/h and reading the
   level off prefix sums. It checks `waterfill._fill` level for level.
@@ -38,7 +42,7 @@ import numpy as np
 from specshape import shaping
 from specshape.coded import CodedScenario
 from specshape.errors import InfeasibleScenarioError
-from specshape.estimation import UncodedScenario
+from specshape.estimation import UncodedScenario, wk_floor
 from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix
 from specshape.shaping import CaseTag, ShapingSolution
 from specshape.spectra import Spectrum
@@ -163,6 +167,40 @@ def support_rate(ws, P: float, D: float, wfrac: float) -> float:
                          maxiter=200)
     filled = shaping._tilted_fill(ws, P, wts, nu)
     return rate(filled) if abs(filled[0] - D) <= 1e-6 * D else -math.inf
+
+
+def dual_bound(scenario: UncodedScenario, sol: ShapingSolution) -> float:
+    """min over lam, mu > 0 of g = mu*P + lam*(D - floor) + (1/pi) sum_i w_i
+    max(0, dh_i), where dh_i = log(y_i/B_i) - mu*(y_i - B_i)
+    - lam*q_i*(1/B_i - 1/y_i) is the Lagrangian gain of powering cell i at the
+    stationary level y_i = (1 + sqrt(1 - 4*lam*mu*q_i))/(2*mu) over leaving it
+    off (dh = 0 where the root is complex or y_i <= B_i), with q = a*phi_s^2
+    and B = a*phi_s + phi_n. SciPy's Nelder-Mead runs in (log lam, log mu)
+    from the solver's multipliers (lam = sol.lam, mu = -sol.mu; log lam =
+    -log max u when sol.lam is 0), restarted twice from where it stops."""
+    from scipy import optimize
+
+    s, w = scenario.phi_s.values, scenario.grid.weights
+    q, B = scenario.a * s * s, scenario.base()
+    slack = scenario.D - wk_floor(scenario)
+
+    def g(z):
+        lam, mu = np.exp(z)
+        disc = 1.0 - 4.0 * lam * mu * q
+        y = (1.0 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dh = np.log(y / B) - mu * (y - B) - lam * q * (1.0 / B - 1.0 / y)
+        dh = np.where((disc >= 0.0) & (y > B), dh, 0.0)
+        return mu * scenario.P + lam * slack + float(w @ np.maximum(dh, 0.0)) / np.pi
+
+    lam0 = sol.lam if sol.lam > 0 else 1.0 / float(np.max(q / B))
+    z = np.log([lam0, -sol.mu])
+    best = g(z)
+    for _ in range(3):
+        res = optimize.minimize(g, z, method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 4000})
+        z, best = res.x, min(best, float(res.fun))
+    return best
 
 
 def sorted_fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):

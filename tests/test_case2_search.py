@@ -1,12 +1,13 @@
-"""The case-2 support search against the sweep-and-golden oracle, its
-evaluation budget, and its independence of the units."""
+"""The case-2 support search against the sweep-and-golden oracle and the
+Lagrange dual bound, its evaluation budget, and its independence of the
+units."""
 
 import numpy as np
 import pytest
 
-from oracles import sweep_golden_rate
+from oracles import dual_bound, sweep_golden_rate
 from specshape import shaping
-from specshape.estimation import UncodedScenario
+from specshape.estimation import UncodedScenario, wk_floor
 from specshape.shaping import CaseTag, CurveMethod, rate_curve, solve
 from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
                                tabulated_spectrum)
@@ -79,6 +80,47 @@ def test_kink_search_when_the_prelog_support_exceeds_d_by_rounding():
     sol = solve(sc)
     assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
     assert sol.rate >= sweep_golden_rate(sc) * (1 - 1e-12)
+
+
+def dual_draws(shaped, count=60, grid=GRID):
+    """Case-2 draws from default_rng(1000 + k), k < count: tabulated phi_s
+    with 9-225 knots exp(U(-1, 1)), unit flat noise or 5-knot noise
+    exp(U(-2, 2)), a = e^U(0, 5), D = floor * U(1.1, 3), P = e^U(0, 6). Draws
+    where water-filling meets D are dropped. Returns (scenario, solution)."""
+    out = []
+    for k in range(count):
+        rng = np.random.default_rng(1000 + k)
+        phi_s = tabulated_spectrum(grid, np.exp(rng.uniform(-1, 1, int(rng.integers(9, 226)))))
+        phi_n = (tabulated_spectrum(grid, np.exp(rng.uniform(-2, 2, 5))) if shaped
+                 else flat_spectrum(grid, 1.0))
+        a = float(np.exp(rng.uniform(0, 5)))
+        floor = wk_floor(UncodedScenario(a, phi_s, phi_n, 1.0, 1.0))
+        sc = UncodedScenario(a, phi_s, phi_n, floor * float(rng.uniform(1.1, 3)),
+                             float(np.exp(rng.uniform(0, 6))))
+        sol = solve(sc)
+        if sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE:
+            out.append((sc, sol))
+    return out
+
+
+def test_solve_meets_the_dual_bound_on_flat_noise():
+    # 54 draws; the gap was at most 1.6e-13 of the rate when measured
+    draws = dual_draws(shaped=False)
+    assert len(draws) >= 50
+    for sc, sol in draws:
+        bound = dual_bound(sc, sol)
+        assert sol.rate >= bound * (1 - 1e-9)
+        assert bound >= sol.rate * (1 - 1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="with a shaped noise floor the support family (prefixes of the "
+                   "pre-emphasis order) misses the optimum: 40 of 44 draws sit more than "
+                   "1e-9 below the dual bound, by up to 6.1e-3 of the rate")
+def test_solve_meets_the_dual_bound_on_shaped_noise():
+    gaps = [dual_bound(sc, sol) / sol.rate - 1 for sc, sol in dual_draws(shaped=True)]
+    assert len(gaps) >= 40
+    assert max(gaps) <= 1e-9, (sum(g > 1e-9 for g in gaps), max(gaps))
 
 
 def test_set_reaches_the_case2_search():

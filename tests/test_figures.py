@@ -1,8 +1,9 @@
 """Committed outputs, byte for byte: the six figure tables of
-scripts/make_figure_data.py against tests/data/figures, and the coded and MIMO
+scripts/make_figure_data.py against tests/data/figures, the coded and MIMO
 outputs (`specshape solve` on the coded and MIMO scenario files, the stdout of
-scripts/rank_scaling_sweep.py) against tests/data/coded_mimo. A cell that
-moves fails here; update the copy in the same change and say why."""
+scripts/rank_scaling_sweep.py) against tests/data/coded_mimo, and the
+multilegacy solves against tests/data/multilegacy. A cell that moves fails
+here; update the copy in the same change and say why."""
 
 import importlib.util
 import sys
@@ -15,6 +16,7 @@ from specshape import cli
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "figures"
 CODED_MIMO = ROOT / "tests" / "data" / "coded_mimo"
+MULTILEGACY = ROOT / "tests" / "data" / "multilegacy"
 
 
 def load_script(name):
@@ -34,17 +36,28 @@ def test_figure_tables_match_the_committed_copies(tmp_path, monkeypatch, capsys)
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def solve_to(tmp_path, scenario, grid, golden):
+    out = tmp_path / golden
+    argv = ["solve", str(ROOT / "scripts" / "scenarios" / f"{scenario}.json"),
+            "-o", str(out), "--quiet"]
+    assert cli.main(argv + (["--grid", str(grid)] if grid else [])) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("scenario, grid, golden", [
     ("coded_single", None, "coded_single.json"),
     ("mimo_single", 64, "mimo_single.64.json"),
     ("mimo_single", 4096, "mimo_single.4096.json"),
 ])
 def test_coded_mimo_solves_match_the_committed_copies(tmp_path, scenario, grid, golden):
-    out = tmp_path / golden
-    argv = ["solve", str(ROOT / "scripts" / "scenarios" / f"{scenario}.json"),
-            "-o", str(out), "--quiet"]
-    assert cli.main(argv + (["--grid", str(grid)] if grid else [])) == 0
-    assert out.read_bytes() == (CODED_MIMO / golden).read_bytes()
+    assert solve_to(tmp_path, scenario, grid, golden) == (CODED_MIMO / golden).read_bytes()
+
+
+@pytest.mark.parametrize("grid", [512, 4096])
+def test_multilegacy_solves_match_the_committed_copies(tmp_path, grid):
+    golden = f"multilegacy_single.{grid}.json"
+    assert (solve_to(tmp_path, "multilegacy_single", grid, golden)
+            == (MULTILEGACY / golden).read_bytes())
 
 
 def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):
