@@ -70,6 +70,12 @@ class CodedSolution:
     residuals: dict
 
 
+# The 1x1 channel and shape, built once: read-only, so every call can share them.
+_ONE = np.ones((1, 1), dtype=complex)
+_ONE.flags.writeable = False
+_EYE = np.eye(1)
+_EYE.flags.writeable = False
+
 _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
           DecodeMode.SUCCESSIVE_B1: CodedCase.B1,
           DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
@@ -78,10 +84,10 @@ _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
 def solve_coded(sc: CodedScenario) -> CodedSolution:
     """Best on-off operating point: case A when the legacy signal is
     undecodable in silence, else the better of B-1 and B-2."""
-    ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=sc.a_l, g_l=sc.g_l,
+    ch = MimoChannel(H_c=_ONE, h_l=_ONE[0], h_c=_ONE[0], a_l=sc.a_l, g_l=sc.g_l,
                      a_c=sc.a_c, g_c=sc.g_c, sigma2_s=sc.sigma2_s,
                      sigma2_nl=sc.sigma2_nl, sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
-    mode, w, rate, residuals = _onoff_search(ch, sc.P, np.eye(1))
+    mode, w, rate, residuals = _onoff_search(ch, sc.P, _EYE)
     return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
                          residuals=residuals)
 

@@ -21,16 +21,18 @@ at the cognitive receiver, never rise with w. Each is w F(K/w) + (1 - w) F(0)
 with F(X) = log det(N + S + X) - log det(N + X). Gaussian mutual information
 is convex in the noise covariance (Diggavi & Cover, IEEE T-IT 2001), so F is
 convex and the derivative in w, F(y) - y F'(y) - F(0) at y = K/w, is at most
-0. One Brent root-find per constraint thus gives the widest feasible w. The
-scalar coded solver `coded.solve_coded` is the 1x1 case. The high-power slope
-is insensitive to the spatial shape, scaling instead with rank(H_c).
+0. Each is then convex in w too, and one safeguarded Newton root-find per
+constraint gives the widest feasible w, met as evaluated. The scalar coded
+solver `coded.solve_coded` is the 1x1 case. The high-power slope is
+insensitive to the spatial shape, scaling instead with rank(H_c).
 
 The search has a power-independent half, `_Link`: the eigenmodes of
 H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
 eigenvalues of modes A and B-2. Its per-power half runs only the root-finds
-and the rate sums. A rate curve asks for one link at power after power, so
-the module keeps the last link set up in one slot, keyed by every field of
-the channel and the bytes of Q; any other link replaces it. Results do not
+and the rate sums, in plain Python floats. A rate curve asks for one link at
+power after power, so the module keeps the last link set up in one slot,
+keyed by every field of the channel and the bytes of Q; any other link
+replaces it. Results do not
 depend on the slot: a link found there is the one a fresh setup would build.
 The checks of P, feasibility, the shape and the rendered field run on every
 call.
@@ -45,7 +47,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _scalar
 from .errors import InfeasibleScenarioError, SolverError
 from .spectra import FrequencyGrid, make_grid
 
@@ -53,6 +54,7 @@ _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _RANK_RTOL = 1e-9
 _W_LO = 1e-9
+_MAX_STEPS = 100
 
 
 class DecodeMode(str, Enum):
@@ -101,12 +103,12 @@ class PsdMatrix:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def _on_off(cls, grid: FrequencyGrid, mask: np.ndarray, level: np.ndarray) -> PsdMatrix:
-        """The field equal to the complex N x N `level` where `mask` holds and
-        zero elsewhere; `mask` holds at least one sample."""
+    def _on_off(cls, grid: FrequencyGrid, k: int, level: np.ndarray) -> PsdMatrix:
+        """The field equal to the complex N x N `level` on the first k >= 1
+        samples and zero elsewhere."""
         level = _checked(level[None])[0]
         v = np.zeros((grid.n_points,) + level.shape, dtype=complex)
-        v[mask] = level
+        v[:k] = level
         v.flags.writeable = False
         psd = object.__new__(cls)
         object.__setattr__(psd, "grid", grid)
@@ -207,13 +209,49 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
 
 
 def _widest_feasible(c):
-    """The largest w in [_W_LO, 1] with c(w) >= 0, for a constraint c that
-    never rises with w; None when c(_W_LO) < 0."""
-    if c(1.0) >= 0.0:
-        return 1.0
-    if c(_W_LO) < 0.0:
+    """The largest w in [_W_LO, 1] with c(w) >= 0, for a convex constraint c
+    that never rises with w; None when c(_W_LO) < 0. c(w) returns the value
+    and its derivative in w.
+
+    Newton steps in w from w = 1: as c is convex in w (not in ln w), they
+    land on the feasible side and approach the root from below. The bracket
+    [lo, hi], c(lo) >= 0 > c(hi), guards them against rounding: a step that
+    leaves it, or a slope that is not negative, bisects it in ln w, and a
+    step from hi that rounds to no move moves one ulp. The feasible end
+    comes back once c(lo) is 0, a step from lo rounds to no move, or the
+    ends are adjacent floats. A NaN value, or no end within _MAX_STEPS,
+    raises SolverError."""
+    lo, hi = _W_LO, 1.0
+    f, d = c(hi)
+    if f >= 0.0:
+        return hi
+    f_lo = c(lo)[0]
+    if math.isnan(f) or math.isnan(f_lo):
+        raise SolverError(f"the constraint value at w=1 or w={lo!r} is NaN")
+    if f_lo < 0.0:
         return None
-    return _scalar.brentq(c, _W_LO, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=100)
+    w = hi
+    for _ in range(_MAX_STEPS):
+        nxt = w - f / d if d < 0.0 else hi
+        if nxt == w:
+            if f >= 0.0:
+                return w
+            nxt = math.nextafter(w, lo)
+        if not lo < nxt < hi:
+            # within a factor 2 the plain mean is close to the geometric one,
+            # and it falls strictly inside whenever a float does
+            nxt = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        w = nxt
+        f, d = c(w)
+        if f >= 0.0:
+            lo = w
+        elif f < 0.0:
+            hi = w
+        else:
+            raise SolverError(f"the constraint value at w={w!r} is NaN")
+        if f == 0.0 or hi - lo <= math.ulp(lo):
+            return lo
+    raise SolverError(f"the w root-find did not converge in {_MAX_STEPS} steps (w={w!r})")
 
 
 class _Link:
@@ -273,20 +311,40 @@ class _Link:
     def search(self, P: float):
         """Best (mode, w, rate, residuals) at the float budget P; see
         `_onoff_search`."""
-        ch, k_l, k_dec, proj = self.ch, self.k_l, self.k_dec, self.proj
-        C_l, off_dec = self.C_l, self.off_dec
+        ch, proj, C_l, off_dec, R_l = self.ch, self.proj, self.C_l, self.off_dec, self.ch.R_l
+        s_l, n_l = ch.a_l * ch.sigma2_s, ch.sigma2_nl
+        s_c, n_c = ch.a_c * ch.sigma2_s, ch.sigma2_nc
+        kP_l = self.k_l * P
+        kP_dec = [k * P for k in self.k_dec]
 
         def on_rate(gains, w):
-            return sum(np.log1p(k * P / w) for k in gains)
+            total = 0.0
+            for k in gains:
+                total += math.log1p(k * P / w)
+            return total
 
+        # Each constraint returns its value and its derivative in w. An
+        # interference x = kP/w has w dx/dw = -x, and each factor
+        # x/(x + m) of the derivative is written 1 - m/(x + m), so that
+        # x = inf gives 0 and not NaN.
         def legacy_con(w):
-            on = np.log1p(ch.a_l * ch.sigma2_s / (k_l * P / w + ch.sigma2_nl))
-            return w * on + (1.0 - w) * C_l - ch.R_l
+            a = kP_l / w + n_l
+            u = s_l / a
+            on = math.log1p(u)
+            return (w * on + (1.0 - w) * C_l - R_l,
+                    on + u * (1.0 - (n_l + s_l) / (a + s_l)) - C_l)
 
         def decode_con(w):
-            sinr = ch.a_c * ch.sigma2_s * sum(
-                p / (k * P / w + ch.sigma2_nc) for k, p in zip(k_dec, proj))
-            return w * np.log1p(sinr) + (1.0 - w) * off_dec - ch.R_l
+            total = slope = 0.0
+            for kP, p in zip(kP_dec, proj):
+                a = kP / w + n_c
+                b = p / a
+                total += b
+                slope += b * (1.0 - n_c / a)
+            sinr = s_c * total
+            on = math.log1p(sinr)
+            return (w * on + (1.0 - w) * off_dec - R_l,
+                    on + s_c * slope / (1.0 + sinr) - off_dec)
 
         # Each mode's best w is its widest feasible support. Every rate is
         # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
@@ -295,7 +353,7 @@ class _Link:
         # w: logdet(A) = off_dec by the matrix determinant lemma.
         w_l = _widest_feasible(legacy_con)
         candidates = []
-        if w_l is not None and off_dec <= ch.R_l:
+        if w_l is not None and off_dec <= R_l:
             candidates.append((DecodeMode.TREAT_AS_NOISE, w_l,
                                w_l * on_rate(self.gains_a, w_l)))
         elif w_l is not None:
@@ -304,20 +362,20 @@ class _Link:
                 w = min(w_l, w_d)
                 candidates.append((DecodeMode.SUCCESSIVE_B1, w,
                                    w * on_rate(self.gains_b1, w)))
-            if decode_con(w_l) <= 0.0:
+            if decode_con(w_l)[0] <= 0.0:
                 logdet_a, gains_b2 = self.b2
                 on = logdet_a + on_rate(gains_b2, w_l)
                 candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
-                                   w_l * on + (1.0 - w_l) * off_dec - ch.R_l))
+                                   w_l * on + (1.0 - w_l) * off_dec - R_l))
         if not candidates:
             raise InfeasibleScenarioError("no feasible operating point")
         mode, w, rate = max(candidates, key=lambda t: t[2])
         if not math.isfinite(rate):
             raise SolverError(f"the on-off rate is not finite (P = {P:g}, w = {w:g})")
-        residuals = {"legacy": float(legacy_con(w))}
+        residuals = {"legacy": legacy_con(w)[0]}
         if mode is not DecodeMode.TREAT_AS_NOISE:
-            residuals["decodability"] = float(decode_con(w))
-        return mode, w, float(rate), residuals
+            residuals["decodability"] = decode_con(w)[0]
+        return mode, w, rate, residuals
 
 
 # The last link set up, as one (key, link) tuple. It is replaced whole, so a
@@ -349,9 +407,11 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
 
     With w_l the root of the legacy constraint and w_d that of decodability,
     A runs at w_l, B-1 at min(w_l, w_d), and B-2 at w_l when the legacy
-    signal is not decodable there. The functions of w take Python floats, and
-    P is made one too, so that an overflow gives inf without a numpy warning;
-    a winning rate that is not finite raises SolverError."""
+    signal is not decodable there. The search runs in Python floats with
+    `math.log1p`, P made one too, so an overflow gives inf without a numpy
+    warning; its sums run in explicit loops, as builtin `sum` compensates
+    from Python 3.12 on. A winning rate that is not finite raises
+    SolverError."""
     P = float(P)
     if not 0 < P < math.inf:
         raise ValueError("power budget must be positive and finite")
@@ -378,14 +438,12 @@ def solve_mimo(channel: MimoChannel, P: float,
     mode, w, rate, residuals = _onoff_search(channel, P, Q)
     if grid is None:
         grid = make_grid()
-    cum = np.cumsum(grid.weights)
-    mask = cum <= w * np.pi
-    if not mask.any():
-        mask[0] = True
-    frac = float(grid.weights[mask].sum()) / np.pi
+    # the samples whose running weight stays within w * pi, at least one
+    k = max(int(grid.cumulative_weights.searchsorted(w * np.pi, "right")), 1)
+    frac = float(grid.weights[:k].sum()) / np.pi
     level = float(P) / frac
     if not math.isfinite(level):
         # the level cannot be written: inf * 0 would put NaN in the field
         raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
-    return MimoSolution(psd=PsdMatrix._on_off(grid, mask, level * Q), rate=rate,
+    return MimoSolution(psd=PsdMatrix._on_off(grid, k, level * Q), rate=rate,
                         mode=mode, w=w, residuals=residuals)

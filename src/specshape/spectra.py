@@ -8,6 +8,7 @@ spectra live on the half band [0, pi] and full-band integrals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,11 @@ class FrequencyGrid:
     n_points: int
     omegas: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def cumulative_weights(self) -> np.ndarray:
+        """Running sums of the weights, read-only; computed on first use."""
+        return _frozen(np.cumsum(self.weights))
 
     def integrate(self, values: np.ndarray) -> float:
         """Approximate int_0^pi f(w) dw from samples of f."""

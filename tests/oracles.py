@@ -24,6 +24,12 @@
   as written in the paper, vectorized over the support fraction w. They
   check `solve_coded`'s w against a dense grid over w, and the acceptance
   gate's coded criterion.
+- `brent_widest`: the widest feasible support fraction of a constraint that
+  never rises with w, by SciPy's `brentq` at its tightest tolerance. It
+  checks the on-off root-find, which takes Newton steps.
+- `onoff_asymptote`: the high-power line w_inf ln P + L_inf of the coded
+  case-A rate, with w_inf = 1 - R_l/C_l the prelog and L_inf the power
+  offset (Lozano, Tulino & Verdu, IEEE T-IT 51(12), 2005).
 - `trace_power`, `legacy_rate_mimo`, `decode_rate_mimo`,
   `cognitive_rate_mimo`: the MIMO power and log-det rates evaluated sample
   by sample on a PSD-matrix field, for any field and not only an on-off one.
@@ -286,6 +292,28 @@ def decode_rate_at_cognitive(sc: CodedScenario, w) -> np.ndarray:
     on = np.log1p(sc.a_c * sc.sigma2_s / (sc.g_c * sc.P / w + sc.sigma2_nc))
     return w * on + (1.0 - w) * off
 
+
+
+def brent_widest(c, w_lo: float = 1e-9) -> float:
+    """The largest w in [w_lo, 1] with c(w) >= 0 for a constraint c that never
+    rises with w and holds at w_lo: 1.0 when c(1) >= 0, else SciPy's brentq
+    root at the tightest relative tolerance it accepts."""
+    from scipy import optimize
+
+    if c(1.0) >= 0.0:
+        return 1.0
+    return optimize.brentq(c, w_lo, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                           maxiter=500)
+
+
+def onoff_asymptote(sc: CodedScenario) -> tuple[float, float]:
+    """(w_inf, L_inf) of coded case A: R(P) = w_inf ln P + L_inf + o(1) with
+    w_inf = 1 - R_l/C_l and L_inf = w_inf ln(k/w_inf), where
+    k = g_c/(sigma2_nc + a_c sigma2_s) is the on-level gain over the legacy
+    signal treated as noise."""
+    w_inf = 1.0 - sc.R_l / sc.legacy_capacity
+    k = sc.g_c / (sc.sigma2_nc + sc.a_c * sc.sigma2_s)
+    return w_inf, w_inf * math.log(k / w_inf)
 
 
 def trace_power(psd: PsdMatrix) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from specshape import cli, coded, shaping
+from specshape import cli, coded, mimo, shaping
 from specshape.errors import SolverError
 from specshape.estimation import UncodedScenario
 from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid, mean_power
@@ -307,6 +307,20 @@ def test_non_finite_result_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(coded, "solve_coded", lambda sc: replace(solve(sc), rate=math.nan))
     doc = json.loads((SCENARIOS / "coded_single.json").read_text())
     assert run_bad(tmp_path, capsys, doc) == 4
+
+
+def test_nan_constraint_exit_4(tmp_path, capsys, monkeypatch):
+    # a constraint that reads NaN inside the bracket stops the w root-find
+    find = mimo._widest_feasible
+    monkeypatch.setattr(mimo, "_widest_feasible", lambda c: find(
+        lambda w: c(w) if w in (1.0, mimo._W_LO) else (math.nan, math.nan)))
+    doc = json.loads((SCENARIOS / "coded_single.json").read_text())
+    out = tmp_path / "o.json"
+    code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER == 4
+    assert "is NaN" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_huge_budget_over_a_vanishing_legacy_rate_exit_0(tmp_path, capsys):

@@ -270,15 +270,20 @@ def test_indefinite_shape_rejected(P):
         solve_mimo(channel(h_l=[0.0, 1.0]), P, grid=GRID, shape=[[1.0, 0.0], [0.0, -0.5]])
 
 
+def line(root):
+    """The constraint root - w with its derivative in w."""
+    return lambda w: (root - w, -1.0)
+
+
 @pytest.mark.parametrize("constraints, expected", [
-    ([lambda w: 0.3 - w], [0.3]),
+    ([line(0.3)], [0.3]),
     # feasible on the whole band
-    ([lambda w: 1.0 - w], [1.0]),
-    ([lambda w: 0.5 - w, lambda w: math.log(0.25 / w)], [0.5, 0.25]),
-    ([lambda w: -1.0], [None]),
+    ([line(1.0)], [1.0]),
+    ([line(0.5), lambda w: (math.log(0.25 / w), -1.0 / w)], [0.5, 0.25]),
+    ([lambda w: (-1.0, 0.0)], [None]),
     # a root at 3e-9, within the first 1/512 of the band
-    ([lambda w: 3e-9 - w], [3e-9]),
-    ([lambda w: 0.70002 - w, lambda w: 1.0, lambda w: 0.7 - w], [0.70002, 1.0, 0.7]),
+    ([line(3e-9)], [3e-9]),
+    ([line(0.70002), lambda w: (1.0, 0.0), line(0.7)], [0.70002, 1.0, 0.7]),
 ])
 def test_feasible_intervals(constraints, expected):
     # A constraint nonincreasing in w is feasible on [_W_LO, root]: the root
@@ -292,9 +297,26 @@ def test_feasible_intervals(constraints, expected):
 
 
 def test_widest_feasible_ends():
-    assert _widest_feasible(lambda w: 1.0 - w) == 1.0
-    assert _widest_feasible(lambda w: _W_LO - w) == _W_LO
-    assert _widest_feasible(lambda w: 0.5 * _W_LO - w) is None
+    assert _widest_feasible(line(1.0)) == 1.0
+    assert _widest_feasible(line(_W_LO)) == _W_LO
+    assert _widest_feasible(line(0.5 * _W_LO)) is None
+
+
+@pytest.mark.parametrize("c", [
+    lambda w: (math.nan, -1.0),
+    lambda w: (-1.0 if w == 1.0 else math.nan, -1.0),
+    # NaN at the first Newton point, w = 0.5
+    lambda w: (math.nan if 0.1 < w < 1.0 else 0.5 - w, -1.0),
+])
+def test_widest_feasible_raises_on_nan(c):
+    with pytest.raises(SolverError, match="is NaN"):
+        _widest_feasible(c)
+
+
+def test_widest_feasible_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(mimo, "_MAX_STEPS", 2)
+    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        _widest_feasible(lambda w: (math.log(0.25 / w), -1.0 / w))
 
 
 def direct_onoff(ch, P, w):
@@ -477,9 +499,9 @@ def outcome(build):
         return type(e), str(e)
 
 
-def random_draw(rng):
+def random_draw(rng, complex_only=False):
     n_r, n_t = rng.integers(1, 5, size=2)
-    cplx = rng.random() < 0.5
+    cplx = rng.random() < 0.5 or complex_only
 
     def normal(*size):
         z = rng.normal(size=size)
@@ -513,6 +535,23 @@ def test_solve_mimo_field_matches_per_sample_check():
     assert fields >= 40
 
 
+def test_residuals_are_never_negative():
+    # The legacy link never fails, nor does B-1's decoding of the legacy
+    # signal: 300 seeded draws, 1-4 antennas a side, complex H_c.
+    rng = np.random.default_rng(17)
+    grid = make_grid(16)
+    modes = set()
+    for i in range(300):
+        ch, shape = random_draw(rng, complex_only=True)
+        P = 10.0 ** rng.uniform(-3, 12)
+        sol = solve_mimo(ch, P, grid=grid, shape=shape)
+        modes.add(sol.mode)
+        assert sol.residuals["legacy"] >= 0.0, (i, P, sol.residuals)
+        if sol.mode is DecodeMode.SUCCESSIVE_B1:
+            assert sol.residuals["decodability"] >= 0.0, (i, P, sol.residuals)
+    assert modes == set(DecodeMode)
+
+
 @pytest.mark.parametrize("level", [
     [[math.nan, 0.0], [0.0, 1.0]],
     [[1.0, 0.0], [0.0, math.inf]],
@@ -528,7 +567,7 @@ def test_on_off_level_check_matches_per_sample_check(level):
         mask = np.arange(grid.n_points) < n_on
         field = np.zeros((grid.n_points, 2, 2), dtype=complex)
         field[mask] = level
-        assert (outcome(lambda: PsdMatrix._on_off(grid, mask, level))
+        assert (outcome(lambda: PsdMatrix._on_off(grid, n_on, level))
                 == outcome(lambda: PsdMatrix(grid, field)))
 
 

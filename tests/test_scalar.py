@@ -18,8 +18,8 @@ from specshape.errors import SolverError
 
 SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 
-# (xtol, rtol, maxiter) of the tilt root-find in shaping and of the
-# w crossings in mimo.
+# (xtol, rtol, maxiter) of the tilt root-find in shaping, and a looser
+# absolute xtol.
 ROOT_TOLS = [(1e-18, 8.9e-16, 200), (1e-15, 8.9e-16, 100)]
 
 
