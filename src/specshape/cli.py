@@ -460,8 +460,8 @@ def _solve_mimo(p: _Params, grid_points: int, factor: float) -> dict:
     p.finish()
     sol = mimo_mod.solve_mimo(ch, P, grid=make_grid(grid_points))
     # the support is the prefix cum <= w*pi with sample 0 forced on, so
-    # sample 0 always holds the on-level
-    phi0 = sol.psd.values[0]
+    # sample 0 always holds the on-level, read here without the full field
+    phi0 = sol.psd._level
     return {
         "kind": "mimo",
         "mode": sol.mode.value,

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mimo import DecodeMode, MimoChannel, _onoff_search
+from .mimo import DecodeMode, MimoChannel, _Link, _search
 
 
 class CodedCase(str, Enum):
@@ -81,13 +81,26 @@ _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
           DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
 
 
-def solve_coded(sc: CodedScenario) -> CodedSolution:
-    """Best on-off operating point: case A when the legacy signal is
-    undecodable in silence, else the better of B-1 and B-2."""
+def _setup(sc: CodedScenario) -> _Link:
     ch = MimoChannel(H_c=_ONE, h_l=_ONE[0], h_c=_ONE[0], a_l=sc.a_l, g_l=sc.g_l,
                      a_c=sc.a_c, g_c=sc.g_c, sigma2_s=sc.sigma2_s,
                      sigma2_nl=sc.sigma2_nl, sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
-    mode, w, rate, residuals = _onoff_search(ch, sc.P, _EYE)
+    return _Link(ch, _EYE)
+
+
+def solve_coded(sc: CodedScenario) -> CodedSolution:
+    """Best on-off operating point: case A when the legacy signal is
+    undecodable in silence, else the better of B-1 and B-2.
+
+    The search is `mimo`'s on the 1x1 link, whose arrays are the constants
+    above, so its link is keyed by the scenario's link scalars and their
+    types alone; the 1x1 `MimoChannel` is built only when that link is not
+    the last one set up. `CodedScenario` has checked every scalar the
+    channel would."""
+    vals = (sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl,
+            sc.sigma2_nc, sc.R_l)
+    mode, w, rate, residuals = _search(sc, sc.P, ("coded", vals, tuple(map(type, vals))),
+                                       lambda: _setup(sc))
     return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
                          residuals=residuals)
 

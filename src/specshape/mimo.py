@@ -30,12 +30,16 @@ The search has a power-independent half, `_Link`: the eigenmodes of
 H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
 eigenvalues of modes A and B-2. Its per-power half runs only the root-finds
 and the rate sums, in plain Python floats. A rate curve asks for one link at
-power after power, so the module keeps the last link set up in one slot,
-keyed by every field of the channel and the bytes of Q; any other link
-replaces it. Results do not
-depend on the slot: a link found there is the one a fresh setup would build.
-The checks of P, feasibility, the shape and the rendered field run on every
-call.
+power after power, so the module keeps the last link set up in one slot;
+any other link replaces it. `solve_mimo` keys it by every field of the
+channel and the bytes of Q, `coded.solve_coded` by its scenario's scalars,
+under tags that keep the two kinds of key apart. Results do not depend on
+the slot: a link found there is the one a fresh setup would build. The
+checks of P, feasibility, the shape and the on-level run on every call.
+
+An on-off field is one level on a prefix of the grid, so `solve_mimo`
+returns it as the prefix length and the level; the dense
+(n_points, N_t, N_t) array `PsdMatrix.values` is written on its first read.
 """
 
 from __future__ import annotations
@@ -85,14 +89,20 @@ class PsdMatrix:
     """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid.
 
     The constructor checks every sample and stores the Hermitian part. An
-    on-off field (one level on a set of samples, zero elsewhere) is built by
-    `_on_off`, which checks the level alone: a zero sample passes every test
-    and never raises the scale max(1, max|v|), so the outcome, the error and
-    the stored bytes are those of the per-sample check.
+    on-off field (one level on a prefix of the samples, zero elsewhere) is
+    built by `_on_off`, which checks the level alone: a zero sample passes
+    every test and never raises the scale max(1, max|v|), so the outcome, the
+    error and the bytes of `values` are those of the per-sample check. It is
+    stored as the prefix length `_k` and the read-only level `_level`;
+    `values` is written out on its first read and kept.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
+
+    # the on-off form; None for a field given sample by sample
+    _k = None
+    _level = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -107,17 +117,27 @@ class PsdMatrix:
         """The field equal to the complex N x N `level` on the first k >= 1
         samples and zero elsewhere."""
         level = _checked(level[None])[0]
-        v = np.zeros((grid.n_points,) + level.shape, dtype=complex)
-        v[:k] = level
-        v.flags.writeable = False
+        level.flags.writeable = False
         psd = object.__new__(cls)
         object.__setattr__(psd, "grid", grid)
-        object.__setattr__(psd, "values", v)
+        object.__setattr__(psd, "_k", k)
+        object.__setattr__(psd, "_level", level)
         return psd
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: `values` of an
+        # on-off field not yet read. setdefault keeps the first array
+        # stored, so readers that race here all get the same one.
+        if name != "values" or self._level is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        v = np.zeros((self.grid.n_points,) + self._level.shape, dtype=complex)
+        v[:self._k] = self._level
+        v.flags.writeable = False
+        return vars(self).setdefault("values", v)
 
     @property
     def n_t(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[1] if self._level is None else self._level.shape[0]
 
 
 @dataclass(frozen=True)
@@ -384,21 +404,24 @@ class _Link:
 _last_link: tuple = (None, None)
 
 
-def _link(ch: MimoChannel, Q: np.ndarray) -> _Link:
-    """The setup of (ch, Q), reused while consecutive searches ask for the same
-    link, as every power of a rate curve does. The key is every field of the
-    channel and the bytes of Q; the scalars' types enter too, since an int
-    product is exact where a float one rounds."""
+def _search(legacy, P, key: tuple, setup):
+    """Best (mode, w, rate, residuals) at budget P on the link of `key`, once
+    P and the legacy link of `legacy` (a channel or a coded scenario) pass
+    their checks. The link found in the slot is reused when the last search
+    asked for the same key, as every power of a rate curve does; else
+    `setup()` builds it. Each caller tags its keys with its own first
+    element, so the keys of two callers never meet."""
     global _last_link
-    vals = (ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s, ch.sigma2_nl,
-            ch.sigma2_nc, ch.R_l)
-    key = (ch.H_c.shape, ch.H_c.tobytes(), ch.h_l.tobytes(), ch.h_c.tobytes(),
-           vals, tuple(map(type, vals)), Q.dtype.str, Q.shape, Q.tobytes())
+    P = float(P)
+    if not 0 < P < math.inf:
+        raise ValueError("power budget must be positive and finite")
+    if not legacy.is_feasible:
+        raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
     last_key, link = _last_link
     if key != last_key:
-        link = _Link(ch, Q)
+        link = setup()
         _last_link = key, link
-    return link
+    return link.search(P)
 
 
 def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
@@ -411,13 +434,16 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     `math.log1p`, P made one too, so an overflow gives inf without a numpy
     warning; its sums run in explicit loops, as builtin `sum` compensates
     from Python 3.12 on. A winning rate that is not finite raises
-    SolverError."""
-    P = float(P)
-    if not 0 < P < math.inf:
-        raise ValueError("power budget must be positive and finite")
-    if not ch.is_feasible:
-        raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
-    return _link(ch, Q).search(P)
+    SolverError.
+
+    The link is keyed by every field of the channel and the bytes of Q; the
+    scalars' types enter too, since an int product is exact where a float
+    one rounds."""
+    vals = (ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s, ch.sigma2_nl,
+            ch.sigma2_nc, ch.R_l)
+    key = ("mimo", ch.H_c.shape, ch.H_c.tobytes(), ch.h_l.tobytes(), ch.h_c.tobytes(),
+           vals, tuple(map(type, vals)), Q.dtype.str, Q.shape, Q.tobytes())
+    return _search(ch, P, key, lambda: _Link(ch, Q))
 
 
 def solve_mimo(channel: MimoChannel, P: float,

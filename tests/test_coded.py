@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from oracles import brent_widest, decode_rate_at_cognitive, legacy_rate, onoff_asymptote
+from specshape import mimo
 from specshape.coded import CodedCase, CodedScenario, coded_prelog, solve_coded
 from specshape.errors import InfeasibleScenarioError
+from specshape.mimo import MimoChannel, solve_mimo
+from specshape.spectra import make_grid
 
 
 def study_scenario(a_c=0.01, P=100.0, legacy_load=0.5, **kw):
@@ -317,3 +320,76 @@ def test_case_a_rate_meets_its_high_power_asymptote():
             assert sol.case_tag is CodedCase.A
             gaps.append(abs(sol.rate - (w_inf * math.log(P) + offset)) / sol.rate)
         assert gaps[0] >= 50 * gaps[1] and gaps[1] >= 50 * gaps[2], (sc, gaps)
+
+
+# solve_coded shares the mimo last-link slot under its own keys: a hit builds
+# no channel, and every sequence solves as it would with the slot empty.
+
+POWERS5 = tuple(np.geomspace(1.0, 1e8, 5))
+GRID64 = make_grid(64)
+
+
+def outcome(step):
+    try:
+        if isinstance(step, CodedScenario):
+            sol = solve_coded(step)
+            return sol.case_tag, sol.w, sol.phi0, sol.rate, sol.residuals
+        ch, P = step
+        sol = solve_mimo(ch, P, grid=GRID64)
+        return sol.mode, sol.w, sol.rate, sol.residuals, sol.psd.values.tobytes()
+    except InfeasibleScenarioError as e:
+        return type(e), str(e)
+
+
+def assert_matches_cold_solves(monkeypatch, steps):
+    warm = [outcome(s) for s in steps]
+    cold = []
+    for s in steps:
+        monkeypatch.setattr(mimo, "_last_link", (None, None))
+        cold.append(outcome(s))
+    assert warm == cold
+    return warm
+
+
+def test_slot_hit_builds_no_channel(monkeypatch):
+    built = []
+    post_init = MimoChannel.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(mimo, "_last_link", (None, None))
+    monkeypatch.setattr(MimoChannel, "__post_init__", counted)
+    for P in POWERS5:
+        solve_coded(study_scenario(a_c=1.0, P=P))
+    assert len(built) == 1
+    solve_coded(study_scenario(a_c=1.0, legacy_load=0.4))
+    assert len(built) == 2
+
+
+def test_int_and_float_twins_match_cold_solves(monkeypatch):
+    # an int product is exact where a float one rounds, so the int twin's
+    # legacy capacity, and its rate, differ from the float twin's
+    a_l, s2s, s2nl = 687, 3901345800446953, 6903573505426311872512
+    sc = study_scenario(a_c=1.0, a_l=float(a_l), sigma2_s=float(s2s), sigma2_nl=float(s2nl))
+    assert (sc.a_l, sc.sigma2_s, sc.sigma2_nl) == (a_l, s2s, s2nl)
+    int_twin = replace(sc, a_l=a_l, sigma2_s=s2s, sigma2_nl=s2nl)
+    steps = [replace(s, P=P * s2nl) for P in (0.1, 1.0, 10.0) for s in (sc, int_twin)]
+    warm = assert_matches_cold_solves(monkeypatch, steps)
+    assert warm[-1][3] != warm[-2][3]
+
+
+def test_legacy_rates_feasibility_and_mimo_solves_match_cold_solves(monkeypatch):
+    sc = study_scenario(a_c=1.0)
+    other_rate = replace(sc, R_l=0.6 * sc.legacy_capacity)
+    overloaded = replace(sc, R_l=1.2 * sc.legacy_capacity)
+    # the 1x1 channel of sc: the same link scalars, under a MIMO key
+    ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=sc.a_l, g_l=sc.g_l, a_c=sc.a_c,
+                     g_c=sc.g_c, sigma2_s=sc.sigma2_s, sigma2_nl=sc.sigma2_nl,
+                     sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
+    steps = [s for P in POWERS5 for s in (replace(sc, P=P), replace(other_rate, P=P))]
+    steps += [replace(sc, P=1e3), replace(overloaded, P=1e3), replace(sc, P=1e4)]
+    steps += [s for P in POWERS5 for s in (replace(sc, P=P), (ch, P))]
+    warm = assert_matches_cold_solves(monkeypatch, steps)
+    assert warm[1] != warm[0] and warm[11][0] is InfeasibleScenarioError

@@ -48,6 +48,7 @@ def solve_to(tmp_path, scenario, grid, golden):
     ("coded_single", None, "coded_single.json"),
     ("mimo_single", 64, "mimo_single.64.json"),
     ("mimo_single", 4096, "mimo_single.4096.json"),
+    ("mimo_single", 32768, "mimo_single.32768.json"),
 ])
 def test_coded_mimo_solves_match_the_committed_copies(tmp_path, scenario, grid, golden):
     assert solve_to(tmp_path, scenario, grid, golden) == (CODED_MIMO / golden).read_bytes()

@@ -1,13 +1,14 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import cognitive_rate_mimo, legacy_rate_mimo, trace_power
 from specshape.coded import CodedScenario, solve_coded, coded_prelog
-from specshape import mimo
+from specshape import cli, mimo
 from specshape.errors import InfeasibleScenarioError, SolverError
 from specshape.mimo import (
     DecodeMode,
@@ -609,6 +610,55 @@ def test_solve_mimo_eigvalsh_budget(monkeypatch):
         assert 2 <= sum(matrices) <= 4, matrices
 
 
+# The on-off field is kept as its prefix length and its level; the dense
+# field is written on its first read, with the bytes it always had.
+
+def sub_cell_channel():
+    # w is 1.0e-3 at P = 1e4, below the first cell of a 64-point grid
+    return MimoChannel(H_c=np.eye(2), h_l=np.ones(2) / math.sqrt(2), h_c=[1.0, 0.0],
+                       a_l=1.0, g_l=1.0, a_c=0.003, g_c=10.0, sigma2_s=1000.0,
+                       sigma2_nl=1.0, sigma2_nc=1.0, R_l=0.999 * math.log(1001.0))
+
+
+def test_on_off_field_is_compact_until_read():
+    rng = np.random.default_rng(18)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    shapes = {"eye2": np.eye(2), "rank1": np.outer([1.0, 1.0], [1.0, 1.0]) / 2.0,
+              "real4x4": rng.normal(size=(4, 4)), "complex3x3": G}
+    cases = [(channel(H=H, a_c=a_c), None) for H in shapes.values()
+             for a_c in (0.003, 1.0)]
+    cases += [(cases[-1][0], G @ G.conj().T), (sub_cell_channel(), None)]
+    grids = [make_grid(64), make_grid(4096)]
+    modes = set()
+    for grid in grids:
+        for ch, shape in cases:
+            for P in (1e4, *10.0 ** rng.uniform(-2, 9, 2)):
+                sol = solve_mimo(ch, P, grid=grid, shape=shape)
+                modes.add(sol.mode)
+                assert "values" not in vars(sol.psd)
+                assert sol.psd.n_t == ch.n_t
+                v = sol.psd.values
+                assert v is sol.psd.values and not v.flags.writeable
+                assert v.shape == (grid.n_points, ch.n_t, ch.n_t)
+                assert v.tobytes() == per_sample_psd(ch, P, grid, shape).values.tobytes()
+    assert modes == set(DecodeMode)
+    sol = solve_mimo(sub_cell_channel(), 1e4, grid=grids[0])
+    assert sol.w < grids[0].weights[0] / np.pi
+
+
+def test_cli_solve_leaves_the_field_compact(tmp_path, monkeypatch):
+    solved = []
+
+    def kept(*args, **kwargs):
+        solved.append(solve_mimo(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(mimo, "solve_mimo", kept)
+    scenario = Path(__file__).resolve().parents[1] / "scripts" / "scenarios" / "mimo_single.json"
+    assert cli.main(["solve", str(scenario), "-o", str(tmp_path / "out.json"), "--quiet"]) == 0
+    assert len(solved) == 1 and "values" not in vars(solved[0].psd)
+
+
 # The last-link slot: consecutive searches on one channel and shape reuse the
 # power-independent setup, and nothing else may change.
 
@@ -710,9 +760,7 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
                    "its cell, so it breaks the legacy constraint it reports met")
 def test_sub_cell_support_renders_a_feasible_field():
     grid = make_grid(64)
-    ch = MimoChannel(H_c=np.eye(2), h_l=np.ones(2) / math.sqrt(2), h_c=[1.0, 0.0],
-                     a_l=1.0, g_l=1.0, a_c=0.003, g_c=10.0, sigma2_s=1000.0,
-                     sigma2_nl=1.0, sigma2_nc=1.0, R_l=0.999 * math.log(1001.0))
+    ch = sub_cell_channel()
     sol = solve_mimo(ch, 1e4, grid=grid)
     # w is 1.0e-3, the first cell 1/126 of the band; the field's legacy rate
     # is 0.048 short of R_l and its own rate 0.238, against a reported 0.034
