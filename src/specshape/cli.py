@@ -370,6 +370,9 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     sigma2_n = p.value("sigma2_n")
     p.finish()
     sigma2_s = mean_power(phi_s)
+    if sigma2_s == 0:
+        raise SchemaError("prelog-mesh needs a legacy spectrum of positive power: "
+                          "the mesh axes are ratios to sigma2_s")
     phi_n = flat_spectrum(grid, sigma2_n)
 
     try:

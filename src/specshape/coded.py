@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .mimo import DecodeMode, MimoChannel, _Link, _search
+from .mimo import DecodeMode, MimoChannel, _LegacyLink, _Link
 
 
 class CodedCase(str, Enum):
@@ -31,7 +32,7 @@ class CodedCase(str, Enum):
 
 
 @dataclass(frozen=True)
-class CodedScenario:
+class CodedScenario(_LegacyLink):
     """Gains, powers and the fixed legacy rate (rates in nats throughout)."""
 
     a_l: float
@@ -52,14 +53,6 @@ class CodedScenario:
         if not 0 < self.R_l < math.inf:
             raise ValueError("legacy rate must be positive and finite")
 
-    @property
-    def legacy_capacity(self) -> float:
-        return math.log1p(self.a_l * self.sigma2_s / self.sigma2_nl)
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.legacy_capacity > self.R_l
-
 
 @dataclass(frozen=True)
 class CodedSolution:
@@ -70,37 +63,33 @@ class CodedSolution:
     residuals: dict
 
 
-# The 1x1 channel and shape, built once: read-only, so every call can share them.
-_ONE = np.ones((1, 1), dtype=complex)
-_ONE.flags.writeable = False
-_EYE = np.eye(1)
-_EYE.flags.writeable = False
-
 _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
           DecodeMode.SUCCESSIVE_B1: CodedCase.B1,
           DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
 
 
-def _setup(sc: CodedScenario) -> _Link:
-    ch = MimoChannel(H_c=_ONE, h_l=_ONE[0], h_c=_ONE[0], a_l=sc.a_l, g_l=sc.g_l,
-                     a_c=sc.a_c, g_c=sc.g_c, sigma2_s=sc.sigma2_s,
-                     sigma2_nl=sc.sigma2_nl, sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
-    return _Link(ch, _EYE)
+# typed: an int product is exact where a float one rounds, so int, float and
+# numpy twins of the same values each get their own link
+@lru_cache(maxsize=1, typed=True)
+def _setup(a_l, g_l, a_c, g_c, sigma2_s, sigma2_nl, sigma2_nc, R_l) -> _Link:
+    ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=a_l, g_l=g_l, a_c=a_c,
+                     g_c=g_c, sigma2_s=sigma2_s, sigma2_nl=sigma2_nl,
+                     sigma2_nc=sigma2_nc, R_l=R_l)
+    return _Link(ch, np.eye(1))
 
 
 def solve_coded(sc: CodedScenario) -> CodedSolution:
     """Best on-off operating point: case A when the legacy signal is
     undecodable in silence, else the better of B-1 and B-2.
 
-    The search is `mimo`'s on the 1x1 link, whose arrays are the constants
-    above, so its link is keyed by the scenario's link scalars and their
-    types alone; the 1x1 `MimoChannel` is built only when that link is not
-    the last one set up. `CodedScenario` has checked every scalar the
-    channel would."""
-    vals = (sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl,
-            sc.sigma2_nc, sc.R_l)
-    mode, w, rate, residuals = _search(sc, sc.P, ("coded", vals, tuple(map(type, vals))),
-                                       lambda: _setup(sc))
+    The search is `mimo`'s on the 1x1 link. `_setup` keeps the last link
+    built, keyed by the scenario's link scalars and their types, so a power
+    sweep builds its 1x1 `MimoChannel` once. `CodedScenario` has checked
+    every scalar the channel would."""
+    P = sc._budget(sc.P)
+    link = _setup(sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl,
+                  sc.sigma2_nc, sc.R_l)
+    mode, w, rate, residuals = link.search(P)
     return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
                          residuals=residuals)
 
@@ -109,6 +98,4 @@ def coded_prelog(sc: CodedScenario) -> float:
     """High-power slope 1 - R_l / C_l; 0 when the legacy link is overloaded.
 
     Depends only on legacy-channel parameters."""
-    if not sc.is_feasible:
-        return 0.0
-    return 1.0 - sc.R_l / sc.legacy_capacity
+    return sc._load_prelog

@@ -55,7 +55,10 @@ class UncodedScenario:
 
 
 def memoryless_floor(sigma2_s: float, sigma2_n: float, a: float) -> float:
-    """Smallest distortion a memoryless receiver can reach (zero cognitive power)."""
+    """Smallest distortion a memoryless receiver can reach (zero cognitive
+    power); its limit 0 when there is no legacy signal or no noise."""
+    if sigma2_s == 0 or sigma2_n == 0:
+        return 0.0
     return 1.0 / (1.0 / sigma2_s + a / sigma2_n)
 
 

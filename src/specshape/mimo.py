@@ -30,12 +30,13 @@ The search has a power-independent half, `_Link`: the eigenmodes of
 H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
 eigenvalues of modes A and B-2. Its per-power half runs only the root-finds
 and the rate sums, in plain Python floats. A rate curve asks for one link at
-power after power, so the module keeps the last link set up in one slot;
-any other link replaces it. `solve_mimo` keys it by every field of the
-channel and the bytes of Q, `coded.solve_coded` by its scenario's scalars,
-under tags that keep the two kinds of key apart. Results do not depend on
-the slot: a link found there is the one a fresh setup would build. The
-checks of P, feasibility, the shape and the on-level run on every call.
+power after power, so each channel keeps the link of the last shape it was
+searched with, keyed by the bytes of Q; its arrays are private read-only
+copies, so that link cannot go stale. `coded.solve_coded` keeps its last 1x1
+link in an `lru_cache` over the scenario's link scalars. Results do not
+depend on either cache: a link found there is the one a fresh setup would
+build. The checks of P, feasibility, the shape and the on-level run on every
+call.
 
 An on-off field is one level on a prefix of the grid, so `solve_mimo`
 returns it as the prefix length and the level; the dense
@@ -140,9 +141,38 @@ class PsdMatrix:
         return self.values.shape[1] if self._level is None else self._level.shape[0]
 
 
+class _LegacyLink:
+    """The scalar legacy link of a coded scenario or a MIMO channel: its
+    capacity C_l, whether it carries R_l, and the load prelog 1 - R_l/C_l."""
+
+    @property
+    def legacy_capacity(self) -> float:
+        return math.log1p(self.a_l * self.sigma2_s / self.sigma2_nl)
+
+    @property
+    def is_feasible(self) -> bool:
+        return self.legacy_capacity > self.R_l
+
+    @property
+    def _load_prelog(self) -> float:
+        """1 - R_l/C_l; 0 when the legacy link is overloaded."""
+        return 1.0 - self.R_l / self.legacy_capacity if self.is_feasible else 0.0
+
+    def _budget(self, P) -> float:
+        """P as a float, once it is a positive finite budget and the legacy
+        link carries R_l."""
+        P = float(P)
+        if not 0 < P < math.inf:
+            raise ValueError("power budget must be positive and finite")
+        if not self.is_feasible:
+            raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
+        return P
+
+
 @dataclass(frozen=True)
-class MimoChannel:
-    """Cognitive MIMO link plus the scalar legacy cross-channels."""
+class MimoChannel(_LegacyLink):
+    """Cognitive MIMO link plus the scalar legacy cross-channels. The arrays
+    are stored as read-only complex copies of the ones given."""
 
     H_c: np.ndarray   # N_r x N_t cognitive channel matrix
     h_l: np.ndarray   # N_t vector: cognitive transmit -> legacy receiver
@@ -157,9 +187,9 @@ class MimoChannel:
     R_l: float
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H_c, dtype=complex))
-        hl = np.asarray(self.h_l, dtype=complex).reshape(-1)
-        hc = np.asarray(self.h_c, dtype=complex).reshape(-1)
+        H = np.atleast_2d(np.array(self.H_c, dtype=complex))
+        hl = np.array(self.h_l, dtype=complex).reshape(-1)
+        hc = np.array(self.h_c, dtype=complex).reshape(-1)
         if hl.size != H.shape[1] or hc.size != H.shape[0]:
             raise ValueError("channel vector dimensions do not match H_c")
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
@@ -180,14 +210,6 @@ class MimoChannel:
     def n_r(self) -> int:
         return self.H_c.shape[0]
 
-    @property
-    def legacy_capacity(self) -> float:
-        return math.log1p(self.a_l * self.sigma2_s / self.sigma2_nl)
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.legacy_capacity > self.R_l
-
 
 @dataclass(frozen=True)
 class MimoSolution:
@@ -200,11 +222,9 @@ class MimoSolution:
 
 def mimo_prelog(channel: MimoChannel) -> float:
     """High-power slope: the scalar legacy-load prelog scaled by rank(H_c)."""
-    if not channel.is_feasible:
-        return 0.0
     sv = np.linalg.svd(channel.H_c, compute_uv=False)
     rank = int(np.sum(sv > _RANK_RTOL * sv.max())) if sv.size else 0
-    return (1.0 - channel.R_l / channel.legacy_capacity) * rank
+    return channel._load_prelog * rank
 
 
 def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
@@ -215,13 +235,7 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
         Q = np.asarray(shape, dtype=complex)
         if Q.shape != (nt, nt):
             raise ValueError("on-level shape matrix has wrong dimensions")
-        if not np.isfinite(Q).all():
-            raise ValueError("on-level shape matrix must be finite")
-        scale = max(1.0, np.abs(Q).max())
-        if np.abs(Q - Q.conj().T).max() > _HERM_TOL * scale:
-            raise ValueError("on-level shape matrix must be Hermitian")
-        if np.linalg.eigvalsh(Q).min() < _EIG_FLOOR * scale:
-            raise ValueError("on-level shape matrix must be positive semidefinite")
+        _checked(Q[None])
     tr = float(np.trace(Q).real)
     if tr <= 0:
         raise ValueError("on-level shape matrix must have positive trace")
@@ -398,32 +412,6 @@ class _Link:
         return mode, w, rate, residuals
 
 
-# The last link set up, as one (key, link) tuple. It is replaced whole, so a
-# reader never pairs one link's key with another link's setup, and only once
-# the setup has returned, so a setup that raises leaves nothing behind.
-_last_link: tuple = (None, None)
-
-
-def _search(legacy, P, key: tuple, setup):
-    """Best (mode, w, rate, residuals) at budget P on the link of `key`, once
-    P and the legacy link of `legacy` (a channel or a coded scenario) pass
-    their checks. The link found in the slot is reused when the last search
-    asked for the same key, as every power of a rate curve does; else
-    `setup()` builds it. Each caller tags its keys with its own first
-    element, so the keys of two callers never meet."""
-    global _last_link
-    P = float(P)
-    if not 0 < P < math.inf:
-        raise ValueError("power budget must be positive and finite")
-    if not legacy.is_feasible:
-        raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
-    last_key, link = _last_link
-    if key != last_key:
-        link = setup()
-        _last_link = key, link
-    return link.search(P)
-
-
 def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     """Best (mode, w, rate, residuals) of the on-off strategy with on-level
     matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
@@ -436,14 +424,16 @@ def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
     from Python 3.12 on. A winning rate that is not finite raises
     SolverError.
 
-    The link is keyed by every field of the channel and the bytes of Q; the
-    scalars' types enter too, since an int product is exact where a float
-    one rounds."""
-    vals = (ch.a_l, ch.g_l, ch.a_c, ch.g_c, ch.sigma2_s, ch.sigma2_nl,
-            ch.sigma2_nc, ch.R_l)
-    key = ("mimo", ch.H_c.shape, ch.H_c.tobytes(), ch.h_l.tobytes(), ch.h_c.tobytes(),
-           vals, tuple(map(type, vals)), Q.dtype.str, Q.shape, Q.tobytes())
-    return _search(ch, P, key, lambda: _Link(ch, Q))
+    Q is the complex n_t x n_t shape of `_shape_matrix`, so its bytes key the
+    link the channel keeps; a new key replaces it, and only once the setup
+    has returned, so a setup that raises leaves nothing behind."""
+    P = ch._budget(P)
+    key = Q.tobytes()
+    kept = vars(ch).get("_link")
+    if kept is None or kept[0] != key:
+        kept = key, _Link(ch, Q)
+        vars(ch)["_link"] = kept
+    return kept[1].search(P)
 
 
 def solve_mimo(channel: MimoChannel, P: float,

@@ -78,6 +78,19 @@ def test_rate_curve_empty_sweep_header_only(tmp_path):
     assert out.read_text() == "P_db,rate_it,rate_shaping\n"
 
 
+@pytest.mark.parametrize("noise", [{"sigma2_n": 0.0}, {"phi_n_values": [0.0, 0.0]}])
+def test_rate_curve_zero_noise(tmp_path, noise):
+    # the memoryless floor of the interference-temperature column is 0 here
+    doc = {"kind": "uncoded", "sigma2_s": 1.0, **noise, "a": 1.0, "D": 0.5,
+           "power_sweep_db": {"start": 0, "stop": 10, "points": 3}}
+    out = tmp_path / "curve.csv"
+    assert cli.main(["rate-curve", write(tmp_path, doc), "-o", str(out),
+                     "--grid", "64", "--quiet"]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 def test_rate_curve_coded_tags(tmp_path):
     f = str(SCENARIOS / "coded_case_b_curve.json")
     out = tmp_path / "coded.csv"
@@ -154,8 +167,9 @@ def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, epsilon):
     assert out.read_text() == "\n".join(rows) + "\n"
 
 
-def run_mesh_bad(tmp_path, capsys, mesh):
-    doc = {"kind": "uncoded", "sigma2_s_db": 0, "sigma2_n_db": 0, "mesh": mesh}
+def run_mesh_bad(tmp_path, capsys, mesh, legacy=None):
+    doc = {"kind": "uncoded", **(legacy or {"sigma2_s_db": 0, "sigma2_n_db": 0}),
+           "mesh": mesh}
     out = tmp_path / "mesh.csv"
     code = cli.main(["prelog-mesh", write(tmp_path, doc), "-o", str(out),
                      "--grid", "256", "--quiet"])
@@ -175,6 +189,13 @@ def test_prelog_mesh_zero_gain_exit_2(tmp_path, capsys):
 def test_prelog_mesh_negative_d_in_later_cell_exit_2(tmp_path, capsys):
     assert run_mesh_bad(tmp_path, capsys,
                         {"d_ratio": [0.1, 0.2, -0.3], "snr_db": [0.0, 10.0]}) == 2
+
+
+@pytest.mark.parametrize("legacy", [{"sigma2_s": 0.0, "sigma2_n": 1.0},
+                                    {"phi_s_values": [0.0, 0.0], "sigma2_n": 1.0}])
+def test_prelog_mesh_zero_legacy_power_exit_2(tmp_path, capsys, legacy):
+    # the mesh axes are ratios to the legacy power
+    assert run_mesh_bad(tmp_path, capsys, {"d_ratio": [0.5], "snr_db": [10.0]}, legacy) == 2
 
 
 def test_prelog_mesh_ar_dominates_flat(tmp_path):

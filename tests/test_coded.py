@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from oracles import brent_widest, decode_rate_at_cognitive, legacy_rate, onoff_asymptote
-from specshape import mimo
+from specshape import coded
 from specshape.coded import CodedCase, CodedScenario, coded_prelog, solve_coded
 from specshape.errors import InfeasibleScenarioError
 from specshape.mimo import MimoChannel, solve_mimo
@@ -322,8 +322,9 @@ def test_case_a_rate_meets_its_high_power_asymptote():
         assert gaps[0] >= 50 * gaps[1] and gaps[1] >= 50 * gaps[2], (sc, gaps)
 
 
-# solve_coded shares the mimo last-link slot under its own keys: a hit builds
-# no channel, and every sequence solves as it would with the slot empty.
+# solve_coded keeps its last 1x1 link in an lru_cache keyed by the link
+# scalars and their types, apart from the link each MIMO channel keeps: a hit
+# builds no channel, and every sequence solves as it would with both empty.
 
 POWERS5 = tuple(np.geomspace(1.0, 1e8, 5))
 GRID64 = make_grid(64)
@@ -341,11 +342,13 @@ def outcome(step):
         return type(e), str(e)
 
 
-def assert_matches_cold_solves(monkeypatch, steps):
+def assert_matches_cold_solves(steps):
     warm = [outcome(s) for s in steps]
     cold = []
     for s in steps:
-        monkeypatch.setattr(mimo, "_last_link", (None, None))
+        coded._setup.cache_clear()
+        if not isinstance(s, CodedScenario):
+            vars(s[0]).pop("_link", None)
         cold.append(outcome(s))
     assert warm == cold
     return warm
@@ -359,7 +362,7 @@ def test_slot_hit_builds_no_channel(monkeypatch):
         built.append(1)
         post_init(self)
 
-    monkeypatch.setattr(mimo, "_last_link", (None, None))
+    coded._setup.cache_clear()
     monkeypatch.setattr(MimoChannel, "__post_init__", counted)
     for P in POWERS5:
         solve_coded(study_scenario(a_c=1.0, P=P))
@@ -368,7 +371,7 @@ def test_slot_hit_builds_no_channel(monkeypatch):
     assert len(built) == 2
 
 
-def test_int_and_float_twins_match_cold_solves(monkeypatch):
+def test_int_and_float_twins_match_cold_solves():
     # an int product is exact where a float one rounds, so the int twin's
     # legacy capacity, and its rate, differ from the float twin's
     a_l, s2s, s2nl = 687, 3901345800446953, 6903573505426311872512
@@ -376,20 +379,20 @@ def test_int_and_float_twins_match_cold_solves(monkeypatch):
     assert (sc.a_l, sc.sigma2_s, sc.sigma2_nl) == (a_l, s2s, s2nl)
     int_twin = replace(sc, a_l=a_l, sigma2_s=s2s, sigma2_nl=s2nl)
     steps = [replace(s, P=P * s2nl) for P in (0.1, 1.0, 10.0) for s in (sc, int_twin)]
-    warm = assert_matches_cold_solves(monkeypatch, steps)
+    warm = assert_matches_cold_solves(steps)
     assert warm[-1][3] != warm[-2][3]
 
 
-def test_legacy_rates_feasibility_and_mimo_solves_match_cold_solves(monkeypatch):
+def test_legacy_rates_feasibility_and_mimo_solves_match_cold_solves():
     sc = study_scenario(a_c=1.0)
     other_rate = replace(sc, R_l=0.6 * sc.legacy_capacity)
     overloaded = replace(sc, R_l=1.2 * sc.legacy_capacity)
-    # the 1x1 channel of sc: the same link scalars, under a MIMO key
+    # the 1x1 channel of sc: the same link scalars, in the channel's own link
     ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=sc.a_l, g_l=sc.g_l, a_c=sc.a_c,
                      g_c=sc.g_c, sigma2_s=sc.sigma2_s, sigma2_nl=sc.sigma2_nl,
                      sigma2_nc=sc.sigma2_nc, R_l=sc.R_l)
     steps = [s for P in POWERS5 for s in (replace(sc, P=P), replace(other_rate, P=P))]
     steps += [replace(sc, P=1e3), replace(overloaded, P=1e3), replace(sc, P=1e4)]
     steps += [s for P in POWERS5 for s in (replace(sc, P=P), (ch, P))]
-    warm = assert_matches_cold_solves(monkeypatch, steps)
+    warm = assert_matches_cold_solves(steps)
     assert warm[1] != warm[0] and warm[11][0] is InfeasibleScenarioError

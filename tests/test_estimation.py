@@ -33,6 +33,13 @@ def test_memoryless_mse_matches_floor():
     assert memoryless_floor(1.0, 1.0, 1000.0) == pytest.approx(1.0 / 1001.0, rel=1e-15)
 
 
+def test_memoryless_floor_limit_without_signal_or_noise():
+    # 1 / (1/sigma2_s + a/sigma2_n) tends to 0 as either variance does
+    assert memoryless_floor(0.0, 1.0, 1000.0) == 0.0
+    assert memoryless_floor(1.0, 0.0, 1000.0) == 0.0
+    assert memoryless_floor(1.0, 1e-12, 1.0) == pytest.approx(1e-12, rel=1e-11)
+
+
 def test_memoryless_mse_all_zero_denominator():
     with pytest.raises(ValueError):
         memoryless_mse(0.0, 0.0, 0.0, 1.0)

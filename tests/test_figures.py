@@ -2,8 +2,9 @@
 scripts/make_figure_data.py against tests/data/figures, the coded and MIMO
 outputs (`specshape solve` on the coded and MIMO scenario files, the stdout of
 scripts/rank_scaling_sweep.py) against tests/data/coded_mimo, and the
-multilegacy solves against tests/data/multilegacy. A cell that moves fails
-here; update the copy in the same change and say why."""
+multilegacy and uncoded solves against tests/data/multilegacy and
+tests/data/uncoded. A cell that moves fails here; update the copy in the same
+change and say why."""
 
 import importlib.util
 import sys
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "figures"
 CODED_MIMO = ROOT / "tests" / "data" / "coded_mimo"
 MULTILEGACY = ROOT / "tests" / "data" / "multilegacy"
+UNCODED = ROOT / "tests" / "data" / "uncoded"
 
 
 def load_script(name):
@@ -59,6 +61,13 @@ def test_multilegacy_solves_match_the_committed_copies(tmp_path, grid):
     golden = f"multilegacy_single.{grid}.json"
     assert (solve_to(tmp_path, "multilegacy_single", grid, golden)
             == (MULTILEGACY / golden).read_bytes())
+
+
+@pytest.mark.parametrize("grid", [512, 4096])
+def test_uncoded_solves_match_the_committed_copies(tmp_path, grid):
+    # a flat case, whose lambda is exactly 0, so no root-find stop enters it
+    golden = f"uncoded_single.{grid}.json"
+    assert solve_to(tmp_path, "uncoded_single", grid, golden) == (UNCODED / golden).read_bytes()
 
 
 def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):

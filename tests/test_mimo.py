@@ -8,7 +8,7 @@ import pytest
 
 from oracles import cognitive_rate_mimo, legacy_rate_mimo, trace_power
 from specshape.coded import CodedScenario, solve_coded, coded_prelog
-from specshape import cli, mimo
+from specshape import cli, coded, mimo
 from specshape.errors import InfeasibleScenarioError, SolverError
 from specshape.mimo import (
     DecodeMode,
@@ -659,8 +659,9 @@ def test_cli_solve_leaves_the_field_compact(tmp_path, monkeypatch):
     assert len(solved) == 1 and "values" not in vars(solved[0].psd)
 
 
-# The last-link slot: consecutive searches on one channel and shape reuse the
-# power-independent setup, and nothing else may change.
+# The link caches: consecutive searches on one channel and shape reuse the
+# power-independent setup the channel keeps, consecutive coded solves on one
+# link reuse the coded cache's, and nothing else may change.
 
 POWERS9 = tuple(np.geomspace(1.0, 1e8, 9))
 
@@ -671,12 +672,14 @@ def fingerprint(sol):
     return sol.case_tag, sol.w, sol.phi0, sol.rate, sol.residuals
 
 
-def cold(monkeypatch, solve, *args, **kwargs):
-    monkeypatch.setattr(mimo, "_last_link", (None, None))
+def cold(solve, *args, **kwargs):
+    # empty the coded cache and drop the link the channel keeps
+    coded._setup.cache_clear()
+    vars(args[0]).pop("_link", None)
     return fingerprint(solve(*args, **kwargs))
 
 
-def test_link_sweeps_match_cold_solves(monkeypatch):
+def test_link_sweeps_match_cold_solves():
     rng = np.random.default_rng(15)
     H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     link_a = channel(H=H, a_c=1.0)                     # successive / rate-split
@@ -684,29 +687,29 @@ def test_link_sweeps_match_cold_solves(monkeypatch):
     steps = ([(link_a, P) for P in POWERS9] + [(link_b, P) for P in POWERS9]
              + [(link_a, P) for P in POWERS9])
     warm = [fingerprint(solve_mimo(ch, P, grid=GRID)) for ch, P in steps]
-    assert warm == [cold(monkeypatch, solve_mimo, ch, P, grid=GRID) for ch, P in steps]
+    assert warm == [cold(solve_mimo, ch, P, grid=GRID) for ch, P in steps]
     assert {m for m, *_ in warm} == set(DecodeMode)
 
     scs = [CodedScenario(a_l=1.0, g_l=1.0, a_c=a_c, g_c=10.0, sigma2_s=1000.0,
                          sigma2_nl=1.0, sigma2_nc=1.0, R_l=0.5 * math.log(1001.0), P=P)
            for a_c in (0.003, 1.0, 0.003) for P in POWERS9]
     warm = [fingerprint(solve_coded(sc)) for sc in scs]
-    assert warm == [cold(monkeypatch, solve_coded, sc) for sc in scs]
+    assert warm == [cold(solve_coded, sc) for sc in scs]
 
 
-def test_link_alternating_shapes_match_cold_solves(monkeypatch):
+def test_link_alternating_shapes_match_cold_solves():
     rng = np.random.default_rng(16)
     ch = channel(H=rng.normal(size=(3, 3)), a_c=1.0)
     G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     steps = [(P, shape) for P in POWERS9 for shape in (None, G @ G.conj().T)]
     warm = [fingerprint(solve_mimo(ch, P, grid=GRID, shape=s)) for P, s in steps]
-    assert warm == [cold(monkeypatch, solve_mimo, ch, P, grid=GRID, shape=s)
+    assert warm == [cold(solve_mimo, ch, P, grid=GRID, shape=s)
                     for P, s in steps]
 
 
-def test_link_scalar_types_match_cold_solves(monkeypatch):
+def test_link_scalar_types_match_cold_solves():
     # the twins hold the same values as other types, and each must solve as
-    # it would with the slot empty: an int product is exact where a float one
+    # it would with no link kept: an int product is exact where a float one
     # rounds, so the int twin's legacy capacity, and its rate, differ
     a_l, s2s, s2nl = 687, 3901345800446953, 6903573505426311872512
     ch = channel(H=[[1.0, 0.5], [0.0, 2.0]], a_l=float(a_l), sigma2_s=float(s2s),
@@ -717,15 +720,15 @@ def test_link_scalar_types_match_cold_solves(monkeypatch):
     int_twin = replace(ch, a_l=a_l, sigma2_s=s2s, sigma2_nl=s2nl)
     steps = [(c, P * s2nl) for P in (0.1, 1.0, 10.0) for c in (ch, numpy_twin, int_twin)]
     warm = [fingerprint(solve_mimo(c, P, grid=GRID)) for c, P in steps]
-    assert warm == [cold(monkeypatch, solve_mimo, c, P, grid=GRID) for c, P in steps]
+    assert warm == [cold(solve_mimo, c, P, grid=GRID) for c, P in steps]
     assert warm[-1][2] != warm[-3][2]
 
 
 def test_failed_link_setup_leaves_nothing_behind(monkeypatch):
     ch = channel(a_c=0.003)
-    expected = cold(monkeypatch, solve_mimo, ch, 1e4, grid=GRID)
+    expected = cold(solve_mimo, ch, 1e4, grid=GRID)
     for name in ("eigh", "cholesky"):  # the eager setup, then the lazy mode-A part
-        monkeypatch.setattr(mimo, "_last_link", (None, None))
+        vars(ch).pop("_link", None)
         with monkeypatch.context() as m:
             def broken(*args, **kwargs):
                 raise np.linalg.LinAlgError("broken")
@@ -733,8 +736,23 @@ def test_failed_link_setup_leaves_nothing_behind(monkeypatch):
             with pytest.raises(np.linalg.LinAlgError):
                 solve_mimo(ch, 1e4, grid=GRID)
         if name == "eigh":
-            assert mimo._last_link == (None, None)
+            assert "_link" not in vars(ch)
         assert fingerprint(solve_mimo(ch, 1e4, grid=GRID)) == expected
+
+
+def test_failed_coded_setup_caches_nothing(monkeypatch):
+    sc = CodedScenario(a_l=1.0, g_l=1.0, a_c=1.0, g_c=10.0, sigma2_s=1000.0, sigma2_nl=1.0,
+                       sigma2_nc=1.0, R_l=0.5 * math.log(1001.0), P=1e4)
+    expected = cold(solve_coded, sc)
+    coded._setup.cache_clear()
+    with monkeypatch.context() as m:
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("broken")
+        m.setattr(np.linalg, "eigh", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_coded(sc)
+    assert coded._setup.cache_info().currsize == 0
+    assert fingerprint(solve_coded(sc)) == expected
 
 
 def test_link_setup_runs_once_per_sweep(monkeypatch):
@@ -745,7 +763,6 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(mimo, "_last_link", (None, None))
     monkeypatch.setattr(np.linalg, "eigh", counted)
     ch = channel(H=np.eye(2), a_c=1.0)
     for P in POWERS9:
@@ -753,6 +770,26 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
     assert len(calls) == 1
     solve_mimo(replace(ch, g_c=ch.g_c * 2.0), 1e3, grid=GRID)
     assert len(calls) == 2
+
+
+def test_complex_channel_inputs_stay_writable():
+    H = np.eye(2, dtype=complex)
+    h_l, h_c = np.ones(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
+    ch = channel(H=H, h_l=h_l, h_c=h_c)
+    assert H.flags.writeable and h_l.flags.writeable and h_c.flags.writeable
+    assert not ch.H_c.flags.writeable
+
+
+def test_writes_through_a_view_base_leave_the_channel_unchanged():
+    # the channel copies its arrays, so neither it nor the link it keeps
+    # follows a write through the base of a view it was built from
+    base = np.eye(2, dtype=complex)
+    ch = channel(H=base[:, :])
+    before = fingerprint(solve_mimo(ch, 1e4, grid=GRID))
+    base[1, 1] = 0.0
+    assert fingerprint(solve_mimo(ch, 1e4, grid=GRID)) == before
+    assert cold(solve_mimo, ch, 1e4, grid=GRID) == before
+    assert cold(solve_mimo, channel(H=base), 1e4, grid=GRID) != before
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
