@@ -18,6 +18,7 @@ identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -380,15 +381,32 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     except OverflowError as e:
         raise SchemaError("mesh.snr_db is out of range") from e
 
-    # The workspace depends on the gain and not on D: one per snr_db column,
-    # released before the next is built (each holds seven grid-sized arrays).
+    # UncodedScenario checks each target here, at the first gain, and each
+    # gain where the loop below makes its scenario.
+    cells = [UncodedScenario(a=gains[0], phi_s=phi_s, phi_n=phi_n, D=d_ratio * sigma2_s, P=1.0)
+             for d_ratio in d_ratios]
+    # The noise is flat, so u = a*phi_s^2/(a*phi_s + sigma2_n) rises with
+    # phi_s at every gain: one stable sort of phi_s orders the cells, and
+    # their weights, for the whole mesh. A gain needs only its u along that
+    # order, the running sums of w*u and its smoothing floor. Rounding can
+    # swap the u of two cells, so the order serves a gain only where it is
+    # np.argsort(u, kind="stable"): u rising along it, indices rising where u
+    # ties. Any other gain sorts in a workspace of its own.
+    order = np.argsort(phi_s.values, kind="stable")
+    rising = order[1:] > order[:-1]
+    wts = grid.weights[order]
+    cumw = shaping._prefix_sums(wts)[1:]
     columns = []
     for a in gains:
-        cells = [UncodedScenario(a=a, phi_s=phi_s, phi_n=phi_n, D=d_ratio * sigma2_s, P=1.0)
-                 for d_ratio in d_ratios]
-        ws = shaping._Workspace(cells[0])
-        columns.append([shaping._onoff_prelog_ws(ws, sc.D).prelog for sc in cells])
-        del ws
+        sc = replace(cells[0], a=a)
+        u, _, dlow = shaping._preemphasis(sc)
+        us = u[order]
+        if ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
+            table = cumw, wts, us, shaping._prefix_sums(wts * us)[1:] / np.pi
+        else:
+            ws = shaping._Workspace(sc)
+            table = ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi
+        columns.append([shaping._onoff_support(*table, c.D - dlow)[0] for c in cells])
     rows = [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
             for i, d_ratio in enumerate(d_ratios)
             for snr_db, column in zip(snr_dbs, columns)]
@@ -497,6 +515,8 @@ def run_single(file: str, output_path: str, grid_points: int = 4096,
         print(f"wrote {output_path}", file=sys.stderr)
 
 
+# built once per process: parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="specshape",

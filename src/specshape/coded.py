@@ -87,8 +87,11 @@ def solve_coded(sc: CodedScenario) -> CodedSolution:
     sweep builds its 1x1 `MimoChannel` once. `CodedScenario` has checked
     every scalar the channel would."""
     P = sc._budget(sc.P)
-    link = _setup(sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl,
-                  sc.sigma2_nc, sc.R_l)
+    scalars = (sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl, sc.sigma2_nc, sc.R_l)
+    try:
+        link = _setup(*scalars)
+    except TypeError:  # a 0-d array is unhashable: key it by its numpy scalar
+        link = _setup(*(v[()] if isinstance(v, np.ndarray) else v for v in scalars))
     mode, w, rate, residuals = link.search(P)
     return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
                          residuals=residuals)

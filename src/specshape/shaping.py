@@ -85,13 +85,21 @@ class PrelogResult:
     support: np.ndarray
 
 
+def _preemphasis(scenario: UncodedScenario):
+    """(u, base, dlow) in grid order: the pre-emphasized legacy PSD
+    u = a*phi_s^2/base, the floor base = a*phi_s + phi_n and the smoothing
+    floor dlow, the mean of phi_s*phi_n/base; a cell with base 0 adds 0 to
+    u and to dlow."""
+    s, b = scenario.phi_s.values, scenario.base()
+    u, df = np.zeros_like(s), np.zeros_like(s)
+    np.divide(scenario.a * s * s, b, out=u, where=b > 0)
+    np.divide(s * scenario.phi_n.values, b, out=df, where=b > 0)
+    return u, b, scenario.grid.mean(df)
+
+
 def preemphasized_psd(scenario: UncodedScenario) -> Spectrum:
     """Pre-emphasized legacy PSD a*phi_s^2/(a*phi_s + phi_n)."""
-    s = scenario.phi_s.values
-    den = scenario.a * s + scenario.phi_n.values
-    out = np.zeros_like(s)
-    np.divide(scenario.a * s * s, den, out=out, where=den > 0)
-    return Spectrum(scenario.grid, out)
+    return Spectrum(scenario.grid, _preemphasis(scenario)[0])
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
@@ -121,15 +129,11 @@ class _Workspace:
         self.scenario = scenario
         grid = scenario.grid
         self.grid = grid
-        s, b = scenario.phi_s.values, scenario.base()
-        u, df = np.zeros_like(s), np.zeros_like(s)
-        np.divide(scenario.a * s * s, b, out=u, where=b > 0)
-        np.divide(s * scenario.phi_n.values, b, out=df, where=b > 0)
-        self.dlow = grid.mean(df)
+        u, b, self.dlow = _preemphasis(scenario)
         order = np.argsort(u, kind="stable")
         self.order = order
         self.us, self.bs, self.ws = u[order], b[order], grid.weights[order]
-        ss = s[order]
+        ss = scenario.phi_s.values[order]
         self.qs = scenario.a * ss * ss  # discriminant term a*phi_s^2
         self.prefix_w = _prefix_sums(self.ws)
         self.prefix_wu = _prefix_sums(self.ws * self.us)
@@ -489,25 +493,34 @@ def _prefix_length(running, budgets) -> int:
                for r, b in zip(np.atleast_2d(running), np.atleast_1d(budgets)))
 
 
-def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
-    n = ws.cumw.size
-    mask = np.zeros(n, dtype=bool)
-    budget = D - ws.dlow
+def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.ndarray,
+                   budget: float) -> tuple[float, float, int]:
+    """The high-power on-off support along the pre-emphasis order, whose cells
+    have weights `ws`, running weights `cumw`, pre-emphasized PSD `us` and
+    running pre-emphasis mass `cum` (the running sums of ws*us over pi), as
+    (fraction, gamma, k): the first k cells whole and a share of cell k,
+    of mass `budget` in all, cover `fraction` of the band, and gamma is the
+    last cell's u."""
+    n = cumw.size
     if budget <= 0.0:
-        return PrelogResult(0.0, 0.0, 0.0, mask)
-    cum = ws.prefix_wu[1:] / np.pi
+        return 0.0, 0.0, 0
     if budget >= cum[-1]:
-        mask[:] = True
-        return PrelogResult(1.0, float(ws.us[-1]), 1.0, mask)
-    k = _prefix_length(cum, budget)
+        return 1.0, float(us[-1]), n
+    k = int(cum.searchsorted(budget, side="right"))
     spent = cum[k - 1] if k > 0 else 0.0
-    cost_next = ws.ws[k] * ws.us[k] / np.pi
+    cost_next = ws[k] * us[k] / np.pi
     theta = (budget - spent) / cost_next if cost_next > 0 else 0.0
+    measure = (cumw[k - 1] if k > 0 else 0.0) + theta * ws[k]
+    gamma = float(us[k]) if theta > 0 else float(us[k - 1])
+    return min(measure / np.pi, 1.0), gamma, k
+
+
+def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
+    frac, gamma, k = _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi,
+                                    D - ws.dlow)
+    mask = np.zeros(ws.cumw.size, dtype=bool)
     mask[ws.order[:k]] = True
-    measure = (ws.cumw[k - 1] if k > 0 else 0.0) + theta * ws.ws[k]
-    frac = measure / np.pi
-    gamma = float(ws.us[k]) if theta > 0 else float(ws.us[k - 1])
-    return PrelogResult(min(frac, 1.0), gamma, min(frac, 1.0), mask)
+    return PrelogResult(frac, gamma, frac, mask)
 
 
 def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:

@@ -12,7 +12,8 @@ import oracles
 from specshape import cli, coded, mimo, shaping
 from specshape.errors import SolverError
 from specshape.estimation import UncodedScenario
-from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid, mean_power
+from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
+                               tabulated_spectrum)
 
 SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 
@@ -134,36 +135,83 @@ def test_prelog_mesh_values_and_zeros(tmp_path):
     assert vals[("0.01", "30")] == pytest.approx(0.00901, rel=1e-6)
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.3])
-def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, epsilon):
+MESH_D_RATIOS, MESH_SNR_DBS = [1e-4, 0.01, 0.2, 0.8, 1.5], [0.0, 12.5, 30.0]
+MESH_S2S, MESH_S2N = 1.3, 0.7
+
+
+def inverted_pair_values(grid):
+    """phi_s with one value per grid point, holding two adjacent floats
+    x < nextafter(x, inf) whose pre-emphasized PSD u = a*x^2/(a*x + sigma2_n)
+    comes out the other way round at one of the mesh gains: found by a seeded
+    search over x, with the gains the mesh derives from the whole spectrum."""
+    rng = np.random.default_rng(20)
+    values = MESH_S2S * np.exp(rng.uniform(-1.0, 1.0, grid.n_points))
+    for _ in range(100_000):
+        x = MESH_S2S * math.exp(rng.uniform(-1.0, 1.0))
+        values[:2] = x, np.nextafter(x, math.inf)
+        sigma2_s = mean_power(tabulated_spectrum(grid, values))
+        for snr in MESH_SNR_DBS:
+            a = cli.db_to_linear(snr) * MESH_S2N / sigma2_s
+            u = a * values[:2] * values[:2] / (a * values[:2] + MESH_S2N)
+            if u[0] > u[1]:
+                return values
+    raise AssertionError("no inverted pair found")
+
+
+def mesh_legacy(case, grid):
+    """Scenario keys and the legacy spectrum of a prelog-mesh case: flat
+    (None), AR(1) with innovation rate `case`, or tabulated."""
+    if case is None:
+        return {"sigma2_s": MESH_S2S}, flat_spectrum(grid, MESH_S2S)
+    if isinstance(case, float):
+        return {"sigma2_s": MESH_S2S, "epsilon": case}, ar1_spectrum(grid, MESH_S2S, case)
+    if case == "smooth":
+        knots = MESH_S2S * (1.5 + np.cos(np.linspace(0.0, 3.0, 9)))
+    elif case == "inverted":
+        knots = inverted_pair_values(grid)
+    else:  # "rough<seed>": 9-225 knots exp(U(-1, 1))
+        rng = np.random.default_rng(int(case[5:]))
+        knots = MESH_S2S * np.exp(rng.uniform(-1.0, 1.0, int(rng.integers(9, 226))))
+    return {"phi_s_values": knots.tolist()}, tabulated_spectrum(grid, knots)
+
+
+@pytest.mark.parametrize("case", [None, 0.3, "smooth", "rough1", "rough2", "rough3",
+                                  "inverted"])
+def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, monkeypatch, case):
     # d_ratio 1e-4 is below the smoothing floor at every SNR (prelog 0), 1.5
     # above the floor plus the whole pre-emphasis mass (prelog 1), and the
     # ratios between give interior prelogs at the higher SNRs
-    d_ratios, snr_dbs = [1e-4, 0.01, 0.2, 0.8, 1.5], [0.0, 12.5, 30.0]
-    s2s, s2n, n = 1.3, 0.7, 2048
-    doc = {"kind": "uncoded", "sigma2_s": s2s, "sigma2_n": s2n,
-           "mesh": {"d_ratio": d_ratios, "snr_db": snr_dbs}}
+    n = 2048
     grid = make_grid(n)
-    if epsilon is None:
-        phi_s = flat_spectrum(grid, s2s)
-    else:
-        doc["epsilon"] = epsilon
-        phi_s = ar1_spectrum(grid, s2s, epsilon)
-    phi_n = flat_spectrum(grid, s2n)
+    keys, phi_s = mesh_legacy(case, grid)
+    doc = {"kind": "uncoded", **keys, "sigma2_n": MESH_S2N,
+           "mesh": {"d_ratio": MESH_D_RATIOS, "snr_db": MESH_SNR_DBS}}
+    phi_n = flat_spectrum(grid, MESH_S2N)
     sigma2_s = mean_power(phi_s)
-    rows, prelogs = ["d_ratio,snr_db,prelog"], []
-    for d in d_ratios:
-        for snr in snr_dbs:
-            sc = UncodedScenario(a=cli.db_to_linear(snr) * s2n / sigma2_s, phi_s=phi_s,
+    shared = np.argsort(phi_s.values, kind="stable")
+    rows, prelogs, own_sorts = ["d_ratio,snr_db,prelog"], [], set()
+    for d in MESH_D_RATIOS:
+        for snr in MESH_SNR_DBS:
+            sc = UncodedScenario(a=cli.db_to_linear(snr) * MESH_S2N / sigma2_s, phi_s=phi_s,
                                  phi_n=phi_n, D=d * sigma2_s, P=1.0)
             prelog = shaping.onoff_prelog(sc).prelog
             prelogs.append(prelog)
             rows.append(f"{cli._fmt(d)},{cli._fmt(snr)},{cli._fmt(prelog)}")
+            u = shaping.preemphasized_psd(sc).values
+            if not np.array_equal(np.argsort(u, kind="stable"), shared):
+                own_sorts.add(snr)
     assert 0.0 in prelogs and 1.0 in prelogs
     assert any(0.0 < v < 1.0 for v in prelogs)
+    # the mesh sorts phi_s once, and again only for a gain whose u that
+    # order does not sort exactly as argsort(u, kind="stable") does
+    assert (len(own_sorts) > 0) == (case == "inverted")
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
     out = tmp_path / "mesh.csv"
     assert cli.main(["prelog-mesh", write(tmp_path, doc), "-o", str(out),
                      "--grid", str(n), "--quiet"]) == 0
+    assert len(sorts) == 1 + len(own_sorts)
     assert out.read_text() == "\n".join(rows) + "\n"
 
 
@@ -189,6 +237,17 @@ def test_prelog_mesh_zero_gain_exit_2(tmp_path, capsys):
 def test_prelog_mesh_negative_d_in_later_cell_exit_2(tmp_path, capsys):
     assert run_mesh_bad(tmp_path, capsys,
                         {"d_ratio": [0.1, 0.2, -0.3], "snr_db": [0.0, 10.0]}) == 2
+
+
+def test_prelog_mesh_zero_noise_exit_2(tmp_path, capsys):
+    # the mesh gain a = snr*sigma2_n/sigma2_s is 0 at every SNR, and a cell
+    # scenario with a = 0 is rejected
+    grid = make_grid(256)
+    with pytest.raises(ValueError, match="gain"):
+        UncodedScenario(a=cli.db_to_linear(10.0) * 0.0, phi_s=flat_spectrum(grid, 1.0),
+                        phi_n=flat_spectrum(grid, 0.0), D=0.5, P=1.0)
+    assert run_mesh_bad(tmp_path, capsys, {"d_ratio": [0.5], "snr_db": [10.0]},
+                        {"sigma2_s": 1.0, "sigma2_n": 0.0}) == 2
 
 
 @pytest.mark.parametrize("legacy", [{"sigma2_s": 0.0, "sigma2_n": 1.0},
@@ -503,3 +562,41 @@ def test_solve_file_matches_oracle_bytes(tmp_path, monkeypatch, name, grid):
                      "--grid", str(grid), "--quiet"]) == 0
     [payload] = payloads
     assert out.read_bytes() == (oracles.json_text(payload) + "\n").encode()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # main parses with one parser per process; a sequence of calls with
+    # different options, a parse error among them, writes what the same calls
+    # write with a fresh parser each
+    curve = write(tmp_path, uncoded_doc(power_sweep_db={"start": 0, "stop": 20, "points": 3}),
+                  "curve.json")
+    mesh = write(tmp_path, {"kind": "uncoded", "sigma2_s": 1.0, "sigma2_n": 1.0,
+                            "mesh": {"d_ratio": [0.01, 0.2], "snr_db": [0.0, 20.0]}},
+                 "mesh.json")
+    solve = str(SCENARIOS / "uncoded_single.json")
+    calls = [["rate-curve", curve, "--log-base", "2"], ["rate-curve", curve],
+             ["solve", solve, "--grid", "512", "--log-base", "2"], ["solve", solve, "--quiet"],
+             ["prelog-mesh", mesh, "--grid", "256"], ["prelog-mesh", mesh, "--quiet"],
+             ["solve", solve, "--grid", "oops"], ["solve", solve, "--grid", "512"]]
+
+    def run():
+        outputs = []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"out{i}"
+            out.unlink(missing_ok=True)
+            try:
+                code = cli.main(argv + ["-o", str(out)])
+            except SystemExit as e:
+                code = ("exit", e.code)
+            outputs.append((code, out.read_bytes() if out.exists() else None,
+                            capsys.readouterr().err))
+        return outputs
+
+    cached = run()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run()
+    assert cached == fresh
+    assert [c for c, _, _ in cached] == [0] * 6 + [("exit", 2), 0]
+    assert cached[0][1] != cached[1][1] and cached[2][1] != cached[7][1]
+    assert "wrote" in cached[4][2] and cached[5][2] == ""

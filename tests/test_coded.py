@@ -383,6 +383,18 @@ def test_int_and_float_twins_match_cold_solves():
     assert warm[-1][3] != warm[-2][3]
 
 
+def test_zero_d_float_and_int_twins_match_cold_solves():
+    # a 0-d array is unhashable; the link is keyed by its numpy scalar, apart
+    # from the float and int twins
+    sc = study_scenario(a_c=1.0)
+    fields = ("a_l", "g_l", "a_c", "g_c", "sigma2_s", "sigma2_nl", "sigma2_nc", "R_l")
+    zero_d = replace(sc, **{f: np.array(getattr(sc, f)) for f in fields})
+    int_twin = replace(sc, a_l=1, g_l=1, a_c=1, g_c=10, sigma2_s=1000, sigma2_nl=1, sigma2_nc=1)
+    steps = [replace(s, P=P) for P in (100.0, *POWERS5) for s in (sc, zero_d, int_twin)]
+    warm = assert_matches_cold_solves(steps)
+    assert warm[0][3] == warm[1][3] == 4.0802586021225276
+
+
 def test_legacy_rates_feasibility_and_mimo_solves_match_cold_solves():
     sc = study_scenario(a_c=1.0)
     other_rate = replace(sc, R_l=0.6 * sc.legacy_capacity)

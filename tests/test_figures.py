@@ -3,8 +3,9 @@ scripts/make_figure_data.py against tests/data/figures, the coded and MIMO
 outputs (`specshape solve` on the coded and MIMO scenario files, the stdout of
 scripts/rank_scaling_sweep.py) against tests/data/coded_mimo, and the
 multilegacy and uncoded solves against tests/data/multilegacy and
-tests/data/uncoded. A cell that moves fails here; update the copy in the same
-change and say why."""
+tests/data/uncoded, and the prelog meshes at the benchmark's smallest and
+largest grids against tests/data/prelog_mesh. A cell that moves fails here;
+update the copy in the same change and say why."""
 
 import importlib.util
 import sys
@@ -19,6 +20,7 @@ GOLDEN = ROOT / "tests" / "data" / "figures"
 CODED_MIMO = ROOT / "tests" / "data" / "coded_mimo"
 MULTILEGACY = ROOT / "tests" / "data" / "multilegacy"
 UNCODED = ROOT / "tests" / "data" / "uncoded"
+PRELOG_MESH = ROOT / "tests" / "data" / "prelog_mesh"
 
 
 def load_script(name):
@@ -68,6 +70,16 @@ def test_uncoded_solves_match_the_committed_copies(tmp_path, grid):
     # a flat case, whose lambda is exactly 0, so no root-find stop enters it
     golden = f"uncoded_single.{grid}.json"
     assert solve_to(tmp_path, "uncoded_single", grid, golden) == (UNCODED / golden).read_bytes()
+
+
+@pytest.mark.parametrize("grid", [512, 32768])
+@pytest.mark.parametrize("scenario", ["flat_prelog_mesh", "ar_prelog_mesh"])
+def test_prelog_meshes_match_the_committed_copies(tmp_path, scenario, grid):
+    golden = f"{scenario}.{grid}.csv"
+    out = tmp_path / golden
+    assert cli.main(["prelog-mesh", str(ROOT / "scripts" / "scenarios" / f"{scenario}.json"),
+                     "-o", str(out), "--grid", str(grid), "--quiet"]) == 0
+    assert out.read_bytes() == (PRELOG_MESH / golden).read_bytes()
 
 
 def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):
