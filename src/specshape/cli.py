@@ -252,26 +252,71 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
-    """repr(float(_fmt(x))) for each x of a float array, formatted in one pass.
+    """repr(float(_fmt(x))) for each x of a float64 array, one format per run.
 
-    A normal float rounded to 12 significant digits has a unique shortest
-    repr, and it has the digits of its %.12g form. The two layouts differ
-    only where repr appends ".0" or stays positional, that is on integral
-    values (every rounded value of 1e12 or more is one), and below the normal
-    range, where repr keeps fewer digits. Rounding to 12 digits moves x by at
-    most 5e-12 |x|, so every such entry has |x| >= 1e11, |x| < 2.3e-308 or
-    x within 1e-11 |x| of an integer; those entries are laid out by repr, and
-    on the others repr gives the %.12g text back.
+    Solver output holds long runs of one value: zero stretches off the
+    support and in the boundary cells, one water level across a flat
+    spectrum. So each run of bit-equal neighbours is formatted once, at its
+    first entry, and that text is repeated over the run. Runs are found on
+    the bits, not with ==, because 0.0 == -0.0 while their texts differ
+    ("0.0" and "-0.0"); bit-equal floats always share a text.
+
+    The run starts are formatted with one %.12g pass. A normal float rounded
+    to 12 significant digits has a unique shortest repr, and it has the
+    digits of its %.12g form. The two layouts differ only where repr appends
+    ".0" or stays positional, that is on integral values (every rounded
+    value of 1e12 or more is one), and below the normal range, where repr
+    keeps fewer digits. Rounding to 12 digits moves x by at most 5e-12 |x|,
+    so every such entry has |x| >= 1e11, |x| < 2.3e-308 or x within
+    1e-11 |x| of an integer; those entries are laid out by repr, and on the
+    others repr gives the %.12g text back.
+
+    The frequency axis of a solve never reaches this function twice: its
+    block is laid out once per grid size and kept (`_omega_axis`).
     """
+    values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise SolverError("the result is not finite")
-    texts = (("%.12g " * values.size) % tuple(values.tolist())).split()
-    mag = np.abs(values)
+    bits = values.view(np.int64)
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    firsts = values[starts]
+    texts = (("%.12g " * firsts.size) % tuple(firsts.tolist())).split()
+    mag = np.abs(firsts)
     redo = ((mag >= 1e11) | (mag < 2.3e-308)
-            | (np.abs(values - np.rint(values)) <= 1e-11 * mag))
+            | (np.abs(firsts - np.rint(firsts)) <= 1e-11 * mag))
     for i in np.flatnonzero(redo).tolist():
         texts[i] = repr(float(texts[i]))
+    if starts.size < values.size:
+        runs = np.diff(starts, append=values.size)
+        texts = np.repeat(np.array(texts, dtype=object), runs).tolist()
     return texts
+
+
+# The indentation of a payload's top-level values, where "omega" sits.
+_PAYLOAD_PAD = "  "
+
+
+class _Axis(np.ndarray):
+    """A read-only frequency axis that carries its own JSON block, laid out at
+    the payload's indentation. Only `_omega_axis` sets `_json`; views,
+    copies and ufunc results of an axis are `_Axis` too, but with `_json`
+    None, so they take the normal path."""
+
+    _json = None
+
+
+@functools.lru_cache(maxsize=4)
+def _omega_axis(n_points: int) -> _Axis:
+    """make_grid(n_points).omegas with its JSON block, kept per grid size:
+    the axis of every solve on a grid is the same array. The block is one
+    joined string, not a list of entry texts, to keep the cache small."""
+    omegas = make_grid(n_points).omegas
+    axis = omegas.view(_Axis)
+    axis._json = _json_text(omegas, _PAYLOAD_PAD)
+    return axis
 
 
 def _block(opening: str, items: list[str], closing: str, pad: str) -> str:
@@ -290,6 +335,8 @@ def _json_text(obj, pad: str = "") -> str:
         return _block("{", [f"{json.dumps(k)}: {_json_text(v, inner)}"
                             for k, v in sorted(obj.items())], "}", pad)
     if isinstance(obj, np.ndarray):
+        if isinstance(obj, _Axis) and obj._json is not None and pad == _PAYLOAD_PAD:
+            return obj._json
         if obj.ndim == 1 and obj.dtype.kind == "f":
             items = _float_texts(obj)
         elif obj.ndim == 1 and obj.dtype.kind in "iu":
@@ -425,7 +472,9 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
     if sol.case_tag is shaping.CaseTag.INFEASIBLE:
         raise InfeasibleScenarioError(
             "distortion target below the zero-transmission smoothing floor")
-    prelog = shaping._onoff_prelog_ws(ws, sc.D)
+    # the two numbers printed, without the support mask behind them
+    prelog, gamma, _ = shaping._onoff_support(ws.cumw, ws.ws, ws.us,
+                                              ws.prefix_wu[1:] / np.pi, sc.D - ws.dlow)
     return {
         "kind": "uncoded",
         "case_tag": sol.case_tag.value,
@@ -434,9 +483,9 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
         "power": sol.power,
         "lambda": sol.lam,
         "mu": sol.mu,
-        "prelog": prelog.prelog,
-        "gamma": prelog.gamma,
-        "omega": grid.omegas,
+        "prelog": prelog,
+        "gamma": gamma,
+        "omega": _omega_axis(grid_points),
         "phi_x": sol.phi_x.values,
     }
 

@@ -534,6 +534,48 @@ def test_json_writer_matches_oracle_on_edges_and_shapes():
     assert cli._json_text(payload) == oracles.json_text(payload)
 
 
+# The writer formats each run of bit-equal neighbours once: runs of one pool
+# value, up to about 500 entries, with 0.0 and -0.0 runs side by side.
+RUN_POOL = WRITER_EDGES + [-x for x in WRITER_EDGES] + [0.0, -0.0, 0.5, -1.5, math.pi, 0.1]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(RUN_POOL), st.integers(1, 60)), max_size=25))
+def test_json_writer_matches_oracle_on_runs(runs):
+    values = [x for x, k in runs for _ in range(k)][:500]
+    payload = {"v": np.array(values, dtype=float)}
+    assert cli._json_text(payload) == oracles.json_text(payload)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 32768])
+def test_cached_frequency_axis_matches_oracle_bytes(monkeypatch, n):
+    axis = cli._omega_axis(n)
+    assert cli._omega_axis(n) is axis
+    assert axis.tobytes() == make_grid(n).omegas.tobytes()
+    assert not axis.flags.writeable
+    payload = {"omega": axis, "log_base": "e"}
+    expected = oracles.json_text(payload)
+    formatted = []
+    float_texts = cli._float_texts
+
+    def spy(values):
+        formatted.append(values)
+        return float_texts(values)
+
+    monkeypatch.setattr(cli, "_float_texts", spy)
+    assert cli._json_text(payload) == expected
+    assert formatted == []  # the axis came from the cache
+    moved = np.array(axis)
+    moved[n // 3] = np.nextafter(moved[n // 3], np.inf)
+    for other in (np.array(axis), axis.copy(), moved):
+        formatted.clear()
+        assert other.flags.writeable
+        assert cli._json_text({"omega": other, "log_base": "e"}) == oracles.json_text(
+            {"omega": other, "log_base": "e"})
+        assert len(formatted) == 1 and formatted[0] is other
+    assert cli._omega_axis.cache_info().maxsize <= 8
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite(bad):
     for payload in ({"x": bad}, {"x": np.float64(bad)}, {"x": np.array([1.0, bad])},
