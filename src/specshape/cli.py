@@ -270,9 +270,6 @@ def _float_texts(values: np.ndarray) -> list[str]:
     so every such entry has |x| >= 1e11, |x| < 2.3e-308 or x within
     1e-11 |x| of an integer; those entries are laid out by repr, and on the
     others repr gives the %.12g text back.
-
-    The frequency axis of a solve never reaches this function twice: its
-    block is laid out once per grid size and kept (`_omega_axis`).
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -295,30 +292,6 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-# The indentation of a payload's top-level values, where "omega" sits.
-_PAYLOAD_PAD = "  "
-
-
-class _Axis(np.ndarray):
-    """A read-only frequency axis that carries its own JSON block, laid out at
-    the payload's indentation. Only `_omega_axis` sets `_json`; views,
-    copies and ufunc results of an axis are `_Axis` too, but with `_json`
-    None, so they take the normal path."""
-
-    _json = None
-
-
-@functools.lru_cache(maxsize=4)
-def _omega_axis(n_points: int) -> _Axis:
-    """make_grid(n_points).omegas with its JSON block, kept per grid size:
-    the axis of every solve on a grid is the same array. The block is one
-    joined string, not a list of entry texts, to keep the cache small."""
-    omegas = make_grid(n_points).omegas
-    axis = omegas.view(_Axis)
-    axis._json = _json_text(omegas, _PAYLOAD_PAD)
-    return axis
-
-
 def _block(opening: str, items: list[str], closing: str, pad: str) -> str:
     if not items:
         return opening + closing
@@ -335,8 +308,6 @@ def _json_text(obj, pad: str = "") -> str:
         return _block("{", [f"{json.dumps(k)}: {_json_text(v, inner)}"
                             for k, v in sorted(obj.items())], "}", pad)
     if isinstance(obj, np.ndarray):
-        if isinstance(obj, _Axis) and obj._json is not None and pad == _PAYLOAD_PAD:
-            return obj._json
         if obj.ndim == 1 and obj.dtype.kind == "f":
             items = _float_texts(obj)
         elif obj.ndim == 1 and obj.dtype.kind in "iu":
@@ -449,11 +420,12 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
         u, _, dlow = shaping._preemphasis(sc)
         us = u[order]
         if ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
-            table = cumw, wts, us, shaping._prefix_sums(wts * us)[1:] / np.pi
+            cum = shaping._prefix_sums(wts * us)[1:] / np.pi
+            columns.append([shaping._onoff_support(cumw, wts, us, cum, c.D - dlow)[0]
+                            for c in cells])
         else:
             ws = shaping._Workspace(sc)
-            table = ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi
-        columns.append([shaping._onoff_support(*table, c.D - dlow)[0] for c in cells])
+            columns.append([shaping._onoff_support_ws(ws, c.D)[0] for c in cells])
     rows = [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
             for i, d_ratio in enumerate(d_ratios)
             for snr_db, column in zip(snr_dbs, columns)]
@@ -472,9 +444,7 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
     if sol.case_tag is shaping.CaseTag.INFEASIBLE:
         raise InfeasibleScenarioError(
             "distortion target below the zero-transmission smoothing floor")
-    # the two numbers printed, without the support mask behind them
-    prelog, gamma, _ = shaping._onoff_support(ws.cumw, ws.ws, ws.us,
-                                              ws.prefix_wu[1:] / np.pi, sc.D - ws.dlow)
+    prelog, gamma, _ = shaping._onoff_support_ws(ws, sc.D)
     return {
         "kind": "uncoded",
         "case_tag": sol.case_tag.value,
@@ -485,7 +455,7 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
         "mu": sol.mu,
         "prelog": prelog,
         "gamma": gamma,
-        "omega": _omega_axis(grid_points),
+        "omega": grid.omegas,
         "phi_x": sol.phi_x.values,
     }
 

@@ -515,9 +515,13 @@ def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.nda
     return min(measure / np.pi, 1.0), gamma, k
 
 
+def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int]:
+    """`_onoff_support` of a workspace at target D, without the support mask."""
+    return _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi, D - ws.dlow)
+
+
 def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
-    frac, gamma, k = _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi,
-                                    D - ws.dlow)
+    frac, gamma, k = _onoff_support_ws(ws, D)
     mask = np.zeros(ws.cumw.size, dtype=bool)
     mask[ws.order[:k]] = True
     return PrelogResult(frac, gamma, frac, mask)

@@ -547,35 +547,6 @@ def test_json_writer_matches_oracle_on_runs(runs):
     assert cli._json_text(payload) == oracles.json_text(payload)
 
 
-@pytest.mark.parametrize("n", [512, 4096, 32768])
-def test_cached_frequency_axis_matches_oracle_bytes(monkeypatch, n):
-    axis = cli._omega_axis(n)
-    assert cli._omega_axis(n) is axis
-    assert axis.tobytes() == make_grid(n).omegas.tobytes()
-    assert not axis.flags.writeable
-    payload = {"omega": axis, "log_base": "e"}
-    expected = oracles.json_text(payload)
-    formatted = []
-    float_texts = cli._float_texts
-
-    def spy(values):
-        formatted.append(values)
-        return float_texts(values)
-
-    monkeypatch.setattr(cli, "_float_texts", spy)
-    assert cli._json_text(payload) == expected
-    assert formatted == []  # the axis came from the cache
-    moved = np.array(axis)
-    moved[n // 3] = np.nextafter(moved[n // 3], np.inf)
-    for other in (np.array(axis), axis.copy(), moved):
-        formatted.clear()
-        assert other.flags.writeable
-        assert cli._json_text({"omega": other, "log_base": "e"}) == oracles.json_text(
-            {"omega": other, "log_base": "e"})
-        assert len(formatted) == 1 and formatted[0] is other
-    assert cli._omega_axis.cache_info().maxsize <= 8
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite(bad):
     for payload in ({"x": bad}, {"x": np.float64(bad)}, {"x": np.array([1.0, bad])},
