@@ -326,54 +326,50 @@ def _write_json(path: str, payload: dict):
     Path(path).write_text(_json_text(payload) + "\n")
 
 
-def run_rate_curve(file: str, output_path: str, grid_points: int = 4096,
-                   log_base: str = "e", quiet: bool = False) -> None:
-    """Rate-versus-power CSV for an uncoded or coded scenario."""
-    doc = _load_doc(file)
-    p = _Params(doc, file)
-    kind = _kind(p)
-    factor = _rate_factor(log_base)
+# Each command reads its keys from the scenario file and returns the
+# computation: `main` runs it once no key is left over, so a file with an
+# unknown key fails before any solve. Rate curves and meshes compute the CSV
+# header and rows, `solve` the JSON payload.
 
+def _rate_curve(p: _Params, kind: str, grid_points: int, factor: float):
+    """Rate versus power for an uncoded or coded scenario."""
     if kind == "uncoded":
         db_axis, powers = _power_sweep(p)
-        grid = make_grid(grid_points)
-        sc = _uncoded_scenario(p, grid)
-        p.finish()
-        shaped = shaping.rate_curve(sc, powers, shaping.CurveMethod.SPECTRUM_SHAPING)
-        try:
-            it = shaping.rate_curve(sc, powers, shaping.CurveMethod.INTERFERENCE_TEMPERATURE)
-            it_rates = [_finite(r) for _, r in it]
-        except InfeasibleScenarioError:
-            # An infeasible memoryless receiver is marked by NaN in its column.
-            it_rates = [math.nan] * len(powers)
-        rows = [[_fmt(db), _fmt(r_it * factor), _fmt(_finite(r_sh) * factor)]
+        sc = _uncoded_scenario(p, make_grid(grid_points))
+
+        def uncoded_rows():
+            shaped = shaping.rate_curve(sc, powers, shaping.CurveMethod.SPECTRUM_SHAPING)
+            try:
+                it = shaping.rate_curve(sc, powers, shaping.CurveMethod.INTERFERENCE_TEMPERATURE)
+                it_rates = [_finite(r) for _, r in it]
+            except InfeasibleScenarioError:
+                # An infeasible memoryless receiver is marked by NaN in its column.
+                it_rates = [math.nan] * len(powers)
+            return ["P_db", "rate_it", "rate_shaping"], [
+                [_fmt(db), _fmt(r_it * factor), _fmt(_finite(r_sh) * factor)]
                 for db, r_it, (_, r_sh) in zip(db_axis, it_rates, shaped)]
-        _write_csv(output_path, ["P_db", "rate_it", "rate_shaping"], rows)
-    elif kind == "coded":
+        return uncoded_rows
+    if kind == "coded":
         db_axis, powers = _power_sweep(p)
         sc0 = coded_mod.CodedScenario(**_legacy_link(p), P=1.0)
-        p.finish()
-        rows = []
-        for db, pw in zip(db_axis, powers):
-            sol = coded_mod.solve_coded(replace(sc0, P=pw))
-            rows.append([_fmt(db), _fmt(_finite(sol.rate) * factor), sol.case_tag.value])
-        _write_csv(output_path, ["P_db", "rate", "case_tag"], rows)
-    else:
-        raise SchemaError("rate-curve requires an uncoded or coded scenario")
-    if not quiet:
-        print(f"wrote {len(rows)} rows to {output_path}", file=sys.stderr)
+
+        def coded_rows():
+            rows = []
+            for db, pw in zip(db_axis, powers):
+                sol = coded_mod.solve_coded(replace(sc0, P=pw))
+                rows.append([_fmt(db), _fmt(_finite(sol.rate) * factor), sol.case_tag.value])
+            return ["P_db", "rate", "case_tag"], rows
+        return coded_rows
+    raise SchemaError("rate-curve requires an uncoded or coded scenario")
 
 
-def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
-                    log_base: str = "e", quiet: bool = False) -> None:
+def _prelog_mesh(p: _Params, kind: str, grid_points: int, factor: float):
     """High-power prelog over a (D/sigma2_s, a*sigma2_s/sigma2_n) mesh.
 
     Prelogs are slope ratios, so the log base does not enter; infeasible
     cells emit prelog 0.
     """
-    doc = _load_doc(file)
-    p = _Params(doc, file)
-    if _kind(p) != "uncoded":
+    if kind != "uncoded":
         raise SchemaError("prelog-mesh requires an uncoded scenario")
     mesh = _Params(p.raw("mesh"), "mesh")
     d_ratios = mesh.raw("d_ratio")
@@ -387,7 +383,12 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
     grid = make_grid(grid_points)
     phi_s = _legacy_spectrum(p, grid)
     sigma2_n = p.value("sigma2_n")
-    p.finish()
+    return lambda: (["d_ratio", "snr_db", "prelog"],
+                    _mesh_rows(grid, phi_s, sigma2_n, d_ratios, snr_dbs))
+
+
+def _mesh_rows(grid: FrequencyGrid, phi_s: Spectrum, sigma2_n: float,
+               d_ratios: list[float], snr_dbs: list[float]) -> list[list[str]]:
     sigma2_s = mean_power(phi_s)
     if sigma2_s == 0:
         raise SchemaError("prelog-mesh needs a legacy spectrum of positive power: "
@@ -426,112 +427,103 @@ def run_prelog_mesh(file: str, output_path: str, grid_points: int = 4096,
         else:
             ws = shaping._Workspace(sc)
             columns.append([shaping._onoff_support_ws(ws, c.D)[0] for c in cells])
-    rows = [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
+    return [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
             for i, d_ratio in enumerate(d_ratios)
             for snr_db, column in zip(snr_dbs, columns)]
-    _write_csv(output_path, ["d_ratio", "snr_db", "prelog"], rows)
-    if not quiet:
-        print(f"wrote {len(rows)} rows to {output_path}", file=sys.stderr)
 
 
-def _solve_uncoded(p: _Params, grid_points: int, factor: float) -> dict:
+def _solve(p: _Params, kind: str, grid_points: int, factor: float):
+    """One scenario of any kind, as a JSON payload."""
+    return {"uncoded": _solve_uncoded, "multilegacy": _solve_multilegacy,
+            "coded": _solve_coded, "mimo": _solve_mimo}[kind](p, grid_points, factor)
+
+
+def _solve_uncoded(p: _Params, grid_points: int, factor: float):
     grid = make_grid(grid_points)
     P = p.value("P")
     sc = _uncoded_scenario(p, grid, P=P)
-    p.finish()
-    ws = shaping._Workspace(sc)
-    sol = shaping._solve_ws(ws, P)
-    if sol.case_tag is shaping.CaseTag.INFEASIBLE:
-        raise InfeasibleScenarioError(
-            "distortion target below the zero-transmission smoothing floor")
-    prelog, gamma, _ = shaping._onoff_support_ws(ws, sc.D)
-    return {
-        "kind": "uncoded",
-        "case_tag": sol.case_tag.value,
-        "rate": sol.rate * factor,
-        "mse": sol.mse,
-        "power": sol.power,
-        "lambda": sol.lam,
-        "mu": sol.mu,
-        "prelog": prelog,
-        "gamma": gamma,
-        "omega": grid.omegas,
-        "phi_x": sol.phi_x.values,
-    }
+
+    def payload() -> dict:
+        ws = shaping._Workspace(sc)
+        sol = shaping._solve_ws(ws, P)
+        if sol.case_tag is shaping.CaseTag.INFEASIBLE:
+            raise InfeasibleScenarioError(
+                "distortion target below the zero-transmission smoothing floor")
+        prelog, gamma, _ = shaping._onoff_support_ws(ws, sc.D)
+        return {
+            "kind": "uncoded",
+            "case_tag": sol.case_tag.value,
+            "rate": sol.rate * factor,
+            "mse": sol.mse,
+            "power": sol.power,
+            "lambda": sol.lam,
+            "mu": sol.mu,
+            "prelog": prelog,
+            "gamma": gamma,
+            "omega": grid.omegas,
+            "phi_x": sol.phi_x.values,
+        }
+    return payload
 
 
-def _solve_multilegacy(p: _Params, grid_points: int) -> dict:
+def _solve_multilegacy(p: _Params, grid_points: int, factor: float):
     grid = make_grid(grid_points)
     sc = _multilegacy_scenario(p, grid)
-    p.finish()
-    res = multi_mod.max_prelog_support(sc)
-    low_noise = multi_mod.low_noise_support(sc)
-    return {
-        "kind": "multilegacy",
-        "prelog": res.prelog,
-        "support_fraction": res.support_fraction,
-        "support": res.support.astype(int),
-        "budgets": res.budgets,
-        "spent": res.spent,
-        "low_noise_support_fraction":
-            float(grid.weights[low_noise].sum()) / math.pi,
-    }
+
+    def payload() -> dict:
+        res = multi_mod.max_prelog_support(sc)
+        low_noise = multi_mod.low_noise_support(sc)
+        return {
+            "kind": "multilegacy",
+            "prelog": res.prelog,
+            "support_fraction": res.support_fraction,
+            "support": res.support.astype(int),
+            "budgets": res.budgets,
+            "spent": res.spent,
+            "low_noise_support_fraction":
+                float(grid.weights[low_noise].sum()) / math.pi,
+        }
+    return payload
 
 
-def _solve_coded(p: _Params, factor: float) -> dict:
+def _solve_coded(p: _Params, grid_points: int, factor: float):
     P = p.value("P")
     sc = coded_mod.CodedScenario(**_legacy_link(p), P=P)
-    p.finish()
-    sol = coded_mod.solve_coded(sc)
-    return {
-        "kind": "coded",
-        "case_tag": sol.case_tag.value,
-        "w": sol.w,
-        "phi0": sol.phi0,
-        "rate": sol.rate * factor,
-        "prelog": coded_mod.coded_prelog(sc),
-        "residuals": dict(sol.residuals),
-    }
+
+    def payload() -> dict:
+        sol = coded_mod.solve_coded(sc)
+        return {
+            "kind": "coded",
+            "case_tag": sol.case_tag.value,
+            "w": sol.w,
+            "phi0": sol.phi0,
+            "rate": sol.rate * factor,
+            "prelog": coded_mod.coded_prelog(sc),
+            "residuals": dict(sol.residuals),
+        }
+    return payload
 
 
-def _solve_mimo(p: _Params, grid_points: int, factor: float) -> dict:
+def _solve_mimo(p: _Params, grid_points: int, factor: float):
     P = p.value("P")
     ch = _mimo_channel(p)
-    p.finish()
-    sol = mimo_mod.solve_mimo(ch, P, grid=make_grid(grid_points))
-    # the support is the prefix cum <= w*pi with sample 0 forced on, so
-    # sample 0 always holds the on-level, read here without the full field
-    phi0 = sol.psd._level
-    return {
-        "kind": "mimo",
-        "mode": sol.mode.value,
-        "w": sol.w,
-        "rate": sol.rate * factor,
-        "prelog": mimo_mod.mimo_prelog(ch),
-        "residuals": dict(sol.residuals),
-        "phi0_matrix": [[[float(z.real), float(z.imag)] for z in row] for row in phi0],
-    }
+
+    def payload() -> dict:
+        sol = mimo_mod.solve_mimo(ch, P, grid=make_grid(grid_points))
+        return {
+            "kind": "mimo",
+            "mode": sol.mode.value,
+            "w": sol.w,
+            "rate": sol.rate * factor,
+            "prelog": mimo_mod.mimo_prelog(ch),
+            "residuals": dict(sol.residuals),
+            "phi0_matrix": [[[float(z.real), float(z.imag)] for z in row]
+                            for row in sol.psd.level],
+        }
+    return payload
 
 
-def run_single(file: str, output_path: str, grid_points: int = 4096,
-               log_base: str = "e", quiet: bool = False) -> None:
-    """Solve one scenario of any kind; JSON out."""
-    doc = _load_doc(file)
-    p = _Params(doc, file)
-    kind = _kind(p)
-    factor = _rate_factor(log_base)
-    if kind == "uncoded":
-        payload = _solve_uncoded(p, grid_points, factor)
-    elif kind == "multilegacy":
-        payload = _solve_multilegacy(p, grid_points)
-    elif kind == "coded":
-        payload = _solve_coded(p, factor)
-    else:
-        payload = _solve_mimo(p, grid_points, factor)
-    payload["log_base"] = log_base
-    _write_json(output_path, payload)
-    if not quiet:
-        print(f"wrote {output_path}", file=sys.stderr)
+_COMMANDS = {"rate-curve": _rate_curve, "prelog-mesh": _prelog_mesh, "solve": _solve}
 
 
 # built once per process: parse_args keeps no state between calls
@@ -557,12 +549,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    runner = {"rate-curve": run_rate_curve,
-              "prelog-mesh": run_prelog_mesh,
-              "solve": run_single}[args.command]
     try:
-        runner(args.file, args.output, grid_points=args.grid,
-               log_base=args.log_base, quiet=args.quiet)
+        p = _Params(_load_doc(args.file), args.file)
+        compute = _COMMANDS[args.command](p, _kind(p), args.grid, _rate_factor(args.log_base))
+        p.finish()
+        result = compute()
+        if args.command == "solve":
+            result["log_base"] = args.log_base
+            _write_json(args.output, result)
+            note = f"wrote {args.output}"
+        else:
+            _write_csv(args.output, *result)
+            note = f"wrote {len(result[1])} rows to {args.output}"
     except InfeasibleScenarioError as e:
         print(f"infeasible scenario: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -572,6 +570,8 @@ def main(argv=None) -> int:
     except (SchemaError, OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    if not args.quiet:
+        print(note, file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 one on-off search behind the scalar and the vector coded solvers.
 
 The cognitive pair carries N_t transmit / N_r receive antennas; the legacy
-transceivers stay scalar. PSD matrices are sampled Hermitian-PSD fields on the
-half-band grid. The search evaluates the log-det rates of an on-off field in
-closed form over the eigenmodes of its on-level; the sampled log-det
-evaluators it is checked against are test references (`tests/oracles.py`).
+transceivers stay scalar. The search evaluates the log-det rates of an on-off
+field in closed form over the eigenmodes of its on-level; the sampled log-det
+evaluators it is checked against, and fields given sample by sample, are test
+references (`tests/oracles.py`).
 
 The on-off search puts the on-level matrix (P/w) Q, with Q a fixed unit-trace
 Hermitian shape, on a support fraction w. Three operating regimes: the
@@ -38,9 +38,9 @@ depend on either cache: a link found there is the one a fresh setup would
 build. The checks of P, feasibility, the shape and the on-level run on every
 call.
 
-An on-off field is one level on a prefix of the grid, so `solve_mimo`
-returns it as the prefix length and the level; the dense
-(n_points, N_t, N_t) array `PsdMatrix.values` is written on its first read.
+Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
+`PsdMatrix` is that one form: the grid, the prefix length k and the checked
+level. Its dense (n_points, N_t, N_t) `values` is written on its first read.
 """
 
 from __future__ import annotations
@@ -87,58 +87,42 @@ def _checked(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsdMatrix:
-    """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid.
+    """An on-off PSD-matrix field on a half-band grid: the N_t x N_t Hermitian
+    PSD `level` on the first k samples, 1 <= k <= n_points, and zero on the
+    rest.
 
-    The constructor checks every sample and stores the Hermitian part. An
-    on-off field (one level on a prefix of the samples, zero elsewhere) is
-    built by `_on_off`, which checks the level alone: a zero sample passes
-    every test and never raises the scale max(1, max|v|), so the outcome, the
-    error and the bytes of `values` are those of the per-sample check. It is
-    stored as the prefix length `_k` and the read-only level `_level`;
-    `values` is written out on its first read and kept.
+    The constructor checks the level and stores its read-only Hermitian part.
+    A zero sample passes every test and never raises the scale max(1, max|v|),
+    so the outcome, the error and the bytes of `values` are those of checking
+    every sample. The dense (n_points, N_t, N_t) `values` is written on its
+    first read and kept.
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
-
-    # the on-off form; None for a field given sample by sample
-    _k = None
-    _level = None
+    k: int
+    level: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 3 or v.shape[0] != self.grid.n_points or v.shape[1] != v.shape[2]:
-            raise ValueError("PSD matrix field must have shape (n_points, Nt, Nt)")
-        v = _checked(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _on_off(cls, grid: FrequencyGrid, k: int, level: np.ndarray) -> PsdMatrix:
-        """The field equal to the complex N x N `level` on the first k >= 1
-        samples and zero elsewhere."""
+        level = np.asarray(self.level, dtype=complex)
+        if level.ndim != 2 or level.shape[0] != level.shape[1]:
+            raise ValueError("PSD matrix level must be a square matrix")
+        if not 1 <= self.k <= self.grid.n_points:
+            raise ValueError("PSD matrix prefix must hold 1 to n_points samples")
         level = _checked(level[None])[0]
         level.flags.writeable = False
-        psd = object.__new__(cls)
-        object.__setattr__(psd, "grid", grid)
-        object.__setattr__(psd, "_k", k)
-        object.__setattr__(psd, "_level", level)
-        return psd
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: `values` of an
-        # on-off field not yet read. setdefault keeps the first array
-        # stored, so readers that race here all get the same one.
-        if name != "values" or self._level is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        v = np.zeros((self.grid.n_points,) + self._level.shape, dtype=complex)
-        v[:self._k] = self._level
-        v.flags.writeable = False
-        return vars(self).setdefault("values", v)
+        object.__setattr__(self, "level", level)
 
     @property
     def n_t(self) -> int:
-        return self.values.shape[1] if self._level is None else self._level.shape[0]
+        return self.level.shape[0]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        v = np.zeros((self.grid.n_points,) + self.level.shape, dtype=complex)
+        v[:self.k] = self.level
+        v.flags.writeable = False
+        # setdefault keeps the first array stored, so racing readers share it
+        return vars(self).setdefault("values", v)
 
 
 class _LegacyLink:
@@ -190,6 +174,8 @@ class MimoChannel(_LegacyLink):
         H = np.atleast_2d(np.array(self.H_c, dtype=complex))
         hl = np.array(self.h_l, dtype=complex).reshape(-1)
         hc = np.array(self.h_c, dtype=complex).reshape(-1)
+        if H.ndim != 2 or 0 in H.shape:
+            raise ValueError("H_c must be a matrix with at least one row and one column")
         if hl.size != H.shape[1] or hc.size != H.shape[0]:
             raise ValueError("channel vector dimensions do not match H_c")
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
@@ -461,5 +447,5 @@ def solve_mimo(channel: MimoChannel, P: float,
     if not math.isfinite(level):
         # the level cannot be written: inf * 0 would put NaN in the field
         raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
-    return MimoSolution(psd=PsdMatrix._on_off(grid, k, level * Q), rate=rate,
+    return MimoSolution(psd=PsdMatrix(grid, k, level * Q), rate=rate,
                         mode=mode, w=w, residuals=residuals)

@@ -390,7 +390,7 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
             evals[wfrac] = _waterfill_on(ws, P, wfrac)
         return evals[wfrac][0] - D
 
-    lo = _onoff_prelog_ws(ws, D).prelog
+    lo = _onoff_support_ws(ws, D)[0]
     while excess(lo) > 0.0:  # at high power the margin can fall below rounding
         lo *= 0.5
     if excess(1.0) > 0.0:
@@ -434,6 +434,8 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
         g = _gain(ws, cand, kl)
         if g <= 0.0:
             hi_w, hi_k = w, kl
+        elif kr == n:  # still rising at the full band, the peak is this last probe
+            break
         else:  # at an edge, a falling next cell puts the peak on the edge
             lo_w, lo_k, lo_g = w, kr, (g if kr == kl else _gain(ws, cand, kr))
     return _solution_from(ws, best, P)
@@ -520,20 +522,17 @@ def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int]:
     return _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi, D - ws.dlow)
 
 
-def _onoff_prelog_ws(ws: _Workspace, D: float) -> PrelogResult:
-    frac, gamma, k = _onoff_support_ws(ws, D)
-    mask = np.zeros(ws.cumw.size, dtype=bool)
-    mask[ws.order[:k]] = True
-    return PrelogResult(frac, gamma, frac, mask)
-
-
 def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     """High-power on-off support: fill cells of smallest pre-emphasized PSD
     until their pre-emphasis mass equals D minus the smoothing floor. The
     boundary cell is included fractionally, so the threshold equation holds
     exactly even when the pre-emphasized PSD has flat stretches. Targets at
     or below the floor yield prelog 0."""
-    return _onoff_prelog_ws(_Workspace(scenario), scenario.D)
+    ws = _Workspace(scenario)
+    frac, gamma, k = _onoff_support_ws(ws, scenario.D)
+    mask = np.zeros(ws.cumw.size, dtype=bool)
+    mask[ws.order[:k]] = True
+    return PrelogResult(frac, gamma, frac, mask)
 
 
 def rate_curve(

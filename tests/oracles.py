@@ -30,9 +30,13 @@
 - `onoff_asymptote`: the high-power line w_inf ln P + L_inf of the coded
   case-A rate, with w_inf = 1 - R_l/C_l the prelog and L_inf the power
   offset (Lozano, Tulino & Verdu, IEEE T-IT 51(12), 2005).
+- `SampledPsd`: any PSD-matrix field, given sample by sample and checked
+  by `mimo._checked` over the whole stack. Built on the on-off field of
+  `solve_mimo`, it checks that `mimo.PsdMatrix`, which checks its one level,
+  decides as the per-sample check does.
 - `trace_power`, `legacy_rate_mimo`, `decode_rate_mimo`,
   `cognitive_rate_mimo`: the MIMO power and log-det rates evaluated sample
-  by sample on a PSD-matrix field, for any field and not only an on-off one.
+  by sample on a PSD-matrix field, a `PsdMatrix` or a `SampledPsd`.
   `cognitive_rate_mimo` takes a decode mode and, with `check`, first tests
   that the mode applies. They check the power of `solve_mimo`'s rendered
   field and, in their 1x1 case, the scalar formulas.
@@ -49,9 +53,9 @@ from specshape import shaping
 from specshape.coded import CodedScenario
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario, wk_floor
-from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix
+from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix, _checked
 from specshape.shaping import CaseTag, ShapingSolution
-from specshape.spectra import Spectrum
+from specshape.spectra import FrequencyGrid, Spectrum
 from specshape.waterfill import rate_bins
 
 SWEEP_POINTS = 40
@@ -316,13 +320,31 @@ def onoff_asymptote(sc: CodedScenario) -> tuple[float, float]:
     return w_inf, w_inf * math.log(k / w_inf)
 
 
-def trace_power(psd: PsdMatrix) -> float:
+class SampledPsd:
+    """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid. The
+    constructor checks every sample and stores the read-only Hermitian part
+    as `values`."""
+
+    def __init__(self, grid: FrequencyGrid, values: np.ndarray):
+        v = np.asarray(values, dtype=complex)
+        if v.ndim != 3 or v.shape[0] != grid.n_points or v.shape[1] != v.shape[2]:
+            raise ValueError("PSD matrix field must have shape (n_points, Nt, Nt)")
+        v = _checked(v)
+        v.flags.writeable = False
+        self.grid, self.values = grid, v
+
+    @property
+    def n_t(self) -> int:
+        return self.values.shape[1]
+
+
+def trace_power(psd: PsdMatrix | SampledPsd) -> float:
     """Total transmit power (1/2pi) int trace(phi(w)) dw."""
     tr = np.trace(psd.values, axis1=1, axis2=2).real
     return psd.grid.mean(tr)
 
 
-def legacy_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
+def legacy_rate_mimo(psd: PsdMatrix | SampledPsd, channel: MimoChannel) -> float:
     """Legacy rate with the vector cognitive signal collapsed through h_l."""
     hl = channel.h_l
     if hl.size != psd.n_t:
@@ -340,7 +362,7 @@ def _batched_logdet(mats: np.ndarray) -> np.ndarray:
     return ld
 
 
-def decode_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
+def decode_rate_mimo(psd: PsdMatrix | SampledPsd, channel: MimoChannel) -> float:
     """Rate for decoding the scalar legacy signal at the cognitive array while
     treating the cognitive signal as noise."""
     H, hc = channel.H_c, channel.h_c
@@ -353,7 +375,7 @@ def decode_rate_mimo(psd: PsdMatrix, channel: MimoChannel) -> float:
     return psd.grid.mean(np.log1p(sinr))
 
 
-def cognitive_rate_mimo(psd: PsdMatrix, channel: MimoChannel,
+def cognitive_rate_mimo(psd: PsdMatrix | SampledPsd, channel: MimoChannel,
                         decode_mode: DecodeMode | str, check: bool = True) -> float:
     """Cognitive log-det rate under the selected legacy-handling mode."""
     mode = DecodeMode(decode_mode)

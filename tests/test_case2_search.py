@@ -82,6 +82,20 @@ def test_kink_search_when_the_prelog_support_exceeds_d_by_rounding():
     assert sol.rate >= sweep_golden_rate(sc) * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_peak_search_that_rises_to_the_full_band(n):
+    # AR(1) at P = 1e5: water-filling misses D, but the tight branch still
+    # rises at the last cell, so the bracket ladder ends on the full band
+    # (it indexed one cell past the grid there)
+    g = make_grid(n)
+    sc = UncodedScenario(1000.0, ar1_spectrum(g, 1.0, 0.1), flat_spectrum(g, 1.0),
+                         10 ** -0.1, 1e5)
+    sol = solve(sc)
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert sol.rate >= sweep_golden_rate(sc) * (1 - 1e-12)
+    assert sol.rate >= dual_bound(sc, sol) * (1 - 1e-12)
+
+
 def dual_draws(shaped, count=60, grid=GRID):
     """Case-2 draws from default_rng(1000 + k), k < count: tabulated phi_s
     with 9-225 knots exp(U(-1, 1)), unit flat noise or 5-knot noise

@@ -440,6 +440,15 @@ def test_huge_budget_on_a_rank_deficient_channel_exit_0(tmp_path, capsys):
     assert math.isfinite(got[1e300]["rate"]) and got[1e300]["rate"] > got[1e290]["rate"]
 
 
+def test_mimo_without_antennas_exit_2(tmp_path, capsys):
+    doc = dict(RANK1_MIMO, H_c=[[]], h_l=[], h_c=[1.0], P=10.0)
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", write(tmp_path, doc), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: H_c must be a matrix with at least one row and one column\n")
+    assert not out.exists()
+
+
 def test_overflowing_mimo_on_level_exit_4(tmp_path, capsys):
     # the search runs at w = 0.5, where the on-level P/w overflows and cannot
     # be written: a non-finite result, not an input error

@@ -238,6 +238,23 @@ def test_case_b_beats_w_grid_oracle(P):
     assert_narrow_support_is_active(sol, sc)
 
 
+def test_solves_are_invariant_in_the_power_unit():
+    # one unit c on sigma2_s, both noises and P leaves every power ratio, and
+    # with them the case, w and the rate, where they were
+    for a_c in (0.003, 0.01, 1.0, 1e6):
+        for load in (0.1, 0.5, 0.9):
+            for P in np.geomspace(1e-6, 1e12, 7):
+                sc = study_scenario(a_c=a_c, P=P, legacy_load=load)
+                base = solve_coded(sc)
+                for c in (1e-3, 0.37, 3.1, 1e4):
+                    sol = solve_coded(replace(sc, sigma2_s=c * sc.sigma2_s,
+                                              sigma2_nl=c * sc.sigma2_nl,
+                                              sigma2_nc=c * sc.sigma2_nc, P=c * P))
+                    assert sol.case_tag is base.case_tag, (a_c, load, P, c)
+                    assert sol.w == pytest.approx(base.w, rel=1e-12, abs=0), (a_c, load, P, c)
+                    assert sol.rate == pytest.approx(base.rate, rel=1e-12, abs=0), (a_c, load, P, c)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         study_scenario(g_c=-1.0)

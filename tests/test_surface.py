@@ -10,8 +10,7 @@ import specshape
 
 SURFACE = {
     "_scalar": ["brentq"],
-    "cli": ["SchemaError", "db_to_linear", "main", "run_prelog_mesh", "run_rate_curve",
-            "run_single"],
+    "cli": ["SchemaError", "db_to_linear", "main"],
     "coded": ["CodedCase", "CodedScenario", "CodedSolution", "coded_prelog", "solve_coded"],
     "errors": ["InfeasibleScenarioError", "SolverError"],
     "estimation": ["UncodedScenario", "memoryless_floor", "memoryless_power_cap", "wk_floor",
