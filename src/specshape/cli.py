@@ -73,7 +73,7 @@ class _Params:
         self._doc = dict(doc)
         self._ctx = context
 
-    def value(self, name: str, required: bool = True, default=None):
+    def value(self, name: str) -> float:
         has_lin, has_db = name in self._doc, f"{name}_db" in self._doc
         if has_lin and has_db:
             raise SchemaError(f"{self._ctx}: give either {name} or {name}_db, not both")
@@ -84,18 +84,16 @@ class _Params:
                 v = db_to_linear(self._number(f"{name}_db", self._doc.pop(f"{name}_db")))
             except OverflowError as e:
                 raise SchemaError(f"{self._ctx}: {name}_db is out of range") from e
-        elif required:
-            raise SchemaError(f"{self._ctx}: missing required parameter {name}")
         else:
-            return default
+            raise SchemaError(f"{self._ctx}: missing required parameter {name}")
         return self._number(name, v)
 
-    def raw(self, name: str, required: bool = True, default=None):
+    def raw(self, name: str, required: bool = True):
         if name in self._doc:
             return self._doc.pop(name)
         if required:
             raise SchemaError(f"{self._ctx}: missing required key {name}")
-        return default
+        return None
 
     def has(self, name: str) -> bool:
         return name in self._doc or f"{name}_db" in self._doc
@@ -129,14 +127,14 @@ def _kind(p: _Params) -> str:
     return kind
 
 
-def _legacy_spectrum(p: _Params, grid: FrequencyGrid, name="sigma2_s") -> Spectrum:
+def _legacy_spectrum(p: _Params, grid: FrequencyGrid) -> Spectrum:
     values = p.raw("phi_s_values", required=False)
     eps = p.raw("epsilon", required=False)
     if values is not None:
         if eps is not None:
             raise SchemaError("give either epsilon or phi_s_values, not both")
         return tabulated_spectrum(grid, _array(values, "phi_s_values"))
-    variance = p.value(name)
+    variance = p.value("sigma2_s")
     if eps is not None:
         return ar1_spectrum(grid, variance, p._number("epsilon", eps))
     return flat_spectrum(grid, variance)

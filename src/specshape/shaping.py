@@ -1,13 +1,17 @@
 """Spectrum-shaping rate maximization against an uncoded legacy receiver.
 
-The solver dispatches on two regimes. When the plain water-filling PSD at
-budget P already meets the distortion target, it is optimal (case 1).
-Otherwise both the power and the distortion constraints are active (case 2)
-and the problem is non-convex. Case 2 is solved over a family of candidate
-supports: cells are ordered by the pre-emphasized legacy PSD
-a*phi_s^2/(a*phi_s + phi_n) and a support of measure fraction w keeps the
-cheapest cells (the boundary cell may be kept fractionally, which is exact on
-the continuum and required when the pre-emphasized PSD has flat stretches).
+One search covers both regimes of the paper. Cells are ordered by the
+pre-emphasized legacy PSD u = a*phi_s^2/(a*phi_s + phi_n), and a support of
+measure fraction w keeps the cheapest cells (the boundary cell may be kept
+fractionally, which is exact on the continuum and required when u has flat
+stretches). Water-filling on a support never loses rate as w grows, so the
+slack branch peaks at the kink, the widest support whose water-filling MSE
+meets the distortion target. When the full band meets it, the kink is the
+full band and plain water-filling is optimal (case 1). Otherwise the kink is
+a root of the excess MSE in w, and past it both constraints are active
+(case 2): the rate follows the tight branch, whose slope in w is the
+boundary cell's Lagrangian value, and a bracket over cell edges and then
+inside one cell locates its sign change.
 On a given support, the stationary PSD family
 
     phi_x = (1 + sqrt(1 + 4*lam*mu*a*phi_s^2)) / (-2*mu) - a*phi_s - phi_n
@@ -17,18 +21,22 @@ phi_x = max(tau*h - base, 0) with h = 1 + sqrt(1 - 4*nu*a*phi_s^2), so
 matching the power budget is a one-dimensional monotone fill in tau (solved
 exactly by Newton steps on tau that drop inactive cells, with no sort) and
 matching the distortion target is a one-dimensional root-find in nu. Plain
-water-filling is the same fill at nu = 0, so the case-1 test is the fill at
-nu = 0 on the full band.
-The support fraction starts from the kink, the widest support on which plain
-water-filling meets the target; past it the tight branch's slope is the
-boundary cell's Lagrangian value, whose sign change a bracket over cell edges
-and then inside one cell locates.
+water-filling is the same fill at nu = 0.
 While every cell of a support is active the fill has a closed form, so the
-root-finds read the MSE off prefix sums (nu = 0: the case-1 test and every
-kink step) or one pass over the support (nu > 0), and the fill runs for the
-candidates kept: the kink and each support's final nu. It also runs where a
-cell would be off, or where rounding in the closed form could reach the
-root-finds' stop tolerance (low power).
+root-finds read the MSE off prefix sums (nu = 0: every kink step, the full
+band included) or one pass over the support (nu > 0), and the fill runs for
+the candidates kept: the kink and each support's final nu. It also runs
+where a cell would be off, or where rounding in the closed form could reach
+the root-finds' stop tolerance (low power).
+
+The u-order is not always the optimal order. At fixed lam, with
+B = a*phi_s + phi_n, cell i is on exactly when -mu < T(lam*u_i)/B_i for one
+non-increasing scalar function T, so the dual-optimal support is a prefix of
+the order of the threshold key log B_i - log T(lam*u_i). When u and B rise
+together across cells (flat noise, so every figure and benchmark input) the
+u-order sorts that key at every lam, and the support family here holds the
+dual optimum, up to a second time-shared boundary cell where two keys tie; a
+shaped noise floor can break this.
 """
 
 from __future__ import annotations
@@ -121,9 +129,8 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Scenario-level arrays shared across budgets, all independent of P: the
     cells in pre-emphasis order and, along that order, prefix sums of the
-    weight w and of w*u (q = a*phi_s^2, u = q/base). The closed-form fill
-    also reads prefix sums of w*base and w*q and prefix maxima of base and q,
-    built on first use: the on-off prelog needs none of them."""
+    weight w and of w*u, w*base and w*q (q = a*phi_s^2, u = q/base), and
+    prefix maxima of base and q, which the closed-form fill reads."""
 
     def __init__(self, scenario: UncodedScenario):
         self.scenario = scenario
@@ -135,25 +142,18 @@ class _Workspace:
         self.us, self.bs, self.ws = u[order], b[order], grid.weights[order]
         ss = scenario.phi_s.values[order]
         self.qs = scenario.a * ss * ss  # discriminant term a*phi_s^2
+        # Free the unsorted arrays before the sums take their place. Kept
+        # alive, they push the sums up the heap, glibc returns that memory to
+        # the system when the workspace is freed, and the next 32768-point
+        # solve page-faults it back (about 1 ms a solve).
+        del u, b, ss
         self.prefix_w = _prefix_sums(self.ws)
         self.prefix_wu = _prefix_sums(self.ws * self.us)
+        self.prefix_wb = _prefix_sums(self.ws * self.bs)
+        self.prefix_wq = _prefix_sums(self.ws * self.qs)
+        self.maxb = np.maximum.accumulate(self.bs)
+        self.maxq = np.maximum.accumulate(self.qs)
         self.cumw = self.prefix_w[1:]
-
-    @functools.cached_property
-    def prefix_wb(self) -> np.ndarray:
-        return _prefix_sums(self.ws * self.bs)
-
-    @functools.cached_property
-    def prefix_wq(self) -> np.ndarray:
-        return _prefix_sums(self.ws * self.qs)
-
-    @functools.cached_property
-    def maxb(self) -> np.ndarray:
-        return np.maximum.accumulate(self.bs)
-
-    @functools.cached_property
-    def maxq(self) -> np.ndarray:
-        return np.maximum.accumulate(self.qs)
 
 
 @dataclass
@@ -375,25 +375,24 @@ def _solution_from(ws: _Workspace, cand: _Candidate, P: float) -> ShapingSolutio
     )
 
 
-def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution:
+def _search_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
     # Water-filling on a support of fraction w never loses rate as w grows (a
     # wider support can copy a narrower allocation), so the slack branch peaks
-    # at the kink, the widest support whose water-filling MSE meets D. The
-    # excess MSE is negative at the on-off prelog (on-cell MSEs stay below
-    # phi_s) and positive on the full band (case 1 failed): root-find it,
-    # mostly in closed form, and fill only the kink.
-    # `full` is the full-band evaluation, _waterfill_on(ws, P, 1.0).
-    evals = {1.0: full}
+    # at the kink, the widest support whose water-filling MSE meets D: the
+    # full band when it meets D (case 1). Otherwise the excess MSE is negative
+    # at the on-off prelog (on-cell MSEs stay below phi_s) and positive on the
+    # full band: root-find it, mostly in closed form, and fill only the kink.
+    evals = {}
 
     def excess(wfrac: float) -> float:
         if wfrac not in evals:
             evals[wfrac] = _waterfill_on(ws, P, wfrac)
         return evals[wfrac][0] - D
 
-    lo = _onoff_support_ws(ws, D)[0]
-    while excess(lo) > 0.0:  # at high power the margin can fall below rounding
-        lo *= 0.5
     if excess(1.0) > 0.0:
+        lo = _onoff_support_ws(ws, D)[0]
+        while excess(lo) > 0.0:  # at high power the margin can fall below rounding
+            lo *= 0.5
         _scalar.brentq(excess, lo, 1.0, xtol=0.0, rtol=_RTOL, maxiter=200)
     w_kink = max(w for w in evals if excess(w) <= 0.0)
     n_full, theta = _support(ws, w_kink)
@@ -441,49 +440,43 @@ def _solve_case2_ws(ws: _Workspace, P: float, D: float, full) -> ShapingSolution
     return _solution_from(ws, best, P)
 
 
-def _case1_ws(ws: _Workspace, P: float, full) -> ShapingSolution | None:
-    """Full-band water-filling from its evaluation `full`,
-    _waterfill_on(ws, P, 1.0); None when it violates the distortion target."""
-    if full[0] > ws.scenario.D:
-        return None
-    mse, phi, tau = full[1] or _tilted_fill(ws, P, ws.ws, 0.0)
-    values = np.empty_like(phi)
-    values[ws.order] = phi
-    return ShapingSolution(Spectrum(ws.grid, values), rate_bins(phi, ws.bs, ws.ws), mse,
-                           ws.grid.mean(values), CaseTag.WATERFILL_FEASIBLE, 0.0, -0.5 / tau)
-
-
 def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
-    """The uncoded case dispatch at budget P, shared by every entry point."""
+    """The uncoded solve at budget P, shared by every entry point."""
     D = ws.scenario.D
     if D <= ws.dlow:
         zero = Spectrum(ws.grid, np.zeros(ws.grid.n_points))
         tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
         return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
-    full = _waterfill_on(ws, P, 1.0)
-    c1 = _case1_ws(ws, P, full)
-    return c1 if c1 is not None else _solve_case2_ws(ws, P, D, full)
+    return _search_ws(ws, P, D)
+
+
+def _feasible_ws(scenario: UncodedScenario) -> _Workspace:
+    """The workspace of a scenario whose target lies above the smoothing floor."""
+    ws = _Workspace(scenario)
+    if scenario.D <= ws.dlow:
+        raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
+    return ws
 
 
 def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
-    """Full-band water-filling; None when it violates the distortion target."""
-    ws = _Workspace(scenario)
-    if scenario.D <= ws.dlow:
-        raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return _case1_ws(ws, scenario.P, _waterfill_on(ws, scenario.P, 1.0))
+    """Full-band water-filling, the search's result when it meets the
+    distortion target (tagged both-constraints-active when it meets it with
+    equality); None when it violates the target."""
+    ws = _feasible_ws(scenario)
+    if _waterfill_on(ws, scenario.P, 1.0)[0] > scenario.D:
+        return None
+    return _search_ws(ws, scenario.P, scenario.D)
 
 
 def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
-    """Both-constraints-active solver over the pre-emphasis support family."""
-    ws = _Workspace(scenario)
-    if scenario.D <= ws.dlow:
-        raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return _solve_case2_ws(ws, scenario.P, scenario.D, _waterfill_on(ws, scenario.P, 1.0))
+    """The support-family search, which returns full-band water-filling when
+    that meets the distortion target."""
+    return _search_ws(_feasible_ws(scenario), scenario.P, scenario.D)
 
 
 def solve(scenario: UncodedScenario) -> ShapingSolution:
-    """Case dispatch. Infeasible and degenerate targets come back as tagged
-    zero-power solutions rather than exceptions."""
+    """The uncoded solve. Infeasible and degenerate targets come back as
+    tagged zero-power solutions rather than exceptions."""
     return _solve_ws(_Workspace(scenario), scenario.P)
 
 

@@ -164,17 +164,17 @@ class Counter:
 
 def test_case2_evaluation_budget(monkeypatch):
     # At most 30 support evaluations per case-2 solve; the sweep-and-golden
-    # search made 101 on every solve, and up to 1241 fills on this set.
+    # search made 101 on every solve, and up to 1241 fills on this set. The
+    # fills counted include the full-band one.
     evals = Counter(monkeypatch, shaping, "_evaluate_support")
     fills = Counter(monkeypatch, shaping, "_fill")
     counts = []
     for sc in SCENARIOS:
         ws = shaping._Workspace(sc)
-        full = shaping._waterfill_on(ws, sc.P, 1.0)
-        if shaping._case1_ws(ws, sc.P, full) is not None:
+        if shaping._waterfill_on(ws, sc.P, 1.0)[0] <= sc.D:
             continue
         evals.calls = fills.calls = 0
-        shaping._solve_case2_ws(ws, sc.P, sc.D, full)
+        shaping._search_ws(ws, sc.P, sc.D)
         counts.append((evals.calls, fills.calls))
     assert len(counts) >= 40
     assert max(e for e, _ in counts) <= 30

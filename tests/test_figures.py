@@ -66,10 +66,12 @@ def test_multilegacy_solves_match_the_committed_copies(tmp_path, grid):
 
 
 @pytest.mark.parametrize("grid", [512, 4096])
-def test_uncoded_solves_match_the_committed_copies(tmp_path, grid):
-    # a flat case, whose lambda is exactly 0, so no root-find stop enters it
-    golden = f"uncoded_single.{grid}.json"
-    assert solve_to(tmp_path, "uncoded_single", grid, golden) == (UNCODED / golden).read_bytes()
+@pytest.mark.parametrize("scenario", ["uncoded_single", "uncoded_waterfill"])
+def test_uncoded_solves_match_the_committed_copies(tmp_path, scenario, grid):
+    # a flat case-2 solve, whose lambda is exactly 0, so no root-find stop
+    # enters it, and an AR(1) case-1 solve, full-band water-filling
+    golden = f"{scenario}.{grid}.json"
+    assert solve_to(tmp_path, scenario, grid, golden) == (UNCODED / golden).read_bytes()
 
 
 @pytest.mark.parametrize("grid", [512, 32768])

@@ -51,7 +51,7 @@ def test_import_leaves_scipy_out():
 
 def test_cli_runs_every_scenario_with_scipy_blocked(tmp_path):
     files = sorted(str(p) for p in (ROOT / "scripts" / "scenarios").glob("*.json"))
-    assert len(files) == 10
+    assert len(files) == 11
     result = json.loads(run(SCRIPT, str(tmp_path), *files))
     assert result["codes"] == {f: 0 for f in files}
     assert result["scipy_loaded"] == []

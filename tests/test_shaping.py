@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import flat_case_closed_form
+from specshape import shaping
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario, wk_floor, wk_mse
 from specshape.shaping import (
@@ -166,6 +167,23 @@ def test_solve_dispatch_tags():
     assert sol.rate == 0.0
     with pytest.raises(InfeasibleScenarioError):
         solve_case2(bad)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.3], ids=["flat", "ar1"])
+def test_entry_points_agree_on_the_case_at_the_water_filling_threshold(epsilon):
+    # D within the tightness tolerance above the full-band water-filling MSE:
+    # water-filling meets D, and meets it with equality, so every entry point
+    # returns the same solution under the same tag.
+    g, P = make_grid(512), 3.0
+    phi_s = flat_spectrum(g, 1.0) if epsilon is None else ar1_spectrum(g, 1.0, epsilon)
+    sc = UncodedScenario(10.0, phi_s, flat_spectrum(g, 1.0), 1.0, P)
+    D = shaping._waterfill_on(shaping._Workspace(sc), P, 1.0)[0] * (1 + 5e-7)
+    sc = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, D, P)
+    sols = [solve(sc), solve_case1(sc), solve_case2(sc)]
+    assert {s.case_tag for s in sols} == {CaseTag.BOTH_CONSTRAINTS_ACTIVE}
+    assert len({s.rate for s in sols}) == 1
+    assert all(s.power == P for s in sols)
+    assert mean_power(sols[0].phi_x) == pytest.approx(P, rel=1e-14)
 
 
 def test_onoff_prelog_flat_closed_form():
