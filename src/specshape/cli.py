@@ -408,23 +408,25 @@ def _mesh_rows(grid: FrequencyGrid, phi_s: Spectrum, sigma2_n: float,
     # order, the running sums of w*u and its smoothing floor. Rounding can
     # swap the u of two cells, so the order serves a gain only where it is
     # np.argsort(u, kind="stable"): u rising along it, indices rising where u
-    # ties. Any other gain sorts in a workspace of its own.
+    # ties. Any other gain sorts its own u, and takes its own weights and
+    # their running sums along that sort.
     order = np.argsort(phi_s.values, kind="stable")
     rising = order[1:] > order[:-1]
-    wts = grid.weights[order]
-    cumw = shaping._prefix_sums(wts)[1:]
+    shared = grid.weights[order]
+    shared_cumw = shaping._prefix_sums(shared)[1:]
     columns = []
     for a in gains:
-        sc = replace(cells[0], a=a)
-        u, _, dlow = shaping._preemphasis(sc)
+        u, _, dlow = shaping._preemphasis(replace(cells[0], a=a))
         us = u[order]
         if ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
-            cum = shaping._prefix_sums(wts * us)[1:] / np.pi
-            columns.append([shaping._onoff_support(cumw, wts, us, cum, c.D - dlow)[0]
-                            for c in cells])
+            wts, cumw = shared, shared_cumw
         else:
-            ws = shaping._Workspace(sc)
-            columns.append([shaping._onoff_support_ws(ws, c.D)[0] for c in cells])
+            own = np.argsort(u, kind="stable")
+            us, wts = u[own], grid.weights[own]
+            cumw = shaping._prefix_sums(wts)[1:]
+        cum = shaping._prefix_sums(wts * us)[1:] / np.pi
+        columns.append([shaping._onoff_support(cumw, wts, us, cum, c.D - dlow)[0]
+                        for c in cells])
     return [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
             for i, d_ratio in enumerate(d_ratios)
             for snr_db, column in zip(snr_dbs, columns)]
@@ -474,7 +476,7 @@ def _solve_multilegacy(p: _Params, grid_points: int, factor: float):
         return {
             "kind": "multilegacy",
             "prelog": res.prelog,
-            "support_fraction": res.support_fraction,
+            "support_fraction": res.prelog,
             "support": res.support.astype(int),
             "budgets": res.budgets,
             "spent": res.spent,

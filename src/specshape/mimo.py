@@ -28,7 +28,7 @@ insensitive to the spatial shape, scaling instead with rank(H_c).
 
 The search has a power-independent half, `_Link`: the eigenmodes of
 H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
-eigenvalues of modes A and B-2. Its per-power half runs only the root-finds
+eigenvalues of mode A, also B-2's. Its per-power half runs only the root-finds
 and the rate sums, in plain Python floats. A rate curve asks for one link at
 power after power, so each channel keeps the link of the last shape it was
 searched with, keyed by the bytes of Q; its arrays are private read-only
@@ -278,7 +278,7 @@ class _Link:
     """The power-independent half of the on-off search on one channel and one
     unit-trace shape Q: the eigenmodes of H_c Q H_c^H, the projections of h_c
     on them, the legacy and decode gains, and, on the first search that needs
-    them, the whitened eigenvalues of modes A and B-2 and B-2's log-det.
+    them, the gains whitened by mode A's noise, which B-2 shares.
 
     One-time eigendecompositions make every w-evaluation a stable sum of
     log1p / rational terms over the eigenmodes, immune to the huge P/w
@@ -295,7 +295,6 @@ class _Link:
         lam = np.maximum(lam, 0.0)
         self.ch = ch
         self.HQH = HQH
-        self.hco = np.outer(ch.h_c, ch.h_c.conj())
         self.lam = lam
         self.proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
         self.k_dec = (ch.g_c * lam).tolist()
@@ -303,30 +302,20 @@ class _Link:
         self.C_l = ch.legacy_capacity
         self.off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
 
-    def _whitened_eigs(self, noise):
-        L = np.linalg.cholesky(noise)
-        X = np.linalg.solve(L, self.HQH)
-        S = np.linalg.solve(L, X.conj().T).conj().T
-        return np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)
-
     @cached_property
     def gains_a(self) -> list:
+        """g_c times the eigenvalues of H_c Q H_c^H whitened by mode A's
+        noise covariance, sigma2_nc I + a_c sigma2_s h_c h_c^H."""
         ch = self.ch
-        mu_a = self._whitened_eigs(ch.sigma2_nc * np.eye(ch.n_r)
-                                   + ch.a_c * ch.sigma2_s * self.hco)
-        return (ch.g_c * mu_a).tolist()
+        hco = np.outer(ch.h_c, ch.h_c.conj())
+        L = np.linalg.cholesky(ch.sigma2_nc * np.eye(ch.n_r) + ch.a_c * ch.sigma2_s * hco)
+        X = np.linalg.solve(L, self.HQH)
+        S = np.linalg.solve(L, X.conj().T).conj().T
+        return (ch.g_c * np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)).tolist()
 
     @cached_property
     def gains_b1(self) -> list:
         return (self.ch.g_c / self.ch.sigma2_nc * self.lam).tolist()
-
-    @cached_property
-    def b2(self) -> tuple[float, list]:
-        """B-2's log det(A) and its on-level gains."""
-        ch = self.ch
-        A_b2 = np.eye(ch.n_r) + (ch.a_c * ch.sigma2_s / ch.sigma2_nc) * self.hco
-        nu_b2 = self._whitened_eigs(A_b2) / ch.sigma2_nc
-        return float(np.linalg.slogdet(A_b2)[1]), (ch.g_c * nu_b2).tolist()
 
     def search(self, P: float):
         """Best (mode, w, rate, residuals) at the float budget P; see
@@ -368,9 +357,11 @@ class _Link:
 
         # Each mode's best w is its widest feasible support. Every rate is
         # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
-        # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w. The
-        # linear terms of B-2, w logdet(A) + (1 - w) off_dec, do not depend on
-        # w: logdet(A) = off_dec by the matrix determinant lemma.
+        # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w.
+        # B-2's matrix I + (s_c/n_c) h_c h_c^H is mode A's noise covariance
+        # over n_c, so B-2's whitened gains are mode A's, and its log-det is
+        # off_dec by the matrix determinant lemma: B-2's linear terms,
+        # w off_dec + (1 - w) off_dec, are off_dec at every w.
         w_l = _widest_feasible(legacy_con)
         candidates = []
         if w_l is not None and off_dec <= R_l:
@@ -383,10 +374,8 @@ class _Link:
                 candidates.append((DecodeMode.SUCCESSIVE_B1, w,
                                    w * on_rate(self.gains_b1, w)))
             if decode_con(w_l)[0] <= 0.0:
-                logdet_a, gains_b2 = self.b2
-                on = logdet_a + on_rate(gains_b2, w_l)
                 candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
-                                   w_l * on + (1.0 - w_l) * off_dec - R_l))
+                                   w_l * on_rate(self.gains_a, w_l) + off_dec - R_l))
         if not candidates:
             raise InfeasibleScenarioError("no feasible operating point")
         mode, w, rate = max(candidates, key=lambda t: t[2])

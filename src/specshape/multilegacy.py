@@ -60,7 +60,6 @@ class MultiLegacyScenario:
 @dataclass(frozen=True)
 class MultiPrelogResult:
     prelog: float
-    support_fraction: float
     support: np.ndarray
     spent: np.ndarray
     budgets: np.ndarray
@@ -82,7 +81,7 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     singles = [UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0) for r in scenario.receivers]
     budgets = np.array([sc.D - wk_floor(sc) for sc in singles])
     if (budgets <= 0).any():
-        return MultiPrelogResult(0.0, 0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
+        return MultiPrelogResult(0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
 
     dens = np.array([preemphasized_psd(sc).values for sc in singles])
     costs = dens * w / np.pi
@@ -108,7 +107,7 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     taken = order[support[order]]
     spent = np.cumsum(costs[:, taken], axis=1)[:, -1] if taken.size else np.zeros(K)
     frac = min(1.0, float(w @ x) / np.pi)
-    return MultiPrelogResult(frac, frac, support, spent, budgets)
+    return MultiPrelogResult(frac, support, spent, budgets)
 
 
 def _simplex(w, A, x, basis):

@@ -89,7 +89,6 @@ class ShapingSolution:
 class PrelogResult:
     prelog: float
     gamma: float
-    support_fraction: float
     support: np.ndarray
 
 
@@ -525,7 +524,7 @@ def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     frac, gamma, k = _onoff_support_ws(ws, scenario.D)
     mask = np.zeros(ws.cumw.size, dtype=bool)
     mask[ws.order[:k]] = True
-    return PrelogResult(frac, gamma, frac, mask)
+    return PrelogResult(frac, gamma, mask)
 
 
 def rate_curve(

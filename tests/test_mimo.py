@@ -410,6 +410,31 @@ def test_solve_mimo_beats_dense_w_oracle(shape):
     assert DecodeMode.TREAT_AS_NOISE in modes and len(modes) >= 2
 
 
+def test_rate_split_rate_matches_direct_logdet():
+    # B-2 reads mode A's whitened gains and the quiet decode rate; the direct
+    # log-det of its own matrix at the returned w must agree. Complex Gaussian
+    # H_c is full rank; a_c and P are drawn where rate splitting often wins.
+    rng = np.random.default_rng(25)
+    shapes = []
+    for _ in range(120):
+        n_r, n_t = (int(n) for n in rng.integers(1, 5, size=2))
+        H = rng.normal(size=(n_r, n_t)) + 1j * rng.normal(size=(n_r, n_t))
+        h_l = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+        h_c = rng.normal(size=n_r) + 1j * rng.normal(size=n_r)
+        ch = channel(H=H, h_l=h_l, h_c=h_c, a_c=10.0 ** rng.uniform(-1.5, 0.0),
+                     legacy_load=rng.uniform(0.2, 0.8))
+        P = 10.0 ** rng.uniform(1.0, 5.0)
+        sol = solve_mimo(ch, P, grid=GRID)
+        if sol.mode is not DecodeMode.RATE_SPLIT_B2:
+            continue
+        shapes.append((n_r, n_t))
+        direct = direct_onoff(ch, P, np.array([sol.w]))[3][DecodeMode.RATE_SPLIT_B2][0]
+        assert sol.rate == pytest.approx(direct, rel=1e-9), (n_r, n_t, P)
+    assert len(shapes) >= 20
+    assert {n_r for n_r, _ in shapes} == {1, 2, 3, 4}
+    assert {n_t for _, n_t in shapes} == {1, 2, 3, 4}
+
+
 def test_onoff_rates_nondecreasing_in_w():
     # The on-off search takes each mode's widest feasible support; that rests
     # on every mode's rate, at a fixed power, never falling as w grows, and on

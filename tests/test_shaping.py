@@ -190,7 +190,6 @@ def test_onoff_prelog_flat_closed_form():
     res = onoff_prelog(flat_study())
     expected = (1.0 + 1.0 / 1000.0) * 0.01 - 1.0 / 1000.0  # 0.00901
     assert res.prelog == pytest.approx(expected, rel=1e-9)
-    assert res.prelog == res.support_fraction
 
 
 def test_onoff_prelog_snr_limit():
