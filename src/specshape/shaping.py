@@ -374,7 +374,14 @@ def _solution_from(ws: _Workspace, cand: _Candidate, P: float) -> ShapingSolutio
     )
 
 
-def _search_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
+def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
+    """The uncoded solve at budget P, shared by every entry point."""
+    D = ws.scenario.D
+    if D <= ws.dlow:
+        zero = Spectrum(ws.grid, np.zeros(ws.grid.n_points))
+        tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
+        return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
+
     # Water-filling on a support of fraction w never loses rate as w grows (a
     # wider support can copy a narrower allocation), so the slack branch peaks
     # at the kink, the widest support whose water-filling MSE meets D: the
@@ -439,43 +446,10 @@ def _search_ws(ws: _Workspace, P: float, D: float) -> ShapingSolution:
     return _solution_from(ws, best, P)
 
 
-def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
-    """The uncoded solve at budget P, shared by every entry point."""
-    D = ws.scenario.D
-    if D <= ws.dlow:
-        zero = Spectrum(ws.grid, np.zeros(ws.grid.n_points))
-        tag = CaseTag.INFEASIBLE if D < ws.dlow else CaseTag.DEGENERATE_ZERO
-        return ShapingSolution(zero, 0.0, ws.dlow, 0.0, tag, 0.0, 0.0)
-    return _search_ws(ws, P, D)
-
-
-def _feasible_ws(scenario: UncodedScenario) -> _Workspace:
-    """The workspace of a scenario whose target lies above the smoothing floor."""
-    ws = _Workspace(scenario)
-    if scenario.D <= ws.dlow:
-        raise InfeasibleScenarioError("distortion target at or below the smoothing floor")
-    return ws
-
-
-def solve_case1(scenario: UncodedScenario) -> ShapingSolution | None:
-    """Full-band water-filling, the search's result when it meets the
-    distortion target (tagged both-constraints-active when it meets it with
-    equality); None when it violates the target."""
-    ws = _feasible_ws(scenario)
-    if _waterfill_on(ws, scenario.P, 1.0)[0] > scenario.D:
-        return None
-    return _search_ws(ws, scenario.P, scenario.D)
-
-
-def solve_case2(scenario: UncodedScenario) -> ShapingSolution:
-    """The support-family search, which returns full-band water-filling when
-    that meets the distortion target."""
-    return _search_ws(_feasible_ws(scenario), scenario.P, scenario.D)
-
-
 def solve(scenario: UncodedScenario) -> ShapingSolution:
-    """The uncoded solve. Infeasible and degenerate targets come back as
-    tagged zero-power solutions rather than exceptions."""
+    """The uncoded solve of both regimes: `case_tag` tells case 1
+    (WaterfillFeasible) from case 2 (BothConstraintsActive). Infeasible and
+    degenerate targets come back as tagged zero solutions, not exceptions."""
     return _solve_ws(_Workspace(scenario), scenario.P)
 
 

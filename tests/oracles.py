@@ -80,7 +80,7 @@ def flat_case_closed_form(scenario: UncodedScenario) -> ShapingSolution:
     if w > 1.0:
         raise ValueError(
             "outside the closed-form regime: support fraction exceeds 1 "
-            "(the water-filling case applies; use solve_case2/solve)")
+            "(the water-filling case applies)")
     cum = np.cumsum(scenario.grid.weights)
     mask = cum <= w * np.pi
     phi_x = Spectrum(scenario.grid, np.where(mask, phi0, 0.0))

@@ -11,12 +11,12 @@ from scipy import optimize
 
 from oracles import decode_rate_at_cognitive, flat_case_closed_form, legacy_rate
 from specshape.coded import CodedScenario, coded_prelog, solve_coded
-from specshape.estimation import UncodedScenario, wk_floor
+from specshape.estimation import UncodedScenario, wk_floor, wk_mse
 from specshape.mimo import MimoChannel, mimo_prelog, solve_mimo
 from specshape.multilegacy import LegacyReceiver, MultiLegacyScenario, max_prelog_support
-from specshape.shaping import (CurveMethod, onoff_prelog, preemphasized_psd, rate_curve,
-                               solve_case2)
+from specshape.shaping import CurveMethod, onoff_prelog, preemphasized_psd, rate_curve, solve
 from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid
+from specshape.waterfill import waterfill
 
 GRID = make_grid(4096)
 D_RATIOS = np.linspace(0.02, 0.5, 10)
@@ -92,7 +92,7 @@ def test_criterion_03_closed_form_agreement():
         for P in (1e2, 1e3, 1e4):
             sc = flat_scenario(P=P)
             ref = flat_case_closed_form(sc)
-            got = solve_case2(sc)
+            got = solve(sc)
             assert abs(got.rate - ref.rate) <= 1e-6 * ref.rate
 
 
@@ -260,9 +260,9 @@ def test_criterion_09_oracle_equivalence():
     with criterion(9, "solvers are not beaten by independent searches", 300.0):
         # non-convex support-sweep solver vs random search + SLSQP polish
         sc, bins = _eight_bin_scenario()
-        from specshape.shaping import solve_case1
-        assert solve_case1(sc) is None  # the both-active regime is exercised
-        sol = solve_case2(sc)
+        # the both-active regime is exercised
+        assert wk_mse(waterfill(Spectrum(sc.grid, sc.base()), sc.P).phi_x, sc) > sc.D
+        sol = solve(sc)
         w = sc.grid.weights
         solver_levels = np.array([
             float(np.dot(w[bins == k], sol.phi_x.values[bins == k]) / w[bins == k].sum())

@@ -174,7 +174,7 @@ def test_case2_evaluation_budget(monkeypatch):
         if shaping._waterfill_on(ws, sc.P, 1.0)[0] <= sc.D:
             continue
         evals.calls = fills.calls = 0
-        shaping._search_ws(ws, sc.P, sc.D)
+        shaping._solve_ws(ws, sc.P)
         counts.append((evals.calls, fills.calls))
     assert len(counts) >= 40
     assert max(e for e, _ in counts) <= 30
@@ -195,6 +195,18 @@ def test_case2_fill_budget_at_high_power(monkeypatch):
     assert evals.calls >= 1
     assert fills.calls <= evals.calls + 2
     assert g.n_points not in fills.sizes
+
+
+@pytest.mark.parametrize("P", [0.1, 1.0, 10.0])
+def test_case1_fills_the_full_band_once(monkeypatch, P):
+    # Where full-band water-filling meets D, the search's first step is the
+    # whole answer: at these powers the closed form does not hold, so the
+    # real fill runs, once, and the solution reuses it.
+    g = make_grid(32768)
+    sc = UncodedScenario(10.0, ar1_spectrum(g, 1.0, 0.3), flat_spectrum(g, 1.0), 0.2, P)
+    fills = Counter(monkeypatch, shaping, "_fill")
+    assert solve(sc).case_tag is CaseTag.WATERFILL_FEASIBLE
+    assert fills.sizes == [g.n_points]
 
 
 def rescaled_ar1(c, P, D=0.01, grid=make_grid(4096)):

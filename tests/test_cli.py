@@ -189,7 +189,7 @@ def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, monkeypatch, case):
     phi_n = flat_spectrum(grid, MESH_S2N)
     sigma2_s = mean_power(phi_s)
     shared = np.argsort(phi_s.values, kind="stable")
-    rows, prelogs, own_sorts = ["d_ratio,snr_db,prelog"], [], set()
+    rows, prelogs, own_sorts, supports = ["d_ratio,snr_db,prelog"], [], set(), {}
     for d in MESH_D_RATIOS:
         for snr in MESH_SNR_DBS:
             sc = UncodedScenario(a=cli.db_to_linear(snr) * MESH_S2N / sigma2_s, phi_s=phi_s,
@@ -200,6 +200,9 @@ def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, monkeypatch, case):
             u = shaping.preemphasized_psd(sc).values
             if not np.array_equal(np.argsort(u, kind="stable"), shared):
                 own_sorts.add(snr)
+            ws = shaping._Workspace(sc)
+            supports[snr, d] = (ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi,
+                                sc.D - ws.dlow)
     assert 0.0 in prelogs and 1.0 in prelogs
     assert any(0.0 < v < 1.0 for v in prelogs)
     # the mesh sorts phi_s once, and again only for a gain whose u that
@@ -208,11 +211,24 @@ def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, monkeypatch, case):
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    # and each cell's on-off support reads, bit for bit, the arrays a
+    # per-cell workspace builds: the pre-emphasis order, weights and running
+    # sums, the own sort's where the shared order does not serve
+    calls = []
+    onoff = shaping._onoff_support
+    monkeypatch.setattr(shaping, "_onoff_support",
+                        lambda *args: calls.append(args) or onoff(*args))
     out = tmp_path / "mesh.csv"
     assert cli.main(["prelog-mesh", write(tmp_path, doc), "-o", str(out),
                      "--grid", str(n), "--quiet"]) == 0
     assert len(sorts) == 1 + len(own_sorts)
     assert out.read_text() == "\n".join(rows) + "\n"
+    cells = [(snr, d) for snr in MESH_SNR_DBS for d in MESH_D_RATIOS]
+    assert len(calls) == len(cells)
+    for cell, args in zip(cells, calls):
+        want = supports[cell]
+        assert [g.tobytes() for g in args[:4]] == [w.tobytes() for w in want[:4]], cell
+        assert args[4] == want[4], cell
 
 
 def run_mesh_bad(tmp_path, capsys, mesh, legacy=None):

@@ -12,8 +12,6 @@ from specshape.shaping import (
     preemphasized_psd,
     rate_curve,
     solve,
-    solve_case1,
-    solve_case2,
 )
 from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid, mean_power
 from specshape.waterfill import waterfill
@@ -28,6 +26,12 @@ def flat_study(P=1000.0, grid=GRID):
 
 def ar_study(P=1000.0, grid=GRID):
     return UncodedScenario(1000.0, ar1_spectrum(grid, 1.0, 0.1), flat_spectrum(grid, 1.0), 0.01, P)
+
+
+def waterfill_mse(sc):
+    """MSE of full-band water-filling, the case-1 candidate, through the
+    public API."""
+    return wk_mse(waterfill(Spectrum(sc.grid, sc.base()), sc.P).phi_x, sc)
 
 
 def test_preemphasized_flat():
@@ -45,22 +49,22 @@ def test_preemphasized_zero_signal_and_large_gain():
 
 
 def test_case1_accepts_small_power():
-    sol = solve_case1(flat_study(P=0.1))
-    assert sol is not None
+    sol = solve(flat_study(P=0.1))
     assert sol.case_tag is CaseTag.WATERFILL_FEASIBLE
     assert sol.rate == pytest.approx(np.log1p(0.1 / 1001.0), rel=1e-12)
 
 
 def test_case1_rejects_beyond_threshold():
     # threshold sigma2_s*D/(sigma2_s-D)*a - sigma2_n = 9.1010...
-    assert solve_case1(flat_study(P=20.0)) is None
-    assert solve_case1(flat_study(P=9.0)) is not None
+    sc = flat_study(P=20.0)
+    assert waterfill_mse(sc) > sc.D
+    assert solve(sc).case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert solve(flat_study(P=9.0)).case_tag is CaseTag.WATERFILL_FEASIBLE
 
 
 def test_case1_vacuous_target_always_accepts():
     sc = UncodedScenario(1000.0, flat_spectrum(GRID, 1.0), flat_spectrum(GRID, 1.0), 1.5, 1e7)
-    sol = solve_case1(sc)
-    assert sol is not None
+    assert solve(sc).case_tag is CaseTag.WATERFILL_FEASIBLE
 
 
 def test_closed_form_reference_values():
@@ -90,7 +94,7 @@ def test_case2_matches_closed_form_rate():
     for P in (100.0, 1000.0, 10_000.0):
         sc = flat_study(P=P)
         ref = flat_case_closed_form(sc)
-        got = solve_case2(sc)
+        got = solve(sc)
         assert got.rate == pytest.approx(ref.rate, rel=1e-6)
         assert got.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
 
@@ -98,15 +102,18 @@ def test_case2_matches_closed_form_rate():
 def test_case2_continuous_at_case1_threshold():
     thresh = 1.0 * 0.01 / 0.99 * 1000.0 - 1.0
     sc = flat_study(P=thresh)
-    r1 = solve_case1(sc)
+    r1 = solve(sc)
     ref = flat_case_closed_form(flat_study(P=thresh * (1 + 1e-9)))
-    assert r1 is not None
+    # Full-band water-filling, meeting D with equality.
+    assert r1.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert r1.rate == pytest.approx(waterfill(Spectrum(sc.grid, sc.base()), sc.P).rate,
+                                    rel=1e-12)
     assert ref.rate == pytest.approx(r1.rate, rel=1e-6)
 
 
 def test_case2_tightness_and_stationarity():
     for sc in (flat_study(P=1000.0), ar_study(P=1000.0)):
-        sol = solve_case2(sc)
+        sol = solve(sc)
         assert abs(sol.mse - sc.D) <= 1e-6 * sc.D
         assert abs(sol.power - sc.P) <= 1e-6 * sc.P
         # rendered spectrum stays inside both constraints
@@ -127,14 +134,14 @@ def test_case2_rate_vanishes_near_floor():
     sc = flat_study(P=100.0)
     dlow = wk_floor(sc)
     tight = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, dlow * 1.0001, 100.0)
-    sol = solve_case2(tight)
+    sol = solve(tight)
     assert sol.rate < 1e-3
 
 
 def test_case2_beats_interference_temperature_on_ar():
     sc = ar_study(P=1000.0)
     it = rate_curve(sc, [1000.0], CurveMethod.INTERFERENCE_TEMPERATURE)[0][1]
-    sh = solve_case2(sc).rate
+    sh = solve(sc).rate
     assert sh > it
 
 
@@ -165,25 +172,24 @@ def test_solve_dispatch_tags():
     sol = solve(bad)
     assert sol.case_tag is CaseTag.INFEASIBLE
     assert sol.rate == 0.0
-    with pytest.raises(InfeasibleScenarioError):
-        solve_case2(bad)
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.3], ids=["flat", "ar1"])
 def test_entry_points_agree_on_the_case_at_the_water_filling_threshold(epsilon):
     # D within the tightness tolerance above the full-band water-filling MSE:
-    # water-filling meets D, and meets it with equality, so every entry point
-    # returns the same solution under the same tag.
+    # water-filling meets D, and meets it with equality, so `solve` tags it
+    # both-constraints-active and `rate_curve`, the other entry point over
+    # the same search, returns the same rate.
     g, P = make_grid(512), 3.0
     phi_s = flat_spectrum(g, 1.0) if epsilon is None else ar1_spectrum(g, 1.0, epsilon)
     sc = UncodedScenario(10.0, phi_s, flat_spectrum(g, 1.0), 1.0, P)
     D = shaping._waterfill_on(shaping._Workspace(sc), P, 1.0)[0] * (1 + 5e-7)
     sc = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, D, P)
-    sols = [solve(sc), solve_case1(sc), solve_case2(sc)]
-    assert {s.case_tag for s in sols} == {CaseTag.BOTH_CONSTRAINTS_ACTIVE}
-    assert len({s.rate for s in sols}) == 1
-    assert all(s.power == P for s in sols)
-    assert mean_power(sols[0].phi_x) == pytest.approx(P, rel=1e-14)
+    sol = solve(sc)
+    assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
+    assert rate_curve(sc, [P], CurveMethod.SPECTRUM_SHAPING) == [(P, sol.rate)]
+    assert sol.power == P
+    assert mean_power(sol.phi_x) == pytest.approx(P, rel=1e-14)
 
 
 def test_onoff_prelog_flat_closed_form():
@@ -297,8 +303,8 @@ def test_case2_respects_constraints_on_rough_bins():
     sc = UncodedScenario(50.0, Spectrum(g, s_levels[bins]), Spectrum(g, n_levels[bins]),
                          D=0.1, P=40.0)
     assert wk_floor(sc) < sc.D < sc.sigma2_s
-    assert solve_case1(sc) is None
-    sol = solve_case2(sc)
+    assert waterfill_mse(sc) > sc.D
+    sol = solve(sc)
     assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
     assert sol.mse == pytest.approx(sc.D, rel=1e-6)
     assert mean_power(sol.phi_x) <= sc.P * (1 + 1e-12)  # rendering rounds down

@@ -20,7 +20,7 @@ SURFACE = {
     "multilegacy": ["LegacyReceiver", "MultiLegacyScenario", "MultiPrelogResult",
                     "low_noise_support", "max_prelog_support"],
     "shaping": ["CaseTag", "CurveMethod", "PrelogResult", "ShapingSolution", "onoff_prelog",
-                "preemphasized_psd", "rate_curve", "solve", "solve_case1", "solve_case2"],
+                "preemphasized_psd", "rate_curve", "solve"],
     "spectra": ["FrequencyGrid", "Spectrum", "ar1_spectrum", "flat_spectrum", "make_grid",
                 "mean_power", "tabulated_spectrum"],
     "waterfill": ["WaterfillResult", "rate", "rate_bins", "waterfill"],
