@@ -15,13 +15,13 @@ else the better of B-1 and B-2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import _positive
 from .mimo import DecodeMode, MimoChannel, _LegacyLink, _Link
 
 
@@ -46,12 +46,8 @@ class CodedScenario(_LegacyLink):
     P: float
 
     def __post_init__(self):
-        vals = (self.a_l, self.g_l, self.a_c, self.g_c,
-                self.sigma2_s, self.sigma2_nl, self.sigma2_nc, self.P)
-        if not all(0 < v < math.inf for v in vals):
-            raise ValueError("gains and powers must be positive and finite")
-        if not 0 < self.R_l < math.inf:
-            raise ValueError("legacy rate must be positive and finite")
+        self._store_scalars()
+        object.__setattr__(self, "P", _positive(self.P, "power must be positive and finite"))
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,7 @@ _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
           DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
 
 
-# typed: an int product is exact where a float one rounds, so int, float and
-# numpy twins of the same values each get their own link
-@lru_cache(maxsize=1, typed=True)
+@lru_cache(maxsize=1)
 def _setup(a_l, g_l, a_c, g_c, sigma2_s, sigma2_nl, sigma2_nc, R_l) -> _Link:
     ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=a_l, g_l=g_l, a_c=a_c,
                      g_c=g_c, sigma2_s=sigma2_s, sigma2_nl=sigma2_nl,
@@ -83,15 +77,11 @@ def solve_coded(sc: CodedScenario) -> CodedSolution:
     undecodable in silence, else the better of B-1 and B-2.
 
     The search is `mimo`'s on the 1x1 link. `_setup` keeps the last link
-    built, keyed by the scenario's link scalars and their types, so a power
-    sweep builds its 1x1 `MimoChannel` once. `CodedScenario` has checked
-    every scalar the channel would."""
+    built, keyed by the scenario's link scalars, so a power sweep builds its
+    1x1 `MimoChannel` once. `CodedScenario` has stored every scalar as a
+    checked float, as the channel would."""
     P = sc._budget(sc.P)
-    scalars = (sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl, sc.sigma2_nc, sc.R_l)
-    try:
-        link = _setup(*scalars)
-    except TypeError:  # a 0-d array is unhashable: key it by its numpy scalar
-        link = _setup(*(v[()] if isinstance(v, np.ndarray) else v for v in scalars))
+    link = _setup(sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl, sc.sigma2_nc, sc.R_l)
     mode, w, rate, residuals = link.search(P)
     return CodedSolution(w=w, phi0=sc.P / w, rate=rate, case_tag=_CASES[mode],
                          residuals=residuals)

@@ -9,11 +9,11 @@ when the legacy gain is large.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _positive
 from .spectra import Spectrum, mean_power
 
 
@@ -28,12 +28,10 @@ class UncodedScenario:
     P: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError("legacy channel gain must be positive and finite")
-        if not 0 < self.D < math.inf:
-            raise ValueError("distortion target must be positive and finite")
-        if not 0 < self.P < math.inf:
-            raise ValueError("power budget must be positive and finite")
+        for name, message in (("a", "legacy channel gain must be positive and finite"),
+                              ("D", "distortion target must be positive and finite"),
+                              ("P", "power budget must be positive and finite")):
+            object.__setattr__(self, name, _positive(getattr(self, name), message))
         if self.phi_s.grid is not self.phi_n.grid:
             raise ValueError("signal and noise spectra must share a grid")
 

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleScenarioError, SolverError
+from .errors import InfeasibleScenarioError, SolverError, _positive
 from .spectra import FrequencyGrid, make_grid
 
 _HERM_TOL = 1e-12
@@ -142,12 +142,16 @@ class _LegacyLink:
         """1 - R_l/C_l; 0 when the legacy link is overloaded."""
         return 1.0 - self.R_l / self.legacy_capacity if self.is_feasible else 0.0
 
+    def _store_scalars(self):
+        """Store the eight link scalars as checked floats."""
+        for name in ("a_l", "g_l", "a_c", "g_c", "sigma2_s", "sigma2_nl", "sigma2_nc", "R_l"):
+            object.__setattr__(self, name, _positive(
+                getattr(self, name), "gains, powers and R_l must be positive and finite"))
+
     def _budget(self, P) -> float:
         """P as a float, once it is a positive finite budget and the legacy
         link carries R_l."""
-        P = float(P)
-        if not 0 < P < math.inf:
-            raise ValueError("power budget must be positive and finite")
+        P = _positive(P, "power budget must be positive and finite")
         if not self.is_feasible:
             raise InfeasibleScenarioError("legacy rate exceeds the legacy channel capacity")
         return P
@@ -156,7 +160,8 @@ class _LegacyLink:
 @dataclass(frozen=True)
 class MimoChannel(_LegacyLink):
     """Cognitive MIMO link plus the scalar legacy cross-channels. The arrays
-    are stored as read-only complex copies of the ones given."""
+    are stored as read-only complex copies of the ones given, the scalars as
+    checked Python floats."""
 
     H_c: np.ndarray   # N_r x N_t cognitive channel matrix
     h_l: np.ndarray   # N_t vector: cognitive transmit -> legacy receiver
@@ -180,10 +185,7 @@ class MimoChannel(_LegacyLink):
             raise ValueError("channel vector dimensions do not match H_c")
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
             raise ValueError("channel matrix and vectors must be finite")
-        vals = (self.a_l, self.g_l, self.a_c, self.g_c,
-                self.sigma2_s, self.sigma2_nl, self.sigma2_nc, self.R_l)
-        if not all(0 < v < math.inf for v in vals):
-            raise ValueError("gains, powers and the legacy rate must be positive and finite")
+        self._store_scalars()
         for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -11,14 +11,13 @@ LP by a bounded simplex from the greedy start.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-from .estimation import UncodedScenario, wk_floor
-from .shaping import _prefix_length, preemphasized_psd
+from .errors import SolverError, _positive
+from .estimation import UncodedScenario
+from .shaping import _preemphasis, _prefix_length
 from .spectra import Spectrum, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
@@ -33,10 +32,9 @@ class LegacyReceiver:
     D: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError("receiver gain must be positive and finite")
-        if not 0 < self.D < math.inf:
-            raise ValueError("distortion targets must be positive and finite")
+        for name, message in (("a", "receiver gain must be positive and finite"),
+                              ("D", "distortion targets must be positive and finite")):
+            object.__setattr__(self, name, _positive(getattr(self, name), message))
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,15 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
 
     # each receiver as a single-receiver scenario (the power budget is unused)
     singles = [UncodedScenario(r.a, scenario.phi_s, r.phi_n, r.D, 1.0) for r in scenario.receivers]
-    budgets = np.array([sc.D - wk_floor(sc) for sc in singles])
+    dens, _, floors = zip(*map(_preemphasis, singles))  # one pre-emphasis pass each
+    budgets = np.array([sc.D for sc in singles]) - floors
     if (budgets <= 0).any():
         return MultiPrelogResult(0.0, np.zeros(n, dtype=bool), np.zeros(K), budgets)
 
-    dens = np.array([preemphasized_psd(sc).values for sc in singles])
+    dens = np.array(dens)
     costs = dens * w / np.pi
-    with np.errstate(divide="ignore"):
-        key = np.max(dens / budgets[:, None], axis=0)
-    order = np.lexsort((np.arange(n), key))
+    key = np.max(dens / budgets[:, None], axis=0)
+    order = np.argsort(key, kind="stable")
 
     running = np.cumsum(costs[:, order], axis=1)
     take = _prefix_length(running, budgets)
@@ -160,7 +158,7 @@ def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     mask = np.zeros(grid.n_points, dtype=bool)
     if budget <= 0:
         return mask
-    order = np.lexsort((np.arange(grid.n_points), s))
+    order = np.argsort(s, kind="stable")
     take = _prefix_length(np.cumsum(w[order] * s[order]), budget)
     mask[order[:take]] = True
     return mask

@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _scalar
-from .errors import InfeasibleScenarioError
+from .errors import InfeasibleScenarioError, _positive
 from .estimation import UncodedScenario, memoryless_power_cap
 from .spectra import Spectrum
 from .waterfill import _fill, rate_bins, waterfill
@@ -480,7 +480,7 @@ def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.nda
     theta = (budget - spent) / cost_next if cost_next > 0 else 0.0
     measure = (cumw[k - 1] if k > 0 else 0.0) + theta * ws[k]
     gamma = float(us[k]) if theta > 0 else float(us[k - 1])
-    return min(measure / np.pi, 1.0), gamma, k
+    return min(float(measure) / np.pi, 1.0), gamma, k
 
 
 def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int]:
@@ -508,9 +508,9 @@ def rate_curve(
 ) -> list[tuple[float, float]]:
     """Rate versus power budget for one of the two strategies."""
     method = CurveMethod(method)
-    pw = [float(p) for p in powers]
-    if not all(0 < p < math.inf for p in pw) or any(b <= a for a, b in zip(pw, pw[1:])):
-        raise ValueError("power budgets must be positive, finite and strictly ascending")
+    pw = [_positive(p, "power budgets must be positive and finite") for p in powers]
+    if any(b <= a for a, b in zip(pw, pw[1:])):
+        raise ValueError("power budgets must be strictly ascending")
 
     if method is CurveMethod.INTERFERENCE_TEMPERATURE:
         base = Spectrum(scenario.grid, scenario.base())

@@ -89,6 +89,7 @@ def ar1_spectrum(grid: FrequencyGrid, variance: float, epsilon: float) -> Spectr
         raise ValueError("innovation rate must lie in (0, 1]")
     if variance < 0:
         raise ValueError("variance must be nonnegative")
+    variance, epsilon = float(variance), float(epsilon)
     denom = (2.0 - epsilon) - 2.0 * np.sqrt(1.0 - epsilon) * np.cos(grid.omegas)
     return Spectrum(grid, epsilon * variance / denom)
 

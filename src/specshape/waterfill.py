@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _positive
 from .spectra import Spectrum
 
 
@@ -57,8 +57,7 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
 
 def waterfill(base: Spectrum, budget: float) -> WaterfillResult:
     """Maximize the log rate against `base` subject to a total power budget."""
-    if not 0 < budget < math.inf:
-        raise ValueError("power budget must be positive and finite")
+    budget = _positive(budget, "power budget must be positive and finite")
     grid = base.grid
     phi, level = _fill(np.ones(grid.n_points), base.values, grid.weights, budget)
     phi_x = Spectrum(grid, phi)
