@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import _positive
 from .mimo import DecodeMode, MimoChannel, _LegacyLink, _Link
 
@@ -66,20 +64,19 @@ _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
 
 @lru_cache(maxsize=1)
 def _setup(a_l, g_l, a_c, g_c, sigma2_s, sigma2_nl, sigma2_nc, R_l) -> _Link:
-    ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=a_l, g_l=g_l, a_c=a_c,
-                     g_c=g_c, sigma2_s=sigma2_s, sigma2_nl=sigma2_nl,
-                     sigma2_nc=sigma2_nc, R_l=R_l)
-    return _Link(ch, np.eye(1))
+    return MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=a_l, g_l=g_l, a_c=a_c,
+                       g_c=g_c, sigma2_s=sigma2_s, sigma2_nl=sigma2_nl,
+                       sigma2_nc=sigma2_nc, R_l=R_l)._link
 
 
 def solve_coded(sc: CodedScenario) -> CodedSolution:
     """Best on-off operating point: case A when the legacy signal is
     undecodable in silence, else the better of B-1 and B-2.
 
-    The search is `mimo`'s on the 1x1 link. `_setup` keeps the last link
-    built, keyed by the scenario's link scalars, so a power sweep builds its
-    1x1 `MimoChannel` once. `CodedScenario` has stored every scalar as a
-    checked float, as the channel would."""
+    The search is `mimo`'s on the 1x1 link. `_setup` returns that channel's
+    link and keeps the last one, keyed by the scenario's link scalars, so a
+    power sweep builds its 1x1 `MimoChannel` once. `CodedScenario` has stored
+    every scalar as a checked float, as the channel would."""
     P = sc._budget(sc.P)
     link = _setup(sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl, sc.sigma2_nc, sc.R_l)
     mode, w, rate, residuals = link.search(P)

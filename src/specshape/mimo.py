@@ -7,9 +7,9 @@ field in closed form over the eigenmodes of its on-level; the sampled log-det
 evaluators it is checked against, and fields given sample by sample, are test
 references (`tests/oracles.py`).
 
-The on-off search puts the on-level matrix (P/w) Q, with Q a fixed unit-trace
-Hermitian shape, on a support fraction w. Three operating regimes: the
-cognitive receiver cannot decode the legacy signal at all and treats it as
+The on-off search puts the on-level matrix (P/w) Q, with Q the channel's
+unit-trace Hermitian shape, on a support fraction w. Three operating regimes:
+the cognitive receiver cannot decode the legacy signal at all and treats it as
 noise (A), decodes it first and cancels (B-1), or rate-splits across the MAC
 dominant face (B-2). Every regime is a one-dimensional constrained
 maximization in w whose objective never falls as w grows (full power spread
@@ -30,13 +30,13 @@ The search has a power-independent half, `_Link`: the eigenmodes of
 H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
 eigenvalues of mode A, also B-2's. Its per-power half runs only the root-finds
 and the rate sums, in plain Python floats. A rate curve asks for one link at
-power after power, so each channel keeps the link of the last shape it was
-searched with, keyed by the bytes of Q; its arrays are private read-only
-copies, so that link cannot go stale. `coded.solve_coded` keeps its last 1x1
-link in an `lru_cache` over the scenario's link scalars. Results do not
-depend on either cache: a link found there is the one a fresh setup would
-build. The checks of P, feasibility, the shape and the on-level run on every
-call.
+power after power, so each channel keeps its link as a cached attribute; its
+arrays, the shape among them, are private read-only copies, so that link
+cannot go stale. `coded.solve_coded` keeps its last 1x1 link in an
+`lru_cache` over the scenario's link scalars. Results do not depend on either
+cache: a link found there is the one a fresh setup would build. The shape is
+checked once, when the channel is built; the checks of P, feasibility and the
+on-level run on every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
 `PsdMatrix` is that one form: the grid, the prefix length k and the checked
@@ -159,9 +159,11 @@ class _LegacyLink:
 
 @dataclass(frozen=True)
 class MimoChannel(_LegacyLink):
-    """Cognitive MIMO link plus the scalar legacy cross-channels. The arrays
-    are stored as read-only complex copies of the ones given, the scalars as
-    checked Python floats."""
+    """Cognitive MIMO link, the scalar legacy cross-channels and the on-level
+    shape (None: isotropic). The arrays, the shape among them, are stored as
+    read-only complex copies of the ones given, the scalars as checked Python
+    floats. The shape is checked once, here, and kept as given, so that
+    `replace` normalizes the same bits into the unit-trace `_Q`."""
 
     H_c: np.ndarray   # N_r x N_t cognitive channel matrix
     h_l: np.ndarray   # N_t vector: cognitive transmit -> legacy receiver
@@ -174,6 +176,7 @@ class MimoChannel(_LegacyLink):
     sigma2_nl: float
     sigma2_nc: float
     R_l: float
+    shape: np.ndarray | None = None   # N_t x N_t Hermitian PSD, positive trace
 
     def __post_init__(self):
         H = np.atleast_2d(np.array(self.H_c, dtype=complex))
@@ -186,9 +189,14 @@ class MimoChannel(_LegacyLink):
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
             raise ValueError("channel matrix and vectors must be finite")
         self._store_scalars()
-        for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc)):
-            arr.flags.writeable = False
+        shape = None if self.shape is None else np.array(self.shape, dtype=complex)
+        for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc), ("shape", shape)):
+            if arr is not None:
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        Q = _shape_matrix(self, shape)
+        Q.flags.writeable = False
+        object.__setattr__(self, "_Q", Q)
 
     @property
     def n_t(self) -> int:
@@ -197,6 +205,11 @@ class MimoChannel(_LegacyLink):
     @property
     def n_r(self) -> int:
         return self.H_c.shape[0]
+
+    @cached_property
+    def _link(self) -> _Link:
+        """The power-independent half of the search; a setup that raises stores nothing."""
+        return _Link(self, self._Q)
 
 
 @dataclass(frozen=True)
@@ -277,7 +290,7 @@ def _widest_feasible(c):
 
 
 class _Link:
-    """The power-independent half of the on-off search on one channel and one
+    """The power-independent half of the on-off search on one channel and its
     unit-trace shape Q: the eigenmodes of H_c Q H_c^H, the projections of h_c
     on them, the legacy and decode gains, and, on the first search that needs
     them, the gains whitened by mode A's noise, which B-2 shares.
@@ -320,8 +333,13 @@ class _Link:
         return (self.ch.g_c / self.ch.sigma2_nc * self.lam).tolist()
 
     def search(self, P: float):
-        """Best (mode, w, rate, residuals) at the float budget P; see
-        `_onoff_search`."""
+        """Best (mode, w, rate, residuals) at the float budget P over the decode
+        modes that apply. With w_l the root of the legacy constraint and w_d
+        that of decodability, A runs at w_l, B-1 at min(w_l, w_d), and B-2 at
+        w_l when the legacy signal is not decodable there. Python floats and
+        `math.log1p` make an overflow inf without a numpy warning; the sums run
+        in explicit loops, as builtin `sum` compensates from Python 3.12 on. A
+        winning rate that is not finite raises SolverError."""
         ch, proj, C_l, off_dec, R_l = self.ch, self.proj, self.C_l, self.off_dec, self.ch.R_l
         s_l, n_l = ch.a_l * ch.sigma2_s, ch.sigma2_nl
         s_c, n_c = ch.a_c * ch.sigma2_s, ch.sigma2_nc
@@ -389,54 +407,30 @@ class _Link:
         return mode, w, rate, residuals
 
 
-def _onoff_search(ch: MimoChannel, P: float, Q: np.ndarray):
-    """Best (mode, w, rate, residuals) of the on-off strategy with on-level
-    matrix (P/w) Q, Q of unit trace, over the decode modes that apply.
-
-    With w_l the root of the legacy constraint and w_d that of decodability,
-    A runs at w_l, B-1 at min(w_l, w_d), and B-2 at w_l when the legacy
-    signal is not decodable there. The search runs in Python floats with
-    `math.log1p`, P made one too, so an overflow gives inf without a numpy
-    warning; its sums run in explicit loops, as builtin `sum` compensates
-    from Python 3.12 on. A winning rate that is not finite raises
-    SolverError.
-
-    Q is the complex n_t x n_t shape of `_shape_matrix`, so its bytes key the
-    link the channel keeps; a new key replaces it, and only once the setup
-    has returned, so a setup that raises leaves nothing behind."""
-    P = ch._budget(P)
-    key = Q.tobytes()
-    kept = vars(ch).get("_link")
-    if kept is None or kept[0] != key:
-        kept = key, _Link(ch, Q)
-        vars(ch)["_link"] = kept
-    return kept[1].search(P)
-
-
 def solve_mimo(channel: MimoChannel, P: float,
-               grid: FrequencyGrid | None = None,
-               shape=None) -> MimoSolution:
+               grid: FrequencyGrid | None = None) -> MimoSolution:
     """Best on-off PSD-matrix strategy at budget P.
 
-    The on-level matrix is (P/w) times a fixed unit-trace Hermitian shape
-    (isotropic by default); only the support fraction w is optimized, per
-    mode, and the best mode wins. The reported rate is the analytic optimum;
+    The on-level matrix is (P/w) times the channel's shape at unit trace
+    (isotropic by default; `dataclasses.replace(channel, shape=S)` solves
+    with the shape S); only the support fraction w is optimized, per mode,
+    and the best mode wins. The reported rate is the analytic optimum;
     the returned PSD field quantizes the support to whole grid cells with the
     level rescaled so trace power is exactly P. The support is a prefix of
     the grid that always holds sample 0, and the field is checked through its
     one on-level, which decides as checking every sample would. An on-level
     P/frac or a rate that overflows raises SolverError.
     """
-    Q = _shape_matrix(channel, shape)
-    mode, w, rate, residuals = _onoff_search(channel, P, Q)
+    P = channel._budget(P)
+    mode, w, rate, residuals = channel._link.search(P)
     if grid is None:
         grid = make_grid()
     # the samples whose running weight stays within w * pi, at least one
     k = max(int(grid.cumulative_weights.searchsorted(w * np.pi, "right")), 1)
     frac = float(grid.weights[:k].sum()) / np.pi
-    level = float(P) / frac
+    level = P / frac
     if not math.isfinite(level):
         # the level cannot be written: inf * 0 would put NaN in the field
         raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
-    return MimoSolution(psd=PsdMatrix(grid, k, level * Q), rate=rate,
+    return MimoSolution(psd=PsdMatrix(grid, k, level * channel._Q), rate=rate,
                         mode=mode, w=w, residuals=residuals)

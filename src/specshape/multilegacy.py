@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SolverError, _positive
 from .estimation import UncodedScenario
-from .shaping import _preemphasis, _prefix_length
+from .shaping import _preemphasis
 from .spectra import Spectrum, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
@@ -61,6 +61,14 @@ class MultiPrelogResult:
     support: np.ndarray
     spent: np.ndarray
     budgets: np.ndarray
+
+
+def _prefix_length(running, budgets) -> int:
+    """Number of leading cells whose running costs stay within the budget;
+    with one row of running costs per budget, within every budget. The
+    running costs must be nondecreasing along each row."""
+    return min(int(np.searchsorted(r, b, side="right"))
+               for r, b in zip(np.atleast_2d(running), np.atleast_1d(budgets)))
 
 
 def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:

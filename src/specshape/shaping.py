@@ -453,14 +453,6 @@ def solve(scenario: UncodedScenario) -> ShapingSolution:
     return _solve_ws(_Workspace(scenario), scenario.P)
 
 
-def _prefix_length(running, budgets) -> int:
-    """Number of leading cells whose running costs stay within the budget;
-    with one row of running costs per budget, within every budget. The
-    running costs must be nondecreasing along each row."""
-    return min(int(np.searchsorted(r, b, side="right"))
-               for r, b in zip(np.atleast_2d(running), np.atleast_1d(budgets)))
-
-
 def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.ndarray,
                    budget: float) -> tuple[float, float, int]:
     """The high-power on-off support along the pre-emphasis order, whose cells

@@ -21,6 +21,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floats(values) -> np.ndarray:
+    try:  # an int past the largest float is rejected as an infinite sample is
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError("PSD samples must be finite") from None
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform samples of [0, pi] with composite-trapezoid quadrature weights."""
@@ -62,7 +69,7 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _floats(self.values)
         if v.shape != self.grid.omegas.shape:
             raise ValueError("PSD samples do not match the grid")
         if not np.isfinite(v).all():
@@ -76,7 +83,7 @@ def flat_spectrum(grid: FrequencyGrid, variance: float) -> Spectrum:
     """Constant PSD with mean power equal to `variance`."""
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    return Spectrum(grid, np.full(grid.n_points, float(variance)))
+    return Spectrum(grid, np.full(grid.n_points, float(_floats(variance))))
 
 
 def ar1_spectrum(grid: FrequencyGrid, variance: float, epsilon: float) -> Spectrum:
@@ -89,7 +96,7 @@ def ar1_spectrum(grid: FrequencyGrid, variance: float, epsilon: float) -> Spectr
         raise ValueError("innovation rate must lie in (0, 1]")
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    variance, epsilon = float(variance), float(epsilon)
+    variance, epsilon = float(_floats(variance)), float(epsilon)
     denom = (2.0 - epsilon) - 2.0 * np.sqrt(1.0 - epsilon) * np.cos(grid.omegas)
     return Spectrum(grid, epsilon * variance / denom)
 
@@ -97,7 +104,7 @@ def ar1_spectrum(grid: FrequencyGrid, variance: float, epsilon: float) -> Spectr
 def tabulated_spectrum(grid: FrequencyGrid, values) -> Spectrum:
     """PSD from tabulated samples; values on a uniform [0, pi] grid of any
     length are linearly interpolated onto `grid`."""
-    v = np.asarray(values, dtype=float)
+    v = _floats(values)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("tabulated PSD needs a 1-D array of at least 2 samples")
     if v.size == grid.n_points:

@@ -27,9 +27,11 @@
 - `brent_widest`: the widest feasible support fraction of a constraint that
   never rises with w, by SciPy's `brentq` at its tightest tolerance. It
   checks the on-off root-find, which takes Newton steps.
-- `onoff_asymptote`: the high-power line w_inf ln P + L_inf of the coded
-  case-A rate, with w_inf = 1 - R_l/C_l the prelog and L_inf the power
-  offset (Lozano, Tulino & Verdu, IEEE T-IT 51(12), 2005).
+- `onoff_asymptote`: the decode mode and the high-power line
+  n_r w_inf ln P + L_inf of the on-off rate of a coded scenario or a MIMO
+  channel, with w_inf = 1 - R_l/C_l the legacy-load prelog and L_inf the
+  power offset (Lozano, Tulino & Verdu, IEEE T-IT 51(12), 2005), from the
+  eigenvalues of the on-level gain alone, not the solver's link.
 - `SampledPsd`: any PSD-matrix field, given sample by sample and checked
   by `mimo._checked` over the whole stack. Built on the on-off field of
   `solve_mimo`, it checks that `mimo.PsdMatrix`, which checks its one level,
@@ -310,14 +312,42 @@ def brent_widest(c, w_lo: float = 1e-9) -> float:
                            maxiter=500)
 
 
-def onoff_asymptote(sc: CodedScenario) -> tuple[float, float]:
-    """(w_inf, L_inf) of coded case A: R(P) = w_inf ln P + L_inf + o(1) with
-    w_inf = 1 - R_l/C_l and L_inf = w_inf ln(k/w_inf), where
-    k = g_c/(sigma2_nc + a_c sigma2_s) is the on-level gain over the legacy
-    signal treated as noise."""
-    w_inf = 1.0 - sc.R_l / sc.legacy_capacity
-    k = sc.g_c / (sc.sigma2_nc + sc.a_c * sc.sigma2_s)
-    return w_inf, w_inf * math.log(k / w_inf)
+def onoff_asymptote(link: CodedScenario | MimoChannel) -> tuple[DecodeMode, float, float]:
+    """(mode, w_inf, L_inf) of the on-off strategy at high power, where the
+    rate is R(P) = n_r w_inf ln P + L_inf + o(1) and the solver runs `mode`.
+
+    A coded scenario is the 1x1 link H_c = h_l = h_c = 1. H_c Q H_c^H, Q the
+    shape at unit trace, must have full rank n_r. Every support tends to
+    w_inf = 1 - R_l/C_l, and off = log(1 + a_c sigma2_s |h_c|^2/sigma2_nc) is
+    the rate of decoding the legacy signal in silence. With k_A the
+    eigenvalues of g_c H_c Q H_c^H whitened by the legacy signal and noise,
+    sigma2_nc I + a_c sigma2_s h_c h_c^H, and k_B1 those whitened by the
+    noise alone:
+    - off <= R_l: the legacy signal is undecodable (A),
+      L_inf = w_inf sum ln(k_A/w_inf);
+    - 1 - R_l/off < w_inf: decoding it caps the support below w_inf, so rate
+      splitting (B-2) wins, L_inf = w_inf sum ln(k_A/w_inf) + off - R_l;
+    - otherwise it is decoded and cancelled (B-1),
+      L_inf = w_inf sum ln(k_B1/w_inf)."""
+    if isinstance(link, CodedScenario):
+        H, Q, h_c = np.ones((1, 1)), np.ones((1, 1)), np.ones(1)
+    else:
+        H, h_c = link.H_c, link.h_c
+        Q = np.eye(link.n_t) if link.shape is None else link.shape
+        Q = Q / np.trace(Q).real
+    HQH = H @ Q @ H.conj().T
+    noise_a = (link.sigma2_nc * np.eye(H.shape[0])
+               + link.a_c * link.sigma2_s * np.outer(h_c, h_c.conj()))
+    k_a = link.g_c * np.linalg.eigvals(np.linalg.solve(noise_a, HQH)).real
+    k_b1 = link.g_c / link.sigma2_nc * np.linalg.eigvalsh(HQH)
+    w_inf = 1.0 - link.R_l / link.legacy_capacity
+    off = math.log1p(link.a_c * link.sigma2_s * float(np.vdot(h_c, h_c).real) / link.sigma2_nc)
+    offset_a = w_inf * float(np.log(k_a / w_inf).sum())
+    if off <= link.R_l:
+        return DecodeMode.TREAT_AS_NOISE, w_inf, offset_a
+    if 1.0 - link.R_l / off < w_inf:
+        return DecodeMode.RATE_SPLIT_B2, w_inf, offset_a + off - link.R_l
+    return DecodeMode.SUCCESSIVE_B1, w_inf, w_inf * float(np.log(k_b1 / w_inf).sum())
 
 
 class SampledPsd:

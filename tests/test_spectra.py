@@ -120,6 +120,12 @@ def test_spectrum_rejects_bad_values():
         Spectrum(g, -np.ones(g.n_points))
     with pytest.raises(ValueError):
         Spectrum(g, np.ones(g.n_points - 1))
+    # an int past the largest float is rejected as an infinite sample is
+    huge = 10 ** 400
+    for build in (lambda: flat_spectrum(g, huge), lambda: ar1_spectrum(g, huge, 0.5),
+                  lambda: tabulated_spectrum(g, [huge, 1])):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 def test_tabulated_resamples_linearly():
