@@ -23,20 +23,20 @@ is convex in the noise covariance (Diggavi & Cover, IEEE T-IT 2001), so F is
 convex and the derivative in w, F(y) - y F'(y) - F(0) at y = K/w, is at most
 0. Each is then convex in w too, and one safeguarded Newton root-find per
 constraint gives the widest feasible w, met as evaluated. The scalar coded
-solver `coded.solve_coded` is the 1x1 case. The high-power slope is
-insensitive to the spatial shape, scaling instead with rank(H_c).
+solver `coded.solve_coded` is the 1x1 case. The high-power slope scales
+with the number of modes the on-level reaches, rank(H_c Q^(1/2)).
 
-The search has a power-independent half, `_Link`: the eigenmodes of
-H_c Q H_c^H, the projections of h_c on them and, on first use, the whitened
-eigenvalues of mode A, also B-2's. Its per-power half runs only the root-finds
-and the rate sums, in plain Python floats. A rate curve asks for one link at
-power after power, so each channel keeps its link as a cached attribute; its
-arrays, the shape among them, are private read-only copies, so that link
-cannot go stale. `coded.solve_coded` keeps its last 1x1 link in an
-`lru_cache` over the scenario's link scalars. Results do not depend on either
-cache: a link found there is the one a fresh setup would build. The shape is
-checked once, when the channel is built; the checks of P, feasibility and the
-on-level run on every call.
+The search has a power-independent half, `_Link`: the singular values of
+F = H_c Q^(1/2), the projections of h_c on its left singular vectors and, on
+first use, those of F whitened by mode A's noise, which B-2 shares. Its
+per-power half runs only the root-finds and the rate sums, in plain Python
+floats. A rate curve asks for one link at power after power, so each channel
+keeps its link as a cached attribute; its arrays, the shape among them, are
+private read-only copies, so that link cannot go stale. `coded.solve_coded`
+keeps its last 1x1 link in an `lru_cache` over the scenario's link scalars.
+Results do not depend on either cache: a link found there is the one a fresh
+setup would build. The shape is checked once, when the channel is built; the
+checks of P, feasibility and the on-level run on every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
 `PsdMatrix` is that one form: the grid, the prefix length k and the checked
@@ -179,9 +179,12 @@ class MimoChannel(_LegacyLink):
     shape: np.ndarray | None = None   # N_t x N_t Hermitian PSD, positive trace
 
     def __post_init__(self):
-        H = np.atleast_2d(np.array(self.H_c, dtype=complex))
-        hl = np.array(self.h_l, dtype=complex).reshape(-1)
-        hc = np.array(self.h_c, dtype=complex).reshape(-1)
+        try:  # an int past the largest float is rejected as an infinite entry is
+            H, hl, hc = (np.array(a, dtype=complex) for a in (self.H_c, self.h_l, self.h_c))
+            shape = None if self.shape is None else np.array(self.shape, dtype=complex)
+        except OverflowError:
+            raise ValueError("channel arrays must be finite") from None
+        H, hl, hc = np.atleast_2d(H), hl.reshape(-1), hc.reshape(-1)
         if H.ndim != 2 or 0 in H.shape:
             raise ValueError("H_c must be a matrix with at least one row and one column")
         if hl.size != H.shape[1] or hc.size != H.shape[0]:
@@ -189,7 +192,6 @@ class MimoChannel(_LegacyLink):
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
             raise ValueError("channel matrix and vectors must be finite")
         self._store_scalars()
-        shape = None if self.shape is None else np.array(self.shape, dtype=complex)
         for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc), ("shape", shape)):
             if arr is not None:
                 arr.flags.writeable = False
@@ -222,10 +224,9 @@ class MimoSolution:
 
 
 def mimo_prelog(channel: MimoChannel) -> float:
-    """High-power slope: the scalar legacy-load prelog scaled by rank(H_c)."""
-    sv = np.linalg.svd(channel.H_c, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_RTOL * sv.max())) if sv.size else 0
-    return channel._load_prelog * rank
+    """High-power slope: the legacy-load prelog times rank(H_c Q^(1/2))."""
+    lam = channel._link.lam
+    return channel._load_prelog * int(np.sum(lam > _RANK_RTOL ** 2 * lam.max()))
 
 
 def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
@@ -290,43 +291,42 @@ def _widest_feasible(c):
 
 
 class _Link:
-    """The power-independent half of the on-off search on one channel and its
-    unit-trace shape Q: the eigenmodes of H_c Q H_c^H, the projections of h_c
-    on them, the legacy and decode gains, and, on the first search that needs
-    them, the gains whitened by mode A's noise, which B-2 shares.
+    """The power-independent half of the on-off search on a channel and its
+    unit-trace shape Q: lam, the squared singular values of F = H_c Q^(1/2)
+    zero-padded to n_r, h_c's projections on F's left singular vectors, the
+    legacy and decode gains, and, on first use, mode A's whitened gains.
 
-    One-time eigendecompositions make every w-evaluation a stable sum of
-    log1p / rational terms over the eigenmodes, immune to the huge P/w
-    spreads of the search. Every on-level is k * P / w with the gain folded
-    into k >= 0, so a null mode gives 0 and an overflow +inf, never inf * 0.
+    Q^(1/2) is read off eigh(Q), its eigenvalues below 4 n_t eps times the
+    largest set to 0. A null mode of F has a zero singular value, where a
+    formed H_c Q H_c^H gives it eps times the largest eigenvalue (Golub & Van
+    Loan on the normal equations). Each w-evaluation sums log1p / rational
+    terms over the modes, with every on-level k * P / w and the gain folded
+    into k >= 0: a null mode gives 0 and an overflow +inf, never inf * 0.
     """
 
     def __init__(self, ch: MimoChannel, Q: np.ndarray):
-        HQH = ch.H_c @ Q @ ch.H_c.conj().T
-        HQH = 0.5 * (HQH + HQH.conj().T)
-        q_l = float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
+        e, V = np.linalg.eigh(Q)
+        e[e < 4 * ch.n_t * np.finfo(float).eps * e[-1]] = 0.0   # eigh sorts e ascending
+        F = ch.H_c @ (V * np.sqrt(e))
+        U, s, _ = np.linalg.svd(F)
+        lam = np.concatenate((s * s, np.zeros(ch.n_r - s.size)))
         hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
-        lam, U = np.linalg.eigh(HQH)
-        lam = np.maximum(lam, 0.0)
-        self.ch = ch
-        self.HQH = HQH
-        self.lam = lam
+        self.ch, self.F, self.lam = ch, F, lam
         self.proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
         self.k_dec = (ch.g_c * lam).tolist()
-        self.k_l = ch.g_l * q_l
+        self.k_l = ch.g_l * float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
         self.C_l = ch.legacy_capacity
         self.off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
 
     @cached_property
     def gains_a(self) -> list:
-        """g_c times the eigenvalues of H_c Q H_c^H whitened by mode A's
-        noise covariance, sigma2_nc I + a_c sigma2_s h_c h_c^H."""
+        """g_c times the squared singular values of F whitened by mode A's
+        noise covariance, sigma2_nc I + a_c sigma2_s h_c h_c^H = L L^H."""
         ch = self.ch
         hco = np.outer(ch.h_c, ch.h_c.conj())
         L = np.linalg.cholesky(ch.sigma2_nc * np.eye(ch.n_r) + ch.a_c * ch.sigma2_s * hco)
-        X = np.linalg.solve(L, self.HQH)
-        S = np.linalg.solve(L, X.conj().T).conj().T
-        return (ch.g_c * np.maximum(np.linalg.eigvalsh(0.5 * (S + S.conj().T)), 0.0)).tolist()
+        s = np.linalg.svd(np.linalg.solve(L, self.F), compute_uv=False)
+        return (ch.g_c * s * s).tolist()
 
     @cached_property
     def gains_b1(self) -> list:

@@ -150,6 +150,13 @@ def test_mimo_prelog_values():
     assert mimo_prelog(ch1) == pytest.approx(coded_prelog(sc), rel=1e-12)
     overloaded = channel(legacy_load=2.0)
     assert mimo_prelog(overloaded) == 0.0
+    # the on-level reaches rank(H_c Q^(1/2)) modes, not rank(H_c)
+    assert mimo_prelog(channel(shape=np.diag([1.0, 0.0]))) == pytest.approx(0.5, rel=1e-12)
+    rng = np.random.default_rng(29)
+    G = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    H3 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert mimo_prelog(channel(H=H3)) == pytest.approx(1.5, rel=1e-12)
+    assert mimo_prelog(channel(H=H3, shape=G @ G.conj().T)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_solve_mimo_scalar_matches_coded():
@@ -201,6 +208,16 @@ def test_solve_mimo_shape_independent_slope():
     s_iso = np.polyfit(np.log(powers), iso, 1)[0]
     s_shaped = np.polyfit(np.log(powers), shaped, 1)[0]
     assert s_shaped == pytest.approx(s_iso, rel=0.02)
+
+
+def test_solve_mimo_rank_deficient_shape_slope():
+    # a shape that reaches one of the two modes of H_c = I halves the slope,
+    # as mimo_prelog says
+    ch = replace(channel(a_c=1.0), shape=np.diag([1.0, 0.0]))
+    powers = np.geomspace(1e8, 1e12, 9)
+    g = make_grid(64)
+    slope = np.polyfit(np.log(powers), [solve_mimo(ch, p, grid=g).rate for p in powers], 1)[0]
+    assert slope == pytest.approx(mimo_prelog(ch), rel=0.01)
 
 
 def test_solve_mimo_infeasible():
@@ -601,10 +618,9 @@ def test_residuals_are_never_negative():
 def test_on_off_rate_meets_its_high_power_asymptote():
     # R(P) = n_r w_inf ln P + L_inf + o(1) in the mode the oracle predicts, and
     # the relative gap falls by about 100x per 100x of P: 48 seeded draws with
-    # n_r <= n_t <= 4 (more receive antennas leave null modes, whose round-off
-    # is the xfail below), complex H_c, and three in four with a full-rank
-    # shape. Draws within 1e-3 of off = C_l, where B-1 and B-2 all but tie,
-    # are skipped.
+    # n_r <= n_t <= 4 (so that the on-level reaches all n_r modes), complex
+    # H_c, and three in four with a full-rank shape. Draws within 1e-3 of
+    # off = C_l, where B-1 and B-2 all but tie, are skipped.
     rng = np.random.default_rng(7)
     grid = make_grid(16)
     modes, kept = set(), 0
@@ -681,11 +697,6 @@ def test_on_off_mode_and_w_are_invariant(invariance_twins):
     assert {base[0] for base, *_ in invariance_twins} == set(DecodeMode)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the link setup takes eigenvalues of the formed H_c Q H_c^H, "
-                   "whose round-off, about eps times the largest, enters the rate through "
-                   "null and small modes at high power: 9 of the 48 draws miss, by up to "
-                   "5.8e-9 of the rate")
 def test_on_off_rate_is_invariant(invariance_twins):
     for i, (base, *twins) in enumerate(invariance_twins):
         for _, _, rate in twins:
@@ -728,8 +739,9 @@ def test_level_check_scale_matches_per_sample_check(P, accepted):
 
 
 def test_solve_mimo_eigvalsh_budget(monkeypatch):
-    # the shape, at most one whitened noise and the on-level: a few matrices
-    # per solve, where a per-sample field check decomposes all 4096 samples
+    # the shape, when the channel is built, and the on-level: two matrices per
+    # solve, where a per-sample field check decomposes all 4096 samples; the
+    # link takes singular values of F = H_c Q^(1/2) and of its whitened form
     matrices = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -746,7 +758,7 @@ def test_solve_mimo_eigvalsh_budget(monkeypatch):
         sol = solve_mimo(replace(channel(H=rng.normal(size=(3, 3)), a_c=a_c),
                                  shape=G @ G.conj().T), 1e3, grid=make_grid(4096))
         assert sol.psd.values.shape == (4096, 3, 3)
-        assert 2 <= sum(matrices) <= 4, matrices
+        assert matrices == [1, 1], matrices
 
 
 # The on-off field is kept as its prefix length and its level; the dense
@@ -943,9 +955,9 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
 
 
 def test_shape_is_checked_once_per_channel(monkeypatch):
-    # n_r = 2 and n_t = 3 tell mode A's whitened noise (2x2) from the shape
-    # and the on-level (3x3): the shape is checked when the channel is built,
-    # and each solve of a sweep checks its on-level alone
+    # n_r = 2 and n_t = 3: the shape is checked when the channel is built, and
+    # each solve of a sweep checks its on-level alone; the link decomposes no
+    # n_r x n_r matrix with eigvalsh, so only 3x3 matrices reach it
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -961,7 +973,7 @@ def test_shape_is_checked_once_per_channel(monkeypatch):
     assert sizes == [3]
     for P in POWERS9:
         solve_mimo(ch, P, grid=GRID)
-    assert sizes.count(3) == 1 + len(POWERS9)
+    assert sizes == [3] * (1 + len(POWERS9))
 
 
 def test_complex_channel_inputs_stay_writable():

@@ -140,6 +140,9 @@ def huge_cases():
     cases |= {f"CodedScenario.{f}": lambda f=f: CodedScenario(**{"P": 1e4, **link, f: HUGE})
               for f in (*link, "P")}
     cases |= {f"MimoChannel.{f}": lambda f=f: dataclasses.replace(ch, **{f: HUGE}) for f in link}
+    cases |= {f"MimoChannel.{f}": lambda f=f, v=v: dataclasses.replace(ch, **{f: v})
+              for f, v in (("H_c", [[HUGE, 0], [0, 1]]), ("h_l", [HUGE, 0]),
+                           ("h_c", [HUGE, 0]), ("shape", [[HUGE, 0], [0, 1]]))}
     cases["waterfill"] = lambda: waterfill(flat, HUGE)
     for method in ("SpectrumShaping", "InterferenceTemperature"):
         cases[f"rate_curve.{method}"] = lambda m=method: rate_curve(sc, [HUGE], m)
