@@ -41,7 +41,6 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
-_KINDS = ("uncoded", "multilegacy", "coded", "mimo")
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -55,6 +54,11 @@ def db_to_linear(x: float) -> float:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _is_number(v) -> bool:
+    # abs(v) <= max is False for NaN, infinities and ints beyond float range
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX
 
 
 def _finite(x: float) -> float:
@@ -103,8 +107,7 @@ class _Params:
             raise SchemaError(f"{self._ctx}: unknown keys {sorted(self._doc)}")
 
     def _number(self, name, v) -> float:
-        # abs(v) <= max is False for NaN, infinities and ints beyond float range
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+        if not _is_number(v):
             raise SchemaError(f"{self._ctx}: {name} must be a finite number")
         return float(v)
 
@@ -118,13 +121,6 @@ def _load_doc(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return doc
-
-
-def _kind(p: _Params) -> str:
-    kind = p.raw("kind")
-    if kind not in _KINDS:
-        raise SchemaError(f"unknown kind {kind!r}; expected one of {_KINDS}")
-    return kind
 
 
 def _legacy_spectrum(p: _Params, grid: FrequencyGrid) -> Spectrum:
@@ -188,9 +184,16 @@ def _legacy_link(p: _Params) -> dict:
 
 
 def _array(raw, name: str) -> np.ndarray:
+    """Nested lists whose every entry is a number by the scalar rule."""
+    todo = [raw]
+    for v in todo:  # a breadth-first walk: the list grows as it is read
+        if isinstance(v, list):
+            todo.extend(v)
+        elif not _is_number(v):
+            raise SchemaError(f"{name}: every entry must be a finite number")
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise SchemaError(f"{name}: not a rectangular numeric array ({e})") from e
 
 
@@ -329,46 +332,43 @@ def _write_json(path: str, payload: dict):
 # unknown key fails before any solve. Rate curves and meshes compute the CSV
 # header and rows, `solve` the JSON payload.
 
-def _rate_curve(p: _Params, kind: str, grid_points: int, factor: float):
-    """Rate versus power for an uncoded or coded scenario."""
-    if kind == "uncoded":
-        db_axis, powers = _power_sweep(p)
-        sc = _uncoded_scenario(p, make_grid(grid_points))
+def _uncoded_curve(p: _Params, grid_points: int, factor: float):
+    db_axis, powers = _power_sweep(p)
+    sc = _uncoded_scenario(p, make_grid(grid_points))
 
-        def uncoded_rows():
-            shaped = shaping.rate_curve(sc, powers, shaping.CurveMethod.SPECTRUM_SHAPING)
-            try:
-                it = shaping.rate_curve(sc, powers, shaping.CurveMethod.INTERFERENCE_TEMPERATURE)
-                it_rates = [_finite(r) for _, r in it]
-            except InfeasibleScenarioError:
-                # An infeasible memoryless receiver is marked by NaN in its column.
-                it_rates = [math.nan] * len(powers)
-            return ["P_db", "rate_it", "rate_shaping"], [
-                [_fmt(db), _fmt(r_it * factor), _fmt(_finite(r_sh) * factor)]
-                for db, r_it, (_, r_sh) in zip(db_axis, it_rates, shaped)]
-        return uncoded_rows
-    if kind == "coded":
-        db_axis, powers = _power_sweep(p)
-        sc0 = coded_mod.CodedScenario(**_legacy_link(p), P=1.0)
-
-        def coded_rows():
-            rows = []
-            for db, pw in zip(db_axis, powers):
-                sol = coded_mod.solve_coded(replace(sc0, P=pw))
-                rows.append([_fmt(db), _fmt(_finite(sol.rate) * factor), sol.case_tag.value])
-            return ["P_db", "rate", "case_tag"], rows
-        return coded_rows
-    raise SchemaError("rate-curve requires an uncoded or coded scenario")
+    def uncoded_rows():
+        shaped = shaping.rate_curve(sc, powers, shaping.CurveMethod.SPECTRUM_SHAPING)
+        try:
+            it = shaping.rate_curve(sc, powers, shaping.CurveMethod.INTERFERENCE_TEMPERATURE)
+            it_rates = [_finite(r) for _, r in it]
+        except InfeasibleScenarioError:
+            # An infeasible memoryless receiver is marked by NaN in its column.
+            it_rates = [math.nan] * len(powers)
+        return ["P_db", "rate_it", "rate_shaping"], [
+            [_fmt(db), _fmt(r_it * factor), _fmt(_finite(r_sh) * factor)]
+            for db, r_it, (_, r_sh) in zip(db_axis, it_rates, shaped)]
+    return uncoded_rows
 
 
-def _prelog_mesh(p: _Params, kind: str, grid_points: int, factor: float):
+def _coded_curve(p: _Params, grid_points: int, factor: float):
+    db_axis, powers = _power_sweep(p)
+    sc0 = coded_mod.CodedScenario(**_legacy_link(p), P=1.0)
+
+    def coded_rows():
+        rows = []
+        for db, pw in zip(db_axis, powers):
+            sol = coded_mod.solve_coded(replace(sc0, P=pw))
+            rows.append([_fmt(db), _fmt(_finite(sol.rate) * factor), sol.case_tag.value])
+        return ["P_db", "rate", "case_tag"], rows
+    return coded_rows
+
+
+def _prelog_mesh(p: _Params, grid_points: int, factor: float):
     """High-power prelog over a (D/sigma2_s, a*sigma2_s/sigma2_n) mesh.
 
     Prelogs are slope ratios, so the log base does not enter; infeasible
     cells emit prelog 0.
     """
-    if kind != "uncoded":
-        raise SchemaError("prelog-mesh requires an uncoded scenario")
     mesh = _Params(p.raw("mesh"), "mesh")
     d_ratios = mesh.raw("d_ratio")
     snr_dbs = mesh.raw("snr_db")
@@ -430,12 +430,6 @@ def _mesh_rows(grid: FrequencyGrid, phi_s: Spectrum, sigma2_n: float,
     return [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
             for i, d_ratio in enumerate(d_ratios)
             for snr_db, column in zip(snr_dbs, columns)]
-
-
-def _solve(p: _Params, kind: str, grid_points: int, factor: float):
-    """One scenario of any kind, as a JSON payload."""
-    return {"uncoded": _solve_uncoded, "multilegacy": _solve_multilegacy,
-            "coded": _solve_coded, "mimo": _solve_mimo}[kind](p, grid_points, factor)
 
 
 def _solve_uncoded(p: _Params, grid_points: int, factor: float):
@@ -523,7 +517,11 @@ def _solve_mimo(p: _Params, grid_points: int, factor: float):
     return payload
 
 
-_COMMANDS = {"rate-curve": _rate_curve, "prelog-mesh": _prelog_mesh, "solve": _solve}
+# {command: {kind: job}}: which command takes which kind (solve takes every kind)
+_JOBS = {"solve": {"uncoded": _solve_uncoded, "multilegacy": _solve_multilegacy,
+                   "coded": _solve_coded, "mimo": _solve_mimo},
+         "rate-curve": {"uncoded": _uncoded_curve, "coded": _coded_curve},
+         "prelog-mesh": {"uncoded": _prelog_mesh}}
 
 
 # built once per process: parse_args keeps no state between calls
@@ -551,7 +549,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         p = _Params(_load_doc(args.file), args.file)
-        compute = _COMMANDS[args.command](p, _kind(p), args.grid, _rate_factor(args.log_base))
+        kind, kinds, jobs = p.raw("kind"), tuple(_JOBS["solve"]), _JOBS[args.command]
+        if kind not in kinds:  # a tuple, as `in` on a dict hashes and [] is unhashable
+            raise SchemaError(f"unknown kind {kind!r}; expected one of {kinds}")
+        if kind not in jobs:
+            raise SchemaError(f"{args.command} requires an {' or '.join(jobs)} scenario")
+        compute = jobs[kind](p, args.grid, _rate_factor(args.log_base))
         p.finish()
         result = compute()
         if args.command == "solve":

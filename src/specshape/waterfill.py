@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _positive
+from .errors import SolverError, _positive
 from .spectra import Spectrum
 
 
@@ -45,6 +45,8 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
     # The closed-form level cancels when the budget is small next to the base
     # mass; one linear step on the active cells restores the spent power.
     tau += (target - float(np.dot(ws, np.maximum(gap, 0.0, out=gap)))) / wh
+    if not np.isfinite(tau):  # as when budget * pi overflows; the loop below would spin
+        raise SolverError("the water level is not finite")
     step = 0.0
     while True:
         phi = np.where(h > 0.0, np.maximum(tau * h - base, 0.0), 0.0)

@@ -27,6 +27,10 @@
 - `brent_widest`: the widest feasible support fraction of a constraint that
   never rises with w, by SciPy's `brentq` at its tightest tolerance. It
   checks the on-off root-find, which takes Newton steps.
+- `high_power_asymptote`: the high-power line p ln P + L_inf of the
+  uncoded rate, with p the on-off prelog and L_inf the power offset, from
+  the scenario's arrays by a plain fractional-knapsack fill in u-order, not
+  from the solver's workspace or its support routine.
 - `onoff_asymptote`: the decode mode and the high-power line
   n_r w_inf ln P + L_inf of the on-off rate of a coded scenario or a MIMO
   channel, with w_inf = 1 - R_l/C_l the legacy-load prelog and L_inf the
@@ -310,6 +314,39 @@ def brent_widest(c, w_lo: float = 1e-9) -> float:
         return 1.0
     return optimize.brentq(c, w_lo, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
                            maxiter=500)
+
+
+def high_power_asymptote(scenario: UncodedScenario) -> tuple[float, float]:
+    """(p, L_inf) of an uncoded scenario, whose rate at high power is
+    R(P) = p ln P + L_inf + o(1).
+
+    With B = a phi_s + phi_n and u = a phi_s^2/B, the support S takes cells
+    in rising u (a stable argsort) until their pre-emphasis mass
+    (1/pi) sum w_i u_i reaches D minus the smoothing floor, the boundary cell
+    k at the share theta that lands on it exactly; p is the measure of S over
+    pi. Water-filling S at power P puts tau = P/p + O(1) on every cell, so
+    R = (1/pi) sum_S w_i ln(tau/B_i) + O(1/P) gives
+    L_inf = -p ln p - (1/pi)(sum of w_i ln B_i over the whole cells
+    + theta w_k ln B_k): the power offset of Lozano, Tulino & Verdu
+    (IEEE T-IT 51(12), 2005) for this channel."""
+    s, n, w = scenario.phi_s.values, scenario.phi_n.values, scenario.grid.weights
+    b = scenario.a * s + n
+    u = np.divide(scenario.a * s * s, b, out=np.zeros_like(b), where=b > 0)
+    floor = float(np.dot(w, np.divide(s * n, b, out=np.zeros_like(b), where=b > 0))) / np.pi
+    order = np.argsort(u, kind="stable")
+    ws, us, bs = w[order], u[order], b[order]
+    budget = scenario.D - floor
+    mass = np.cumsum(ws * us) / np.pi
+    if budget <= 0.0:
+        return 0.0, 0.0
+    k = int(np.searchsorted(mass, budget, side="right"))
+    if k == b.size:
+        k, theta = k - 1, 1.0
+    else:
+        theta = (budget - (mass[k - 1] if k else 0.0)) / (ws[k] * us[k] / np.pi)
+    p = (float(ws[:k].sum()) + theta * ws[k]) / np.pi
+    log_mass = float(np.dot(ws[:k], np.log(bs[:k]))) + theta * ws[k] * math.log(bs[k])
+    return p, -p * math.log(p) - log_mass / np.pi
 
 
 def onoff_asymptote(link: CodedScenario | MimoChannel) -> tuple[DecodeMode, float, float]:

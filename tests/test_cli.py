@@ -494,6 +494,33 @@ def test_on_level_near_the_float_limit_exit_0(tmp_path, capsys, P):
     assert got["phi0_matrix"][0][0][0] >= 1e308
 
 
+def tabulated_uncoded(values):
+    doc = uncoded_doc(P_db=30, phi_s_values=values)
+    del doc["sigma2_s_db"]
+    return doc
+
+
+def tabulated_multilegacy(values):
+    doc = json.loads((SCENARIOS / "multilegacy_single.json").read_text())
+    doc["spectrum"] = {"type": "tabulated", "values": values}
+    return doc
+
+
+# Array entries follow the scalar rule: an int past the largest float, a
+# bool or a numeric string is an input error wherever an array holds it.
+@pytest.mark.parametrize("doc", [
+    tabulated_uncoded([1, 10**400]),
+    tabulated_multilegacy([1, 10**400]),
+    dict(RANK1_MIMO, H_c=[[1, 0], [0, 10**400]], P=10.0),
+    tabulated_uncoded(["1", "2.5"]),
+    tabulated_uncoded([True, 2.5]),
+    dict(RANK1_MIMO, H_c=[[True, False], [False, True]], h_l=["1", 0], P=10.0),
+], ids=["phi_s-past-float", "spectrum-past-float", "H_c-past-float",
+        "phi_s-strings", "phi_s-bool", "mimo-bools-and-string"])
+def test_array_entry_that_is_not_a_number_exit_2(tmp_path, capsys, doc):
+    assert run_bad(tmp_path, capsys, doc, "--grid", "64") == 2
+
+
 def test_wrong_kind_for_mesh_exit_2(tmp_path):
     f = str(SCENARIOS / "coded_single.json")
     assert cli.main(["prelog-mesh", f, "-o", str(tmp_path / "o.csv"), "--quiet"]) == 2

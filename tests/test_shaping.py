@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import flat_case_closed_form
+from oracles import flat_case_closed_form, high_power_asymptote
 from specshape import shaping
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario, wk_floor, wk_mse
@@ -13,7 +15,8 @@ from specshape.shaping import (
     rate_curve,
     solve,
 )
-from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid, mean_power
+from specshape.spectra import (Spectrum, ar1_spectrum, flat_spectrum, make_grid, mean_power,
+                               tabulated_spectrum)
 from specshape.waterfill import waterfill
 
 GRID = make_grid(2048)
@@ -269,6 +272,39 @@ def test_rate_curve_slope_tracks_prelog():
         pts = rate_curve(sc, powers, CurveMethod.SPECTRUM_SHAPING)
         slope = np.polyfit(np.log([p for p, _ in pts]), [r for _, r in pts], 1)[0]
         assert slope == pytest.approx(onoff_prelog(sc).prelog, rel=0.02)
+
+
+def asymptote_draws(grid):
+    """Flat, AR(1) at two innovation rates, and three tabulated legacy PSDs
+    (9 knots) over shaped noise (5 knots), whose D sits a drawn share of the
+    pre-emphasis mass above the smoothing floor."""
+    flat = flat_spectrum(grid, 1.0)
+    yield UncodedScenario(1000.0, flat, flat, 0.003, 1.0)
+    yield UncodedScenario(1000.0, ar1_spectrum(grid, 1.0, 0.1), flat, 0.01, 1.0)
+    yield UncodedScenario(100.0, ar1_spectrum(grid, 1.0, 0.5), flat, 0.05, 1.0)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        s_knots, n_knots = np.exp(rng.uniform(-1.0, 1.0, 9)), np.exp(rng.uniform(-1.0, 1.0, 5))
+        a, share = 10.0 ** rng.uniform(1.0, 3.0), rng.uniform(0.1, 0.6)
+        sc = UncodedScenario(a, tabulated_spectrum(grid, s_knots),
+                             tabulated_spectrum(grid, n_knots), 1.0, 1.0)
+        yield replace(sc, D=wk_floor(sc) + share * mean_power(preemphasized_psd(sc)))
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_rate_meets_its_high_power_asymptote(n):
+    # R(P) = p ln P + L_inf + O(1/P), so the relative gap falls about 100x per
+    # 100x of P; the oracle's p is the solver's on-off prelog.
+    for sc in asymptote_draws(make_grid(n)):
+        p, offset = high_power_asymptote(sc)
+        assert 0.0 < p < 1.0
+        assert p == pytest.approx(onoff_prelog(sc).prelog, abs=1e-12)
+        gaps = []
+        for P in (1e8, 1e10, 1e12):
+            rate = solve(replace(sc, P=P)).rate
+            gaps.append(abs(rate - p * np.log(P) - offset) / rate)
+        assert gaps[0] >= 50 * gaps[1] and gaps[1] >= 50 * gaps[2], (sc.a, sc.D, gaps)
+        assert gaps[2] <= 1e-9, (sc.a, sc.D, gaps)
 
 
 def test_rate_curve_empty_and_validation():

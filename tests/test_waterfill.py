@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sorted_fill
 from specshape import shaping
+from specshape.errors import SolverError
 from specshape.estimation import UncodedScenario
 from specshape.shaping import CaseTag
 from specshape.spectra import (Spectrum, ar1_spectrum, flat_spectrum, make_grid, mean_power,
@@ -230,6 +231,17 @@ def test_solve_with_a_budget_below_rounding_of_the_floor(n):
     sol = shaping.solve(sc)
     assert sol.case_tag is CaseTag.WATERFILL_FEASIBLE
     assert sol.rate == 0.0
+
+
+@pytest.mark.parametrize("budget", [1e308, 1.7976931348623157e308])
+def test_fill_past_float_range_raises(budget):
+    # budget * pi overflows, so the water level is not finite: a SolverError,
+    # where the final step loop used to spin forever on a NaN level
+    g = make_grid(64)
+    with pytest.raises(SolverError, match="water level is not finite"):
+        _fill(np.ones(64), ar1_spectrum(g, 1.0, 0.1).values, g.weights, budget)
+    with pytest.raises(SolverError):
+        waterfill(flat_spectrum(g, 1.0), budget)
 
 
 def test_fill_without_a_usable_cell_is_none():
