@@ -42,6 +42,7 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 _FLOAT_MAX = sys.float_info.max
+_MAX_SWEEP_POINTS = 10_000
 
 
 class SchemaError(ValueError):
@@ -144,6 +145,8 @@ def _power_sweep(p: _Params) -> tuple[np.ndarray, np.ndarray]:
     sw.finish()
     if not isinstance(points, int) or isinstance(points, bool) or points < 0:
         raise SchemaError("power_sweep_db.points must be a nonnegative integer")
+    if points > _MAX_SWEEP_POINTS:
+        raise SchemaError(f"power_sweep_db.points must be at most {_MAX_SWEEP_POINTS}")
     db = np.linspace(start, stop, points)
     with np.errstate(over="ignore"):
         powers = 10.0 ** (db / 10.0)

@@ -1,10 +1,9 @@
-"""Legacy-receiver MSE functionals and feasibility floors.
+"""The uncoded legacy scenario and the memoryless receiver's floor and cap.
 
 Two receiver models: symbol-by-symbol MMSE estimation (ignores temporal
-correlation, depends on variances only) and non-causal Wiener-Kolmogorov
-smoothing (depends on the full spectra). The ratio form of the smoothing MSE
-integrand is used throughout; the subtracted form cancels catastrophically
-when the legacy gain is large.
+correlation, depends on variances only), whose floor and power cap are here,
+and non-causal Wiener-Kolmogorov smoothing (depends on the full spectra),
+whose MSE and floor `shaping` computes in pre-emphasis form.
 """
 
 from __future__ import annotations
@@ -76,24 +75,3 @@ def memoryless_power_cap(scenario: UncodedScenario) -> float | None:
     cap = s2s * scenario.D / (s2s - scenario.D) * scenario.a - s2n
     return min(scenario.P, cap)
 
-
-def _wk_integrand(phi_x: np.ndarray, scenario: UncodedScenario) -> np.ndarray:
-    s = scenario.phi_s.values
-    num = s * (phi_x + scenario.phi_n.values)
-    den = scenario.a * s + phi_x + scenario.phi_n.values
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
-
-
-def wk_mse(phi_x: Spectrum, scenario: UncodedScenario) -> float:
-    """MSE of non-causal Wiener-Kolmogorov smoothing against cognitive PSD phi_x."""
-    if phi_x.grid is not scenario.grid:
-        raise ValueError("cognitive PSD grid does not match the scenario grid")
-    return scenario.grid.mean(_wk_integrand(phi_x.values, scenario))
-
-
-def wk_floor(scenario: UncodedScenario) -> float:
-    """Smoothing MSE with zero cognitive transmission; the feasibility floor."""
-    zeros = np.zeros(scenario.grid.n_points)
-    return scenario.grid.mean(_wk_integrand(zeros, scenario))

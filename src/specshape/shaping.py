@@ -104,11 +104,6 @@ def _preemphasis(scenario: UncodedScenario):
     return u, b, scenario.grid.mean(df)
 
 
-def preemphasized_psd(scenario: UncodedScenario) -> Spectrum:
-    """Pre-emphasized legacy PSD a*phi_s^2/(a*phi_s + phi_n)."""
-    return Spectrum(scenario.grid, _preemphasis(scenario)[0])
-
-
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     """[0, t_0, t_0 + t_1, ...] of nonnegative terms, to a few ulps. A plain
     cumsum's rounding grows with the length (1e-13 relative at 32768 cells).

@@ -19,7 +19,16 @@
   every float rounded to 12 significant digits first. The CLI writes the
   same text in one pass per array.
 - `memoryless_mse`: the MSE of symbol-by-symbol MMSE estimation, the
-  flat-spectrum limit that the Wiener-Kolmogorov `wk_mse` must reduce to.
+  flat-spectrum limit that `wk_mse` below must reduce to.
+- `wk_mse`, `wk_floor`: the MSE of non-causal Wiener-Kolmogorov smoothing
+  against a cognitive PSD, and its value at zero cognitive power, the
+  feasibility floor, as the grid mean of the ratio form
+  phi_s*(phi_x + phi_n)/(a*phi_s + phi_x + phi_n) (the subtracted form
+  cancels when the legacy gain is large). The solvers read the same MSE in
+  pre-emphasis form, so these check that form and the solutions' MSEs.
+- `preemphasized_psd`: the pre-emphasized legacy PSD
+  a*phi_s^2/(a*phi_s + phi_n) that orders the uncoded supports, from the
+  scenario's arrays, not from `shaping._preemphasis`.
 - `legacy_rate`, `decode_rate_at_cognitive`: the scalar coded constraints
   as written in the paper, vectorized over the support fraction w. They
   check `solve_coded`'s w against a dense grid over w, and the acceptance
@@ -58,7 +67,7 @@ import numpy as np
 from specshape import shaping
 from specshape.coded import CodedScenario
 from specshape.errors import InfeasibleScenarioError
-from specshape.estimation import UncodedScenario, wk_floor
+from specshape.estimation import UncodedScenario
 from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix, _checked
 from specshape.shaping import CaseTag, ShapingSolution
 from specshape.spectra import FrequencyGrid, Spectrum
@@ -285,6 +294,37 @@ def memoryless_mse(sigma2_s: float, sigma2_x: float, sigma2_n: float, a: float) 
     if denom == 0.0:
         raise ValueError("memoryless MSE undefined when all terms vanish")
     return sigma2_s * (sigma2_x + sigma2_n) / denom
+
+
+def _wk_integrand(phi_x: np.ndarray, scenario: UncodedScenario) -> np.ndarray:
+    s = scenario.phi_s.values
+    num = s * (phi_x + scenario.phi_n.values)
+    den = scenario.a * s + phi_x + scenario.phi_n.values
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def wk_mse(phi_x: Spectrum, scenario: UncodedScenario) -> float:
+    """MSE of non-causal Wiener-Kolmogorov smoothing against cognitive PSD phi_x."""
+    if phi_x.grid is not scenario.grid:
+        raise ValueError("cognitive PSD grid does not match the scenario grid")
+    return scenario.grid.mean(_wk_integrand(phi_x.values, scenario))
+
+
+def wk_floor(scenario: UncodedScenario) -> float:
+    """Smoothing MSE with zero cognitive transmission; the feasibility floor."""
+    zeros = np.zeros(scenario.grid.n_points)
+    return scenario.grid.mean(_wk_integrand(zeros, scenario))
+
+
+def preemphasized_psd(scenario: UncodedScenario) -> Spectrum:
+    """Pre-emphasized legacy PSD a*phi_s^2/(a*phi_s + phi_n); a cell with
+    a*phi_s + phi_n = 0 holds 0."""
+    s, b = scenario.phi_s.values, scenario.base()
+    u = np.zeros_like(s)
+    np.divide(scenario.a * s * s, b, out=u, where=b > 0)
+    return Spectrum(scenario.grid, u)
 
 
 def legacy_rate(sc: CodedScenario, w) -> np.ndarray:

@@ -9,12 +9,13 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import optimize
 
-from oracles import decode_rate_at_cognitive, flat_case_closed_form, legacy_rate
+from oracles import (decode_rate_at_cognitive, flat_case_closed_form, legacy_rate,
+                     preemphasized_psd, wk_floor, wk_mse)
 from specshape.coded import CodedScenario, coded_prelog, solve_coded
-from specshape.estimation import UncodedScenario, wk_floor, wk_mse
+from specshape.estimation import UncodedScenario
 from specshape.mimo import MimoChannel, mimo_prelog, solve_mimo
 from specshape.multilegacy import LegacyReceiver, MultiLegacyScenario, max_prelog_support
-from specshape.shaping import CurveMethod, onoff_prelog, preemphasized_psd, rate_curve, solve
+from specshape.shaping import CurveMethod, onoff_prelog, rate_curve, solve
 from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid
 from specshape.waterfill import waterfill
 

@@ -5,9 +5,9 @@ units."""
 import numpy as np
 import pytest
 
-from oracles import dual_bound, sweep_golden_rate
+from oracles import dual_bound, sweep_golden_rate, wk_floor
 from specshape import shaping
-from specshape.estimation import UncodedScenario, wk_floor
+from specshape.estimation import UncodedScenario
 from specshape.shaping import CaseTag, CurveMethod, rate_curve, solve
 from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
                                tabulated_spectrum)

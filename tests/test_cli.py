@@ -111,6 +111,17 @@ def test_rate_curve_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("points", [10**12, 10_001])
+def test_rate_curve_sweep_past_the_points_bound_exit_2(tmp_path, capsys, points):
+    # 10**12 points made np.linspace raise a MemoryError that escaped main
+    f = write(tmp_path, uncoded_doc(power_sweep_db={"start": 0, "stop": 10, "points": points}))
+    out = tmp_path / "curve.csv"
+    assert cli.main(["rate-curve", f, "-o", str(out), "--grid", "64", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "power_sweep_db.points" in err and "10000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_log_base_flag_scales_rates(tmp_path):
     f = write(tmp_path, uncoded_doc(power_sweep_db={"start": 30, "stop": 30, "points": 1}))
     out_e, out_2 = tmp_path / "e.csv", tmp_path / "b2.csv"
@@ -197,7 +208,7 @@ def test_prelog_mesh_matches_per_cell_onoff_prelog(tmp_path, monkeypatch, case):
             prelog = shaping.onoff_prelog(sc).prelog
             prelogs.append(prelog)
             rows.append(f"{cli._fmt(d)},{cli._fmt(snr)},{cli._fmt(prelog)}")
-            u = shaping.preemphasized_psd(sc).values
+            u = oracles.preemphasized_psd(sc).values
             if not np.array_equal(np.argsort(u, kind="stable"), shared):
                 own_sorts.add(snr)
             ws = shaping._Workspace(sc)

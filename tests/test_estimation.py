@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import memoryless_mse
-from specshape.estimation import (
-    UncodedScenario,
-    memoryless_floor,
-    memoryless_power_cap,
-    wk_floor,
-    wk_mse,
-)
+from oracles import memoryless_mse, wk_floor, wk_mse
+from specshape.estimation import UncodedScenario, memoryless_floor, memoryless_power_cap
 from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import preemphasized_psd, wk_floor
 from specshape.errors import SolverError
-from specshape.estimation import UncodedScenario, wk_floor
+from specshape.estimation import UncodedScenario
 from specshape import multilegacy
 from specshape.multilegacy import (
     LegacyReceiver,
@@ -11,7 +12,7 @@ from specshape.multilegacy import (
     low_noise_support,
     max_prelog_support,
 )
-from specshape.shaping import onoff_prelog, preemphasized_psd
+from specshape.shaping import onoff_prelog
 from specshape.spectra import (ar1_spectrum, flat_spectrum, make_grid, mean_power,
                                tabulated_spectrum)
 

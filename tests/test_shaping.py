@@ -3,15 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import flat_case_closed_form, high_power_asymptote
+from oracles import (flat_case_closed_form, high_power_asymptote, preemphasized_psd, wk_floor,
+                     wk_mse)
 from specshape import shaping
 from specshape.errors import InfeasibleScenarioError
-from specshape.estimation import UncodedScenario, wk_floor, wk_mse
+from specshape.estimation import UncodedScenario
 from specshape.shaping import (
     CaseTag,
     CurveMethod,
     onoff_prelog,
-    preemphasized_psd,
     rate_curve,
     solve,
 )

@@ -27,14 +27,13 @@ SURFACE = {
     "cli": ["SchemaError", "db_to_linear", "main"],
     "coded": ["CodedCase", "CodedScenario", "CodedSolution", "coded_prelog", "solve_coded"],
     "errors": ["InfeasibleScenarioError", "SolverError"],
-    "estimation": ["UncodedScenario", "memoryless_floor", "memoryless_power_cap", "wk_floor",
-                   "wk_mse"],
+    "estimation": ["UncodedScenario", "memoryless_floor", "memoryless_power_cap"],
     "mimo": ["DecodeMode", "MimoChannel", "MimoSolution", "PsdMatrix", "mimo_prelog",
              "solve_mimo"],
     "multilegacy": ["LegacyReceiver", "MultiLegacyScenario", "MultiPrelogResult",
                     "low_noise_support", "max_prelog_support"],
     "shaping": ["CaseTag", "CurveMethod", "PrelogResult", "ShapingSolution", "onoff_prelog",
-                "preemphasized_psd", "rate_curve", "solve"],
+                "rate_curve", "solve"],
     "spectra": ["FrequencyGrid", "Spectrum", "ar1_spectrum", "flat_spectrum", "make_grid",
                 "mean_power", "tabulated_spectrum"],
     "waterfill": ["WaterfillResult", "rate", "rate_bins", "waterfill"],
