@@ -1,9 +1,12 @@
 """Scalar root-finding by Brent's method.
 
 `brentq` ports the C routine in SciPy's ``optimize/Zeros/brentq.c``, so that
-the solvers need numpy alone. It repeats SciPy's iterates operation for
-operation in plain float arithmetic and returns the same bits as SciPy's
-``optimize.brentq`` at the same tolerances.
+the solvers need numpy alone, at their one tolerance: the module constants
+`_XTOL`, `_RTOL` and `_MAXITER`, which no call site spells out. It repeats
+SciPy's iterates operation for operation in plain float arithmetic, stop
+test included, and returns the same bits as ``optimize.brentq(f, a, b,
+xtol, rtol, maxiter)`` at the same tolerances (SciPy needs xtol > 0; at the
+solvers' xtol of 0.0 it is ``5e-324``).
 
 SciPy is Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
 Developers, distributed under the BSD 3-Clause License. The algorithm is that
@@ -21,6 +24,10 @@ import math
 
 from .errors import SolverError
 
+_XTOL = 0.0  # no absolute part: the roots span many scales
+_RTOL = 8.9e-16  # 4 eps, the smallest relative tolerance SciPy's brentq accepts
+_MAXITER = 200
+
 
 def _value(f, x: float) -> float:
     fx = float(f(x))
@@ -29,9 +36,9 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+def brentq(f, a: float, b: float) -> float:
     """A zero of f in [a, b], where f(a) and f(b) differ in sign; converged
-    when the bracket half-width is below (xtol + rtol*|x|)/2."""
+    when the bracket half-width is below (_XTOL + _RTOL*|x|)/2."""
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre = _value(f, xpre)
@@ -44,7 +51,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> flo
         raise SolverError(
             f"root bracket [{a!r}, {b!r}] has no sign change "
             f"(f(a)={fpre!r}, f(b)={fcur!r})")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -52,7 +59,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> flo
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -80,5 +87,5 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> flo
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
-    raise SolverError(f"root-finding did not converge in {maxiter} iterations (x={xcur!r})")
+    raise SolverError(f"root-finding did not converge in {_MAXITER} iterations (x={xcur!r})")
 

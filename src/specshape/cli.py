@@ -446,7 +446,7 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float):
         if sol.case_tag is shaping.CaseTag.INFEASIBLE:
             raise InfeasibleScenarioError(
                 "distortion target below the zero-transmission smoothing floor")
-        prelog, gamma, _ = shaping._onoff_support_ws(ws, sc.D)
+        prelog, gamma, _, _ = shaping._onoff_support_ws(ws, sc.D)
         return {
             "kind": "uncoded",
             "case_tag": sol.case_tag.value,

@@ -28,15 +28,16 @@ with the number of modes the on-level reaches, rank(H_c Q^(1/2)).
 
 The search has a power-independent half, `_Link`: the singular values of
 F = H_c Q^(1/2), the projections of h_c on its left singular vectors and, on
-first use, those of F whitened by mode A's noise, which B-2 shares. Its
-per-power half runs only the root-finds and the rate sums, in plain Python
-floats. A rate curve asks for one link at power after power, so each channel
-keeps its link as a cached attribute; its arrays, the shape among them, are
-private read-only copies, so that link cannot go stale. `coded.solve_coded`
-keeps its last 1x1 link in an `lru_cache` over the scenario's link scalars.
-Results do not depend on either cache: a link found there is the one a fresh
-setup would build. The shape is checked once, when the channel is built; the
-checks of P, feasibility and the on-level run on every call.
+first use, those of F whitened by mode A's noise over sigma2_nc, which B-2
+shares. Its per-power half runs only the root-finds and the rate sums, in
+plain Python floats. A rate curve asks for one link at power after power, so
+each channel keeps its link as a cached attribute; its arrays, the shape
+among them, are private read-only copies, so that link cannot go stale.
+`coded.solve_coded` keeps its last 1x1 link in an `lru_cache` over the
+scenario's link scalars. Results do not depend on either cache: a link found
+there is the one a fresh setup would build. The shape is checked once, when
+the channel is built; the checks of P, feasibility and the on-level run on
+every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
 `PsdMatrix` is that one form: the grid, the prefix length k and the checked
@@ -294,7 +295,7 @@ class _Link:
     """The power-independent half of the on-off search on a channel and its
     unit-trace shape Q: lam, the squared singular values of F = H_c Q^(1/2)
     zero-padded to n_r, h_c's projections on F's left singular vectors, the
-    legacy and decode gains, and, on first use, mode A's whitened gains.
+    legacy and decode gains, and, on first use, mode A's gains over sigma2_nc.
 
     Q^(1/2) is read off eigh(Q), its eigenvalues below 4 n_t eps times the
     largest set to 0. A null mode of F has a zero singular value, where a
@@ -320,13 +321,14 @@ class _Link:
 
     @cached_property
     def gains_a(self) -> list:
-        """g_c times the squared singular values of F whitened by mode A's
-        noise covariance, sigma2_nc I + a_c sigma2_s h_c h_c^H = L L^H."""
+        """g_c/sigma2_nc times the squared singular values of F whitened by
+        mode A's noise over sigma2_nc, I + a_c sigma2_s h_c h_c^H / sigma2_nc
+        = L L^H, formed entrywise: a_c sigma2_s / sigma2_nc can overflow."""
         ch = self.ch
         hco = np.outer(ch.h_c, ch.h_c.conj())
-        L = np.linalg.cholesky(ch.sigma2_nc * np.eye(ch.n_r) + ch.a_c * ch.sigma2_s * hco)
+        L = np.linalg.cholesky(np.eye(ch.n_r) + ch.a_c * ch.sigma2_s * hco / ch.sigma2_nc)
         s = np.linalg.svd(np.linalg.solve(L, self.F), compute_uv=False)
-        return (ch.g_c * s * s).tolist()
+        return (ch.g_c / ch.sigma2_nc * s * s).tolist()
 
     @cached_property
     def gains_b1(self) -> list:
@@ -378,8 +380,8 @@ class _Link:
         # Each mode's best w is its widest feasible support. Every rate is
         # w * sum_m log1p(k_m / w) plus terms linear in w, with k_m >= 0, and
         # d/dw [w log(1 + k/w)] = log(1 + x) - x/(1 + x) >= 0 for x = k/w.
-        # B-2's matrix I + (s_c/n_c) h_c h_c^H is mode A's noise covariance
-        # over n_c, so B-2's whitened gains are mode A's, and its log-det is
+        # B-2's matrix I + s_c h_c h_c^H / n_c is mode A's whitening matrix
+        # itself, so B-2's whitened gains are mode A's, and its log-det is
         # off_dec by the matrix determinant lemma: B-2's linear terms,
         # w off_dec + (1 - w) off_dec, are off_dec at every w.
         w_l = _widest_feasible(legacy_con)

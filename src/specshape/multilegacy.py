@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SolverError, _positive
 from .estimation import UncodedScenario
-from .shaping import _preemphasis
+from .shaping import _onoff_support, _preemphasis
 from .spectra import Spectrum, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
@@ -63,14 +63,6 @@ class MultiPrelogResult:
     budgets: np.ndarray
 
 
-def _prefix_length(running, budgets) -> int:
-    """Number of leading cells whose running costs stay within the budget;
-    with one row of running costs per budget, within every budget. The
-    running costs must be nondecreasing along each row."""
-    return min(int(np.searchsorted(r, b, side="right"))
-               for r, b in zip(np.atleast_2d(running), np.atleast_1d(budgets)))
-
-
 def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     """Largest on-off support meeting all K pre-emphasis mass constraints.
 
@@ -95,17 +87,19 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     key = np.max(dens / budgets[:, None], axis=0)
     order = np.argsort(key, kind="stable")
 
+    # each receiver's on-off stop (k, theta) along the shared order; the first binds
+    wo = w[order]
+    cumw = np.cumsum(wo)
     running = np.cumsum(costs[:, order], axis=1)
-    take = _prefix_length(running, budgets)
+    stops = [_onoff_support(cumw, wo, d[order], r, b)[2:]
+             for d, r, b in zip(dens, running, budgets)]
+    row = min(range(K), key=stops.__getitem__)
+    take, theta = stops[row]
     x = np.zeros(n)
     x[order[:take]] = 1.0
     if take < n:
         stop = order[take]
-        spent = running[:, take - 1] if take > 0 else np.zeros(K)
-        c = costs[:, stop]
-        ratios = np.divide(budgets - spent, c, out=np.full(K, np.inf), where=c > 0)
-        row = int(np.argmin(ratios))
-        x[stop] = min(1.0, float(ratios[row]))
+        x[stop] = min(1.0, theta)
         basis = np.where(np.arange(K) == row, stop, np.arange(n, n + K))
         x = _simplex(w, costs / budgets[:, None], x, basis)
 
@@ -167,6 +161,6 @@ def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     if budget <= 0:
         return mask
     order = np.argsort(s, kind="stable")
-    take = _prefix_length(np.cumsum(w[order] * s[order]), budget)
+    take = int(np.searchsorted(np.cumsum(w[order] * s[order]), budget, side="right"))
     mask[order[:take]] = True
     return mask

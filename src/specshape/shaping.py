@@ -57,7 +57,6 @@ from .waterfill import _fill, rate_bins, waterfill
 
 _TIGHT_RTOL = 1e-6
 _MSE_RTOL = 1e-13  # tight MSE to this fraction of D - floor
-_RTOL = 8.9e-16  # 4 eps, the smallest relative tolerance SciPy's brentq accepts
 _PEAK_RTOL = 1e-12  # rate the support search may leave, relative
 _CANCEL = 16 * np.finfo(float).eps  # rounding of the closed-form MSE, relative to its sums
 
@@ -313,7 +312,7 @@ def _evaluate_support(ws: _Workspace, P: float, D: float, wfrac: float,
         nu_lo, nu_hi = nu_hi, (nu_all if nu_hi < nu_all else 2.0 * nu_hi)
     if g_hi is None or g_hi > 0.0:
         return None
-    nu = _scalar.brentq(residual, nu_lo, nu_hi, xtol=0.0, rtol=_RTOL, maxiter=200)
+    nu = _scalar.brentq(residual, nu_lo, nu_hi)
     filled = fill(nu)
     if abs(filled[0] - D) > _TIGHT_RTOL * D:
         return None
@@ -394,7 +393,7 @@ def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
         lo = _onoff_support_ws(ws, D)[0]
         while excess(lo) > 0.0:  # at high power the margin can fall below rounding
             lo *= 0.5
-        _scalar.brentq(excess, lo, 1.0, xtol=0.0, rtol=_RTOL, maxiter=200)
+        _scalar.brentq(excess, lo, 1.0)
     w_kink = max(w for w in evals if excess(w) <= 0.0)
     n_full, theta = _support(ws, w_kink)
     wts = _weights(ws, n_full, theta)
@@ -449,28 +448,29 @@ def solve(scenario: UncodedScenario) -> ShapingSolution:
 
 
 def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.ndarray,
-                   budget: float) -> tuple[float, float, int]:
+                   budget: float) -> tuple[float, float, int, float]:
     """The high-power on-off support along the pre-emphasis order, whose cells
     have weights `ws`, running weights `cumw`, pre-emphasized PSD `us` and
     running pre-emphasis mass `cum` (the running sums of ws*us over pi), as
-    (fraction, gamma, k): the first k cells whole and a share of cell k,
-    of mass `budget` in all, cover `fraction` of the band, and gamma is the
-    last cell's u."""
+    (fraction, gamma, k, theta): the first k cells whole and a share theta of
+    cell k, of mass `budget` in all, cover `fraction` of the band, and gamma
+    is the last cell's u; a budget past the band's mass is k = n, theta = 0.
+    Every on-off stop cell, multilegacy's too, comes from here."""
     n = cumw.size
     if budget <= 0.0:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0, 0, 0.0
     if budget >= cum[-1]:
-        return 1.0, float(us[-1]), n
+        return 1.0, float(us[-1]), n, 0.0
     k = int(cum.searchsorted(budget, side="right"))
     spent = cum[k - 1] if k > 0 else 0.0
     cost_next = ws[k] * us[k] / np.pi
     theta = (budget - spent) / cost_next if cost_next > 0 else 0.0
     measure = (cumw[k - 1] if k > 0 else 0.0) + theta * ws[k]
     gamma = float(us[k]) if theta > 0 else float(us[k - 1])
-    return min(float(measure) / np.pi, 1.0), gamma, k
+    return min(float(measure) / np.pi, 1.0), gamma, k, theta
 
 
-def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int]:
+def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int, float]:
     """`_onoff_support` of a workspace at target D, without the support mask."""
     return _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi, D - ws.dlow)
 
@@ -482,7 +482,7 @@ def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     exactly even when the pre-emphasized PSD has flat stretches. Targets at
     or below the floor yield prelog 0."""
     ws = _Workspace(scenario)
-    frac, gamma, k = _onoff_support_ws(ws, scenario.D)
+    frac, gamma, k, _ = _onoff_support_ws(ws, scenario.D)
     mask = np.zeros(ws.cumw.size, dtype=bool)
     mask[ws.order[:k]] = True
     return PrelogResult(frac, gamma, mask)

@@ -53,7 +53,7 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
         over = float(np.dot(weights, phi)) / np.pi - budget
         if over <= 0.0:
             return phi, tau
-        step = max(2.0 * step, over * np.pi / wh, np.spacing(tau))
+        step = max(2.0 * step, over * np.pi / wh, float(np.spacing(tau)))
         tau -= step
 
 

@@ -140,7 +140,7 @@ KNOWN_ESCAPES = {
     "multilegacy_single.json": [(("spectrum", "epsilon"), 1e-320)],
     "uncoded_tabulated.json": [(("a",), 1e308)],
     "multilegacy_tabulated.json": [(("receivers", 0, key), 1e308)
-                                   for key in ("a", "sigma2_n", "D")],
+                                   for key in ("a", "sigma2_n")],
 }
 
 

@@ -533,6 +533,20 @@ def test_on_level_near_the_float_limit_is_checked(P):
     assert field[0] == P / frac >= 1e308
 
 
+def test_whitening_with_a_tiny_noise_stays_finite():
+    # mode A whitens by I + a_c sigma2_s h_c h_c^H / sigma2_nc; here the
+    # scalar a_c sigma2_s / sigma2_nc = 1e310 overflows, and inf times a zero
+    # entry of h_c h_c^H is NaN, while every entry of the matrix stays small
+    ch = MimoChannel(H_c=np.eye(2), h_l=[1.0, 0.0], h_c=[1e-155, 0.0], a_l=1.0, g_l=1.0,
+                     a_c=1.0, g_c=1e-300, sigma2_s=1000.0, sigma2_nl=1.0, sigma2_nc=1e-307,
+                     R_l=0.5 * math.log(1001.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_mimo(ch, 1e3, grid=make_grid(64))
+    assert (sol.mode, sol.w) == (DecodeMode.TREAT_AS_NOISE, 0.5610545096983439)
+    assert math.isfinite(sol.rate)
+
+
 def test_hermitian_part_of_huge_entries():
     v = np.array([[[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]]])
     with warnings.catch_warnings():

@@ -94,6 +94,18 @@ def test_duplicate_receivers_match_k1():
     assert one.prelog == pytest.approx(two.prelog, rel=1e-12)
 
 
+def test_receiver_whose_budget_covers_the_band_changes_nothing():
+    # the second receiver's stop is the whole band, reached before any
+    # divide of its budget by a cell's cost, which would overflow
+    g = make_grid(512)
+    phi_s = ar1_spectrum(g, 1.0, 0.1)
+    r = one_receiver(grid=g)
+    one = max_prelog_support(MultiLegacyScenario(phi_s, (r,)))
+    two = max_prelog_support(MultiLegacyScenario(phi_s, (r, one_receiver(D=1e308, grid=g))))
+    assert np.array_equal(two.support, one.support)
+    assert two.prelog == one.prelog
+
+
 def test_flat_two_receivers_min_budget_caps():
     phi_s = flat_spectrum(GRID, 1.0)
     r1 = one_receiver(a=1000.0, D=0.02)

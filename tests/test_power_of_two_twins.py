@@ -37,11 +37,7 @@ from specshape.spectra import make_grid, mean_power, tabulated_spectrum
 
 SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 GRID = make_grid(512)
-KS = (-40, -3, 5, 9, 60)
-# The coded and MIMO link setup whitens by the Cholesky factor of
-# sigma2_nc*I + a_c*sigma2_s*h_c h_c^H, which scales by sqrt(2^k): exact only
-# when k is even. At odd k the last bits of w and the rate move on some links.
-EVEN_KS = (-40, 8, 60)
+KS = (-40, -3, 5, 8, 9, 60)
 
 
 def knots(rng, m):
@@ -165,7 +161,7 @@ def test_max_prelog_support(k):
                     same=("prelog", "support"), power=("spent", "budgets"))
 
 
-@pytest.mark.parametrize("k", EVEN_KS)
+@pytest.mark.parametrize("k", KS)
 def test_solve_coded(k):
     c = 2.0 ** k
     for sc in CODED:
@@ -174,7 +170,7 @@ def test_solve_coded(k):
                     same=("w", "rate", "case_tag", "residuals"), power=("phi0",))
 
 
-@pytest.mark.parametrize("k", EVEN_KS)
+@pytest.mark.parametrize("k", KS)
 def test_solve_mimo(k):
     c = 2.0 ** k
     for ch, P in MIMO:
@@ -217,8 +213,8 @@ def run_twin(tmp_path, command, name, k):
     ("uncoded_single.json", (-30, 7, 50)),
     ("uncoded_waterfill.json", (-30, 7, 50)),
     ("multilegacy_single.json", (-30, 7, 50)),
-    ("coded_single.json", (-30, 50)),
-    ("mimo_single.json", (-30, 50)),
+    ("coded_single.json", (-30, 7, 50)),
+    ("mimo_single.json", (-30, 7, 50)),
 ])
 def test_cli_solve(tmp_path, name, ks):
     def dimensionless(text):

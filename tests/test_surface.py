@@ -19,7 +19,7 @@ from specshape.estimation import UncodedScenario
 from specshape.mimo import MimoChannel, solve_mimo
 from specshape.multilegacy import LegacyReceiver, MultiLegacyScenario, max_prelog_support
 from specshape.shaping import onoff_prelog, rate_curve, solve
-from specshape.spectra import ar1_spectrum, flat_spectrum, make_grid
+from specshape.spectra import Spectrum, ar1_spectrum, flat_spectrum, make_grid
 from specshape.waterfill import waterfill
 
 SURFACE = {
@@ -123,6 +123,21 @@ def test_scalar_type_does_not_matter(entry, twin):
     assert leaves(ENTRIES[entry](TWINS[twin])) == want
     # no numpy scalar: every scalar is a Python float, an int count or a tag
     assert all(x[0] in ("float", "int") or isinstance(x[1], Enum) for x in want if len(x) == 2)
+
+
+# AR(1) scenarios (innovation rate, a, D, P) on whose fills the water level
+# backs off by at least one spacing of itself, in case 1 and in case 2
+BACKOFF = [(0.05, 1.0, 0.2, 1.0), (0.5, 1000.0, 0.01, 1.0), (0.1, 1000.0, 0.05, 1e6),
+           (0.05, 1000.0, 0.01, 1e4)]
+
+
+@pytest.mark.parametrize("eps, a, D, P", BACKOFF)
+def test_backed_off_water_levels_are_python_floats(eps, a, D, P):
+    sc = UncodedScenario(a, ar1_spectrum(GRID512, 1.0, eps), flat_spectrum(GRID512, 1.0), D, P)
+    sol = solve(sc)
+    assert type(sol.lam) is float and type(sol.mu) is float
+    level = waterfill(Spectrum(GRID512, sc.base()), P).water_level
+    assert type(level) is float
 
 
 HUGE = 10 ** 400  # an int past the largest float
