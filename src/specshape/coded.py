@@ -3,14 +3,15 @@
 The legacy codebook is fixed at rate R_l; the cognitive pair picks an on-off
 PSD with support fraction w and on-level P/w, which is optimal here because
 the legacy and noise spectra are flat. The search over w, in all three
-decoding regimes (A: legacy treated as noise, B-1: decoded and cancelled,
-B-2: rate-split), is the 1x1 case of the on-off search in `mimo`: each regime
-runs at the largest w its constraints allow, since at full power a wider
-support never lowers the rate. Neither the legacy rate nor the decode rate
-rises with w, so that w is the root of one constraint (A, B-2) or the smaller
-of two roots (B-1). `solve_coded(...).case_tag` reports the regime: A when
-the legacy signal is undecodable at the cognitive receiver even in silence,
-else the better of B-1 and B-2.
+decoding regimes (A: legacy treated as noise, B-1: decoded and cancelled, B-2:
+rate-split), is the 1x1 case of the on-off search in `mimo`, on one unit
+geometry that every coded link shares: each regime runs at the largest w its
+constraints allow, since at full power a wider support never lowers the rate.
+Neither the legacy rate nor the decode rate rises with w, so that w is the
+root of one constraint (A, B-2) or the smaller of two roots (B-1).
+`solve_coded(...).case_tag` reports the regime: A when the legacy signal is
+undecodable at the cognitive receiver even in silence, else the better of B-1
+and B-2.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import _positive
-from .mimo import DecodeMode, MimoChannel, _LegacyLink, _Link
+from .mimo import DecodeMode, _Geometry, _LegacyLink, _Link
 
 
 class CodedCase(str, Enum):
@@ -62,21 +65,26 @@ _CASES = {DecodeMode.TREAT_AS_NOISE: CodedCase.A,
           DecodeMode.RATE_SPLIT_B2: CodedCase.B2}
 
 
+@lru_cache(maxsize=None)
+def _unit_geometry() -> _Geometry:
+    """The arrays of every coded link: H_c, h_l, h_c and Q all 1, on first use."""
+    one = np.ones((1, 1), dtype=complex)
+    return _Geometry(one, one[0], one[0], one)
+
+
 @lru_cache(maxsize=1)
 def _setup(a_l, g_l, a_c, g_c, sigma2_s, sigma2_nl, sigma2_nc, R_l) -> _Link:
-    return MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], a_l=a_l, g_l=g_l, a_c=a_c,
-                       g_c=g_c, sigma2_s=sigma2_s, sigma2_nl=sigma2_nl,
-                       sigma2_nc=sigma2_nc, R_l=R_l)._link
+    return _Link(_unit_geometry(), a_l, g_l, a_c, g_c, sigma2_s, sigma2_nl, sigma2_nc, R_l)
 
 
 def solve_coded(sc: CodedScenario) -> CodedSolution:
     """Best on-off operating point: case A when the legacy signal is
     undecodable in silence, else the better of B-1 and B-2.
 
-    The search is `mimo`'s on the 1x1 link. `_setup` returns that channel's
-    link and keeps the last one, keyed by the scenario's link scalars, so a
-    power sweep builds its 1x1 `MimoChannel` once. `CodedScenario` has stored
-    every scalar as a checked float, as the channel would."""
+    The search is `mimo`'s on the 1x1 link, the one a 1x1 `MimoChannel`
+    would build: `_setup` puts the scalars `CodedScenario` stored as checked
+    floats on the unit geometry, with no channel, and keeps the last link, so
+    a power sweep sets its link up once."""
     P = sc._budget(sc.P)
     link = _setup(sc.a_l, sc.g_l, sc.a_c, sc.g_c, sc.sigma2_s, sc.sigma2_nl, sc.sigma2_nc, sc.R_l)
     mode, w, rate, residuals = link.search(P)

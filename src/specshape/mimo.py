@@ -26,18 +26,19 @@ constraint gives the widest feasible w, met as evaluated. The scalar coded
 solver `coded.solve_coded` is the 1x1 case. The high-power slope scales
 with the number of modes the on-level reaches, rank(H_c Q^(1/2)).
 
-The search has a power-independent half, `_Link`: the singular values of
-F = H_c Q^(1/2), the projections of h_c on its left singular vectors and, on
-first use, those of F whitened by mode A's noise over sigma2_nc, which B-2
-shares. Its per-power half runs only the root-finds and the rate sums, in
-plain Python floats. A rate curve asks for one link at power after power, so
-each channel keeps its link as a cached attribute; its arrays, the shape
-among them, are private read-only copies, so that link cannot go stale.
-`coded.solve_coded` keeps its last 1x1 link in an `lru_cache` over the
-scenario's link scalars. Results do not depend on either cache: a link found
-there is the one a fresh setup would build. The shape is checked once, when
-the channel is built; the checks of P, feasibility and the on-level run on
-every call.
+The search has a power-independent half, `_Link`: its `_Geometry`, the
+singular values of F = H_c Q^(1/2) and the projections of h_c on its left
+singular vectors, which the channel's arrays and shape fix, and, on first
+use, the singular values of F whitened by mode A's noise over sigma2_nc,
+which B-2 shares. Its per-power half runs only the root-finds and the rate
+sums, in plain Python floats. A rate curve asks for one link at power after
+power, so each channel keeps its link as a cached attribute; its arrays, the
+shape among them, are private read-only copies, so that link cannot go stale.
+`coded.solve_coded` puts the scenario's scalars on one 1x1 unit geometry and
+keeps its last link in an `lru_cache` over them. Results do not depend on
+these caches: a link found there is the one a fresh setup would build. The
+shape is checked once, when the channel is built; the checks of P,
+feasibility and the on-level run on every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
 `PsdMatrix` is that one form: the grid, the prefix length k and the checked
@@ -61,6 +62,7 @@ _EIG_FLOOR = -1e-12
 _RANK_RTOL = 1e-9
 _W_LO = 1e-9
 _MAX_STEPS = 100
+_SCALARS = ("a_l", "g_l", "a_c", "g_c", "sigma2_s", "sigma2_nl", "sigma2_nc", "R_l")
 
 
 class DecodeMode(str, Enum):
@@ -127,8 +129,8 @@ class PsdMatrix:
 
 
 class _LegacyLink:
-    """The scalar legacy link of a coded scenario or a MIMO channel: its
-    capacity C_l, whether it carries R_l, and the load prelog 1 - R_l/C_l."""
+    """The scalar legacy link of a coded scenario, a MIMO channel or a `_Link`:
+    its capacity C_l, whether it carries R_l, and the load prelog 1 - R_l/C_l."""
 
     @property
     def legacy_capacity(self) -> float:
@@ -145,7 +147,7 @@ class _LegacyLink:
 
     def _store_scalars(self):
         """Store the eight link scalars as checked floats."""
-        for name in ("a_l", "g_l", "a_c", "g_c", "sigma2_s", "sigma2_nl", "sigma2_nc", "R_l"):
+        for name in _SCALARS:
             object.__setattr__(self, name, _positive(
                 getattr(self, name), "gains, powers and R_l must be positive and finite"))
 
@@ -212,7 +214,8 @@ class MimoChannel(_LegacyLink):
     @cached_property
     def _link(self) -> _Link:
         """The power-independent half of the search; a setup that raises stores nothing."""
-        return _Link(self, self._Q)
+        return _Link(_Geometry(self.H_c, self.h_l, self.h_c, self._Q),
+                     *(getattr(self, name) for name in _SCALARS))
 
 
 @dataclass(frozen=True)
@@ -291,48 +294,56 @@ def _widest_feasible(c):
     raise SolverError(f"the w root-find did not converge in {_MAX_STEPS} steps (w={w!r})")
 
 
-class _Link:
-    """The power-independent half of the on-off search on a channel and its
-    unit-trace shape Q: lam, the squared singular values of F = H_c Q^(1/2)
-    zero-padded to n_r, h_c's projections on F's left singular vectors, the
-    legacy and decode gains, and, on first use, mode A's gains over sigma2_nc.
+class _Geometry:
+    """The arrays of a link, fixed by the channel's arrays and unit-trace
+    shape Q alone: lam, the squared singular values of F = H_c Q^(1/2)
+    zero-padded to n_r, h_c's projections on F's left singular vectors,
+    |h_c|^2 and h_l^H Q h_l. Q^(1/2) is read off eigh(Q), its eigenvalues
+    below 4 n_t eps times the largest set to 0: a null mode of F has a zero
+    singular value, where a formed H_c Q H_c^H gives it eps times the largest
+    eigenvalue (Golub & Van Loan on the normal equations)."""
 
-    Q^(1/2) is read off eigh(Q), its eigenvalues below 4 n_t eps times the
-    largest set to 0. A null mode of F has a zero singular value, where a
-    formed H_c Q H_c^H gives it eps times the largest eigenvalue (Golub & Van
-    Loan on the normal equations). Each w-evaluation sums log1p / rational
-    terms over the modes, with every on-level k * P / w and the gain folded
-    into k >= 0: a null mode gives 0 and an overflow +inf, never inf * 0.
-    """
-
-    def __init__(self, ch: MimoChannel, Q: np.ndarray):
+    def __init__(self, H_c: np.ndarray, h_l: np.ndarray, h_c: np.ndarray, Q: np.ndarray):
         e, V = np.linalg.eigh(Q)
-        e[e < 4 * ch.n_t * np.finfo(float).eps * e[-1]] = 0.0   # eigh sorts e ascending
-        F = ch.H_c @ (V * np.sqrt(e))
+        e[e < 4 * H_c.shape[1] * np.finfo(float).eps * e[-1]] = 0.0   # eigh sorts e ascending
+        F = H_c @ (V * np.sqrt(e))
         U, s, _ = np.linalg.svd(F)
-        lam = np.concatenate((s * s, np.zeros(ch.n_r - s.size)))
-        hc2 = float(np.vdot(ch.h_c, ch.h_c).real)
-        self.ch, self.F, self.lam = ch, F, lam
-        self.proj = (np.abs(U.conj().T @ ch.h_c) ** 2).tolist()
-        self.k_dec = (ch.g_c * lam).tolist()
-        self.k_l = ch.g_l * float(np.einsum("i,ij,j->", ch.h_l, Q, ch.h_l.conj()).real)
-        self.C_l = ch.legacy_capacity
-        self.off_dec = math.log1p(ch.a_c * ch.sigma2_s * hc2 / ch.sigma2_nc)
+        self.F, self.h_c = F, h_c
+        self.lam = np.concatenate((s * s, np.zeros(H_c.shape[0] - s.size)))
+        self.proj = (np.abs(U.conj().T @ h_c) ** 2).tolist()
+        self.hc2 = float(np.vdot(h_c, h_c).real)
+        self.hQh = float(np.einsum("i,ij,j->", h_l, Q, h_l.conj()).real)
+
+
+class _Link(_LegacyLink):
+    """The power-independent half of the on-off search: a `_Geometry` and the
+    checked link scalars in `_SCALARS` order, which fix the legacy and decode
+    gains and, on first use, mode A's gains over sigma2_nc. Each w-evaluation
+    sums log1p / rational terms over the modes, with every on-level k * P / w
+    and the gain folded into k >= 0: a null mode gives 0 and an overflow
+    +inf, never inf * 0."""
+
+    def __init__(self, geo: _Geometry, *scalars: float):
+        vars(self).update(zip(_SCALARS, scalars), geo=geo, lam=geo.lam, proj=geo.proj)
+        self.k_dec = (self.g_c * geo.lam).tolist()
+        self.k_l = self.g_l * geo.hQh
+        self.C_l = self.legacy_capacity
+        self.off_dec = math.log1p(self.a_c * self.sigma2_s * geo.hc2 / self.sigma2_nc)
 
     @cached_property
     def gains_a(self) -> list:
         """g_c/sigma2_nc times the squared singular values of F whitened by
         mode A's noise over sigma2_nc, I + a_c sigma2_s h_c h_c^H / sigma2_nc
         = L L^H, formed entrywise: a_c sigma2_s / sigma2_nc can overflow."""
-        ch = self.ch
-        hco = np.outer(ch.h_c, ch.h_c.conj())
-        L = np.linalg.cholesky(np.eye(ch.n_r) + ch.a_c * ch.sigma2_s * hco / ch.sigma2_nc)
-        s = np.linalg.svd(np.linalg.solve(L, self.F), compute_uv=False)
-        return (ch.g_c / ch.sigma2_nc * s * s).tolist()
+        h_c = self.geo.h_c
+        hco = np.outer(h_c, h_c.conj())
+        L = np.linalg.cholesky(np.eye(h_c.size) + self.a_c * self.sigma2_s * hco / self.sigma2_nc)
+        s = np.linalg.svd(np.linalg.solve(L, self.geo.F), compute_uv=False)
+        return (self.g_c / self.sigma2_nc * s * s).tolist()
 
     @cached_property
     def gains_b1(self) -> list:
-        return (self.ch.g_c / self.ch.sigma2_nc * self.lam).tolist()
+        return (self.g_c / self.sigma2_nc * self.lam).tolist()
 
     def search(self, P: float):
         """Best (mode, w, rate, residuals) at the float budget P over the decode
@@ -342,9 +353,9 @@ class _Link:
         `math.log1p` make an overflow inf without a numpy warning; the sums run
         in explicit loops, as builtin `sum` compensates from Python 3.12 on. A
         winning rate that is not finite raises SolverError."""
-        ch, proj, C_l, off_dec, R_l = self.ch, self.proj, self.C_l, self.off_dec, self.ch.R_l
-        s_l, n_l = ch.a_l * ch.sigma2_s, ch.sigma2_nl
-        s_c, n_c = ch.a_c * ch.sigma2_s, ch.sigma2_nc
+        proj, C_l, off_dec, R_l = self.proj, self.C_l, self.off_dec, self.R_l
+        s_l, n_l = self.a_l * self.sigma2_s, self.sigma2_nl
+        s_c, n_c = self.a_c * self.sigma2_s, self.sigma2_nc
         kP_l = self.k_l * P
         kP_dec = [k * P for k in self.k_dec]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from oracles import brent_widest, decode_rate_at_cognitive, legacy_rate, onoff_asymptote
-from specshape import coded
+from specshape import coded, mimo
 from specshape.coded import CodedCase, CodedScenario, coded_prelog, solve_coded
 from specshape.errors import InfeasibleScenarioError
 from specshape.mimo import MimoChannel, solve_mimo
@@ -352,8 +352,9 @@ def test_coded_rate_meets_its_high_power_asymptote():
 
 
 # solve_coded keeps its last 1x1 link in an lru_cache keyed by the link
-# scalars and their types, apart from the link each MIMO channel keeps: a hit
-# builds no channel, and every sequence solves as it would with both empty.
+# scalars, which the scenario stores as floats, apart from the link each MIMO
+# channel keeps: a hit builds no link, and every sequence solves as it would
+# with both empty.
 
 POWERS5 = tuple(np.geomspace(1.0, 1e8, 5))
 GRID64 = make_grid(64)
@@ -376,6 +377,7 @@ def assert_matches_cold_solves(steps):
     cold = []
     for s in steps:
         coded._setup.cache_clear()
+        coded._unit_geometry.cache_clear()
         if not isinstance(s, CodedScenario):
             vars(s[0]).pop("_link", None)
         cold.append(outcome(s))
@@ -384,20 +386,27 @@ def assert_matches_cold_solves(steps):
 
 
 def test_slot_hit_builds_no_channel(monkeypatch):
-    built = []
-    post_init = MimoChannel.__post_init__
+    # a coded link is the scenario's scalars on the one unit geometry: a sweep
+    # builds no channel at all, and a slot hit builds no link
+    built = {"channel": 0, "link": 0}
+    post_init, link_init = MimoChannel.__post_init__, mimo._Link.__init__
 
-    def counted(self):
-        built.append(1)
+    def counted_channel(self):
+        built["channel"] += 1
         post_init(self)
 
+    def counted_link(self, *args):
+        built["link"] += 1
+        link_init(self, *args)
+
     coded._setup.cache_clear()
-    monkeypatch.setattr(MimoChannel, "__post_init__", counted)
+    monkeypatch.setattr(MimoChannel, "__post_init__", counted_channel)
+    monkeypatch.setattr(mimo._Link, "__init__", counted_link)
     for P in POWERS5:
         solve_coded(study_scenario(a_c=1.0, P=P))
-    assert len(built) == 1
+    assert built == {"channel": 0, "link": 1}
     solve_coded(study_scenario(a_c=1.0, legacy_load=0.4))
-    assert len(built) == 2
+    assert built == {"channel": 0, "link": 2}
 
 
 def test_int_and_float_twins_match_cold_solves():

@@ -170,6 +170,64 @@ def test_solve_mimo_scalar_matches_coded():
         assert mim.w == pytest.approx(cod.w, rel=1e-6)
 
 
+def coded_link_draws(rng, n):
+    """n seeded sets of link scalars, each followed by its twin with every
+    power times 2^k, and last the edge of
+    `test_whitening_with_a_tiny_noise_stays_finite`, where a_c sigma2_s /
+    sigma2_nc is 1e310; each with the power scale c."""
+    for _ in range(n):
+        a_l, g_l, a_c, g_c = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        s2s, s2nl, s2nc = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        R_l = rng.uniform(0.05, 0.95) * math.log1p(a_l * s2s / s2nl)
+        for c in (1.0, 2.0 ** int(rng.integers(-60, 61))):
+            yield dict(a_l=a_l, g_l=g_l, a_c=a_c, g_c=g_c, sigma2_s=c * s2s, sigma2_nl=c * s2nl,
+                       sigma2_nc=c * s2nc, R_l=R_l), c
+    yield dict(a_l=1.0, g_l=1.0, a_c=1.0, g_c=1e-300, sigma2_s=1000.0, sigma2_nl=1.0,
+               sigma2_nc=1e-307, R_l=0.5 * math.log(1001.0)), 1.0
+
+
+def bits(read):
+    """The bytes of what read() returns, or the type and message it raises."""
+    try:
+        return np.asarray(read(), dtype=float).tobytes()
+    except (ArithmeticError, RuntimeWarning, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_coded_link_is_the_1x1_channel_link():
+    # solve_coded adds the scenario's scalars to one unit geometry; every
+    # field of that link, and every solve, must repeat a fresh 1x1 channel's
+    # bits, which the benchmark's 1e-9 check on the rate cannot see
+    rng = np.random.default_rng(34)
+    fields = ("lam", "proj", "k_dec", "k_l", "C_l", "off_dec", "gains_a", "gains_b1")
+    modes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, c in coded_link_draws(rng, 40):
+            coded._setup.cache_clear()
+            coded._unit_geometry.cache_clear()
+            link = coded._setup(**p)
+            ch = MimoChannel(H_c=[[1.0]], h_l=[1.0], h_c=[1.0], **p)
+            for name in fields:
+                assert bits(lambda: getattr(link, name)) == bits(
+                    lambda: getattr(ch._link, name)), (p, name)
+            for P in c * 10.0 ** rng.uniform(-3.0, 9.0, 3):
+                try:
+                    cod = solve_coded(CodedScenario(**p, P=P))
+                    got = cod.case_tag, repr((cod.w, cod.rate, cod.residuals))
+                except (InfeasibleScenarioError, SolverError) as e:
+                    got = type(e), str(e)
+                try:
+                    mim = solve_mimo(ch, P, grid=GRID)
+                    want = coded._CASES[mim.mode], repr((mim.w, mim.rate, mim.residuals))
+                    modes.add(mim.mode)
+                except (InfeasibleScenarioError, SolverError) as e:
+                    want = type(e), str(e)
+                assert got == want, (p, P)
+    assert got[0] is SolverError
+    assert modes == set(DecodeMode)
+
+
 def test_solve_mimo_power_rendered_exactly():
     ch = channel(a_c=1.0)
     sol = solve_mimo(ch, 50.0, grid=GRID)
@@ -864,8 +922,9 @@ def fingerprint(sol):
 
 
 def cold(solve, *args, **kwargs):
-    # empty the coded cache and drop the link the channel keeps
+    # empty the coded caches and drop the link the channel keeps
     coded._setup.cache_clear()
+    coded._unit_geometry.cache_clear()
     vars(args[0]).pop("_link", None)
     return fingerprint(solve(*args, **kwargs))
 
@@ -937,18 +996,31 @@ def test_failed_link_setup_leaves_nothing_behind(monkeypatch):
 
 
 def test_failed_coded_setup_caches_nothing(monkeypatch):
+    # a failure in the unit geometry's first build, or in the scalar half
+    # built on it, leaves nothing in the geometry's cache or the coded slot
     sc = CodedScenario(a_l=1.0, g_l=1.0, a_c=1.0, g_c=10.0, sigma2_s=1000.0, sigma2_nl=1.0,
                        sigma2_nc=1.0, R_l=0.5 * math.log(1001.0), P=1e4)
     expected = cold(solve_coded, sc)
-    coded._setup.cache_clear()
-    with monkeypatch.context() as m:
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("broken")
-        m.setattr(np.linalg, "eigh", broken)
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_coded(sc)
-    assert coded._setup.cache_info().currsize == 0
-    assert fingerprint(solve_coded(sc)) == expected
+    link_init = mimo._Link.__init__
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("broken")
+
+    def broken_late(self, *args):
+        link_init(self, *args)
+        broken()
+
+    for owner, name, failure in ((np.linalg, "eigh", broken), (mimo._Link, "__init__", broken_late)):
+        coded._setup.cache_clear()
+        if owner is np.linalg:
+            coded._unit_geometry.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, failure)
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_coded(sc)
+        assert coded._setup.cache_info().currsize == 0
+        assert coded._unit_geometry.cache_info().currsize == (owner is mimo._Link)
+        assert fingerprint(solve_coded(sc)) == expected
 
 
 def test_link_setup_runs_once_per_sweep(monkeypatch):
