@@ -10,9 +10,10 @@ rejected. Commands:
     specshape solve       scenario.json -o out.json
 
 Exit codes: 0 success, 2 input error, 3 infeasible scenario, 4 solver
-non-convergence or a non-finite result. Output files are written only after
-the computation succeeds, with fixed 12-significant-digit formatting so
-identical inputs produce byte-identical outputs.
+failure: non-convergence, a non-finite result, or any other ValueError the
+computation raises once the file has been read and checked. Output files are
+written only after the computation succeeds, with fixed 12-significant-digit
+formatting so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -255,45 +256,198 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """repr(float(_fmt(x))) for each x of a float64 array, one format per run.
+# The JSON writer lays out each 1-D float array in numpy: the run starts
+# within _BLOCK entries at a time, and a run of _LONG_RUN entries or more as
+# its text times its length. Its tables cover the decimal exponents e in
+# [-_E_SPAN, _E_SPAN], and each entry's text takes _ROW_WORDS uint32 words.
+_BLOCK = 4096
+_LONG_RUN = 64
+_E_SPAN = 300
+_ROW_WORDS = 11
+
+
+def _words(b) -> np.ndarray:
+    """A uint8 array (..., 4k) as (..., k) native uint32 words."""
+    return np.ascontiguousarray(b, dtype=np.uint8).view(np.uint32)
+
+
+@functools.cache
+def _text_tables() -> dict:
+    """The tables of `_float_rows`, built once per process by numpy arithmetic.
+
+    powers[k + 286] is 10**k for k in [-286, 307]: a parsed 10**(22q) times an
+    exact 10**r, so within two roundings of 10**k. Each 0..9999 maps to its
+    four ASCII digits as one word (quads), and with trailing zeros as holes
+    (stripped). before[w][a] and after[w][a] mask word w of twelve digits to
+    those before and from position a on. The rest is indexed by e + _E_SPAN:
+    the digits a before the point, the point words, the head words (sign and
+    the "0.000" of -4 <= e < 0, indexed by 2(e + _E_SPAN) + negative) and the
+    tail words ("0000.0" for 11 <= e < 16, "e+XX" where repr uses exponents).
+    """
+    tens = np.array([float(10**r) for r in range(22)])  # each exact
+    coarse = np.array([float(f"1e{22 * q}") for q in range(-13, 14)])
+    quad = np.empty((10, 10, 10, 10, 4), np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)
+    quad[..., 0] = digit[:, None, None, None]
+    quad[..., 1] = digit[:, None, None]
+    quad[..., 2] = digit[:, None]
+    quad[..., 3] = digit
+    stripped = quad.copy()
+    stripped[..., 0, 3] = 0
+    stripped[..., 0, 0, 2] = 0
+    stripped[:, 0, 0, 0, 1] = 0
+    stripped[0, 0, 0, 0, 0] = 0
+    n, z = 2 * _E_SPAN + 1, _E_SPAN  # z: the index of e = 0
+    small, mid, big = slice(z - 4, z), slice(z, z + 11), slice(z + 11, z + 16)
+    head = np.zeros((n, 2, 8), np.uint8)  # [e, negative]
+    head[:, 1, 0] = ord("-")
+    for k in range(1, 5):  # e = -k: "0." and k - 1 zeros
+        head[z - k, :, 1:k + 2] = np.frombuffer(b"0.000"[:k + 1], np.uint8)
+    tail = np.zeros((n, 8), np.uint8)
+    for k in range(5):  # e = 11 + k: k zeros past the 12th digit, then ".0"
+        tail[z + 11 + k, :k + 2] = np.frombuffer(b"0" * k + b".0", np.uint8)
+    digits = quad.reshape(-1, 4)[np.abs(np.arange(-_E_SPAN, _E_SPAN + 1)), 1:]
+    for text, expo in ((b"e-", slice(0, z - 4)), (b"e+", slice(z + 16, n))):
+        tail[expo, :2] = np.frombuffer(text, np.uint8)
+        tail[expo, 2:5] = digits[expo]
+    tail[z - 99:z - 4, 2] = tail[z + 16:z + 100, 2] = 0  # |e| < 100: two digits
+    a = np.ones(n, np.intp)  # digits before the point, one in exponent layout
+    a[small], a[mid], a[big] = 0, np.arange(1, 12), 12
+    dot, dot0 = _words(np.frombuffer(b".\0\0\0.0\0\0", np.uint8))
+    point = np.full(n, dot)  # when digits follow it
+    point[small] = point[big] = 0
+    point0 = np.zeros(n, np.uint32)  # when none follow it
+    point0[mid] = dot0
+    j, cut = np.arange(12), np.arange(13)[:, None]
+    return {
+        "powers": (coarse[:, None] * tens).ravel(),
+        "quads": _words(quad).ravel(),
+        "stripped": _words(stripped).ravel(),
+        "before": _words((j < cut) * np.uint8(255)).T.copy(),
+        "after": _words((j >= cut) * np.uint8(255)).T.copy(),
+        "a": a,
+        "point": point,
+        "point0": point0,
+        "head": _words(head).reshape(-1, 2).T.copy(),
+        "tail": _words(tail).T.copy(),
+    }
+
+
+def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """repr(float(_fmt(v))) for each v of x, then the words sep: one row of
+    uint32 words per entry, in which every zero byte is a hole.
+
+    The decimal exponent e starts at floor(log10|v|) and moves by one where
+    s = |v| 10**(11 - e) leaves [1e11, 1e12); m = rint(s) is then the 12-digit
+    mantissa, and m = 1e12 is 1e11 at e + 1. s carries at most three
+    roundings, under 4e-4, so m is the correctly rounded mantissa of %.12g
+    wherever s lies more than 1e-3 from a half-integer. A normal float rounded
+    to 12 digits has a unique shortest repr: the digits of m without their
+    trailing zeros, positional for -4 <= e < 16 (".0" on integral values) and
+    d.ddde-XX otherwise. The row holds that layout in fixed words: the head
+    (sign, "0.000"), the digits before the point, the point, the digits after
+    it with trailing zeros as holes, and the tail ("0000.0", "e+XX"). Python
+    formats only the entries this cannot prove: |v| outside [1e-290, 1e290),
+    so zero and subnormals, and s near a tie.
+    """
+    t = _text_tables()
+    ax = np.abs(x)
+    exact = (ax >= 1e-290) & (ax < 1e290)
+    ax[~exact] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    s = ax * t["powers"][297 - e]  # 297 - e = (11 - e) + 286
+    # log10 may round across an integer: one step back into [1e11, 1e12)
+    e += s >= 1e12
+    e -= s < 1e11
+    s = ax * t["powers"][297 - e]
+    m = np.rint(s)
+    exact &= (m >= 1e11) & (m <= 1e12) & (np.abs(s - m) < 0.499)
+    up = m == 1e12
+    e += up
+    m[up] = 1e11
+    hi, rest = np.divmod(m.astype(np.int64), 100_000_000)
+    mid, lo = np.divmod(rest, 10_000)
+    quads, stripped = t["quads"], t["stripped"]
+    whole = quads[hi], quads[mid], quads[lo]
+    lo0 = lo == 0
+    trimmed = (np.where(lo0 & (mid == 0), stripped[hi], whole[0]),
+               np.where(lo0, stripped[mid], whole[1]), stripped[lo])
+    ei = e + _E_SPAN
+    a = t["a"][ei]
+    # words 0-1 head, 2-4 digits before the point, 5 point, 6-8 digits after
+    # it, 9-10 tail, then the separator
+    rows = np.empty((x.size, _ROW_WORDS + sep.size), np.uint32)
+    signed = 2 * ei + np.signbit(x)
+    rows[:, 0] = t["head"][0][signed]
+    rows[:, 1] = t["head"][1][signed]
+    fraction = 0
+    for w in range(3):
+        rows[:, 2 + w] = whole[w] & t["before"][w][a]
+        rows[:, 6 + w] = trimmed[w] & t["after"][w][a]
+        fraction = fraction | rows[:, 6 + w]
+    rows[:, 5] = np.where(fraction != 0, t["point"][ei], t["point0"][ei])
+    rows[:, 9] = t["tail"][0][ei]
+    rows[:, 10] = t["tail"][1][ei]
+    rows[:, _ROW_WORDS:] = sep
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        texts = b"".join(repr(float(_fmt(v))).encode().ljust(4 * _ROW_WORDS, b"\0")
+                         for v in x[redo].tolist())
+        rows[redo, :_ROW_WORDS] = _words(np.frombuffer(texts, np.uint8)).reshape(-1, _ROW_WORDS)
+    return rows
+
+
+def _unholed(rows: np.ndarray) -> bytes:
+    """The text of rows of `_float_rows`: their bytes without the holes."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _float_block(values: np.ndarray, pad: str) -> str:
+    """`_block` of repr(float(_fmt(x))) for each x of a 1-D float array.
 
     Solver output holds long runs of one value: zero stretches off the
     support and in the boundary cells, one water level across a flat
-    spectrum. So each run of bit-equal neighbours is formatted once, at its
-    first entry, and that text is repeated over the run. Runs are found on
-    the bits, not with ==, because 0.0 == -0.0 while their texts differ
-    ("0.0" and "-0.0"); bit-equal floats always share a text.
-
-    The run starts are formatted with one %.12g pass. A normal float rounded
-    to 12 significant digits has a unique shortest repr, and it has the
-    digits of its %.12g form. The two layouts differ only where repr appends
-    ".0" or stays positional, that is on integral values (every rounded
-    value of 1e12 or more is one), and below the normal range, where repr
-    keeps fewer digits. Rounding to 12 digits moves x by at most 5e-12 |x|,
-    so every such entry has |x| >= 1e11, |x| < 2.3e-308 or x within
-    1e-11 |x| of an integer; those entries are laid out by repr, and on the
-    others repr gives the %.12g text back.
+    spectrum. So each run of bit-equal neighbours is written once, at its
+    first entry, and that text is repeated over the run: as rows repeated
+    before the holes are deleted, or, for a run of _LONG_RUN or more, as the
+    text times the run's length. Runs are found on the bits, not with ==,
+    because 0.0 == -0.0 while their texts differ ("0.0" and "-0.0");
+    bit-equal floats always share a text. The run starts are formatted in
+    blocks, those that start within one _BLOCK of entries at a time, so a
+    block's rows hold fewer than _BLOCK + _LONG_RUN entries.
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise SolverError("the result is not finite")
+    if not values.size:
+        return "[]"
+    inner = pad + "  "
+    sep = f",\n{inner}".encode()
+    sep_words = _words(np.frombuffer(sep.rjust(-(-len(sep) // 4) * 4, b"\0"), np.uint8))
     bits = values.view(np.int64)
-    starts = np.empty(values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    firsts = values[starts]
-    texts = (("%.12g " * firsts.size) % tuple(firsts.tolist())).split()
-    mag = np.abs(firsts)
-    redo = ((mag >= 1e11) | (mag < 2.3e-308)
-            | (np.abs(firsts - np.rint(firsts)) <= 1e-11 * mag))
-    for i in np.flatnonzero(redo).tolist():
-        texts[i] = repr(float(texts[i]))
-    if starts.size < values.size:
-        runs = np.diff(starts, append=values.size)
-        texts = np.repeat(np.array(texts, dtype=object), runs).tolist()
-    return texts
+    new_run = np.empty(values.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    runs = np.diff(starts, append=values.size)
+    # the first run start of each block of entries
+    cuts = np.searchsorted(starts, np.arange(0, values.size, _BLOCK)).tolist() + [starts.size]
+    body = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
+            continue  # the block lies within a run that started before it
+        rows = _float_rows(values[starts[lo:hi]], sep_words)
+        cut = lo
+        for r in [*(lo + np.flatnonzero(runs[lo:hi] >= _LONG_RUN)).tolist(), hi]:
+            if cut < r:
+                stretch = rows[cut - lo:r - lo]
+                if runs[cut:r].max() > 1:
+                    stretch = np.repeat(stretch, runs[cut:r], axis=0)
+                body.append(_unholed(stretch))
+            if r < hi:
+                body.append(_unholed(rows[r - lo]) * int(runs[r]))
+            cut = r + 1
+    return "[\n" + inner + b"".join(body)[:-len(sep)].decode("ascii") + "\n" + pad + "]"
 
 
 def _block(opening: str, items: list[str], closing: str, pad: str) -> str:
@@ -313,8 +467,8 @@ def _json_text(obj, pad: str = "") -> str:
                             for k, v in sorted(obj.items())], "}", pad)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
-            items = _float_texts(obj)
-        elif obj.ndim == 1 and obj.dtype.kind in "iu":
+            return _float_block(obj, pad)
+        if obj.ndim == 1 and obj.dtype.kind in "iu":
             items = list(map(str, obj.tolist()))
         else:
             items = [_json_text(v, inner) for v in obj.tolist()]
@@ -384,27 +538,28 @@ def _prelog_mesh(p: _Params, grid_points: int, factor: float):
     grid = make_grid(grid_points)
     phi_s = _legacy_spectrum(p, grid)
     sigma2_n = p.value("sigma2_n")
-    return lambda: (["d_ratio", "snr_db", "prelog"],
-                    _mesh_rows(grid, phi_s, sigma2_n, d_ratios, snr_dbs))
-
-
-def _mesh_rows(grid: FrequencyGrid, phi_s: Spectrum, sigma2_n: float,
-               d_ratios: list[float], snr_dbs: list[float]) -> list[list[str]]:
     sigma2_s = mean_power(phi_s)
     if sigma2_s == 0:
         raise SchemaError("prelog-mesh needs a legacy spectrum of positive power: "
                           "the mesh axes are ratios to sigma2_s")
-    phi_n = flat_spectrum(grid, sigma2_n)
-
     try:
         gains = [db_to_linear(snr_db) * sigma2_n / sigma2_s for snr_db in snr_dbs]
     except OverflowError as e:
         raise SchemaError("mesh.snr_db is out of range") from e
-
-    # UncodedScenario checks each target here, at the first gain, and each
-    # gain where the loop below makes its scenario.
+    # UncodedScenario checks each target at the first gain, and each gain
+    phi_n = flat_spectrum(grid, sigma2_n)
     cells = [UncodedScenario(a=gains[0], phi_s=phi_s, phi_n=phi_n, D=d_ratio * sigma2_s, P=1.0)
              for d_ratio in d_ratios]
+    per_gain = [replace(cells[0], a=a) for a in gains]
+    return lambda: (["d_ratio", "snr_db", "prelog"],
+                    _mesh_rows(cells, per_gain, d_ratios, snr_dbs))
+
+
+def _mesh_rows(cells: list[UncodedScenario], per_gain: list[UncodedScenario],
+               d_ratios: list[float], snr_dbs: list[float]) -> list[list[str]]:
+    """The mesh's CSV rows: the on-off prelog of the target of each of cells
+    at the gain of each of per_gain."""
+    grid, phi_s = cells[0].grid, cells[0].phi_s
     # The noise is flat, so u = a*phi_s^2/(a*phi_s + sigma2_n) rises with
     # phi_s at every gain: one stable sort of phi_s orders the cells, and
     # their weights, for the whole mesh. A gain needs only its u along that
@@ -418,8 +573,8 @@ def _mesh_rows(grid: FrequencyGrid, phi_s: Spectrum, sigma2_n: float,
     shared = grid.weights[order]
     shared_cumw = shaping._prefix_sums(shared)[1:]
     columns = []
-    for a in gains:
-        u, _, dlow = shaping._preemphasis(replace(cells[0], a=a))
+    for sc in per_gain:
+        u, _, dlow = shaping._preemphasis(sc)
         us = u[order]
         if ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
             wts, cumw = shared, shared_cumw
@@ -504,9 +659,10 @@ def _solve_coded(p: _Params, grid_points: int, factor: float):
 def _solve_mimo(p: _Params, grid_points: int, factor: float):
     P = p.value("P")
     ch = _mimo_channel(p)
+    grid = make_grid(grid_points)
 
     def payload() -> dict:
-        sol = mimo_mod.solve_mimo(ch, P, grid=make_grid(grid_points))
+        sol = mimo_mod.solve_mimo(ch, P, grid=grid)
         return {
             "kind": "mimo",
             "mode": sol.mode.value,
@@ -559,7 +715,14 @@ def main(argv=None) -> int:
             raise SchemaError(f"{args.command} requires an {' or '.join(jobs)} scenario")
         compute = jobs[kind](p, args.grid, _rate_factor(args.log_base))
         p.finish()
-        result = compute()
+        # the build checked the input: a plain ValueError from here on is the
+        # solver's, not the file's
+        try:
+            result = compute()
+        except InfeasibleScenarioError:
+            raise
+        except ValueError as e:
+            raise SolverError(str(e)) from e
         if args.command == "solve":
             result["log_base"] = args.log_base
             _write_json(args.output, result)

@@ -409,6 +409,24 @@ def test_non_numeric_epsilon_exit_2(tmp_path, capsys):
     assert run_bad(tmp_path, capsys, uncoded_doc(epsilon=[0.1], P_db=30)) == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("solve", {"P": 1.0}),
+    ("rate-curve", {"power_sweep_db": {"start": 0, "stop": 10, "points": 3}})])
+def test_undefined_rate_over_a_zero_floor_exit_4(tmp_path, capsys, command, extra):
+    # phi_s = phi_n = [1, 0] is a valid file, but the fill puts power on the
+    # last sample, whose floor a*phi_s + phi_n is 0, and the rate there is
+    # undefined. waterfill.rate_bins raises a plain ValueError inside the
+    # solve, which main reports as the solver's (exit 4), not the file's
+    doc = {"kind": "uncoded", "phi_s_values": [1.0, 0.0], "phi_n_values": [1.0, 0.0],
+           "a": 1.0, "D": 0.5, **extra}
+    out = tmp_path / "o.out"
+    code = cli.main([command, write(tmp_path, doc), "-o", str(out), "--grid", "128", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER == 4
+    assert "rate undefined" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_result_exit_4(tmp_path, capsys, monkeypatch):
     solve = coded.solve_coded
     monkeypatch.setattr(coded, "solve_coded", lambda sc: replace(solve(sc), rate=math.nan))

@@ -1,0 +1,159 @@
+"""The JSON writer's float arrays, entry for entry as Python writes them.
+
+`cli._json_text` lays out each 1-D float array in numpy. Every entry must
+read as repr(float(f"{x:.12g}")), and the block as json.dumps(..., indent=2)
+lays it out, at any depth. Each test compares the writer's text with
+`oracles.json_text` on seeded arrays at three indent levels. Needs only numpy
+and pytest; pyproject.toml makes a RuntimeWarning an error, so no finite
+input may raise one.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import oracles
+from specshape import cli
+from specshape.errors import SolverError
+
+SEED = 20261019
+
+
+def nestings(values):
+    """The array at indent 0, 2 and 6."""
+    return [values, {"v": values}, {"a": {"b": {"v": values}}}]
+
+
+def assert_written_as_python(values):
+    values = np.asarray(values, dtype=float)
+    for payload in nestings(values):
+        got = cli._json_text(payload).split("\n")
+        want = oracles.json_text(payload).split("\n")
+        # a line-by-line report: a string diff of 10^5 lines takes minutes
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) and not bad, bad[:5]
+
+
+def both_signs(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, -x])
+
+
+def test_random_doubles_over_every_exponent():
+    # uniform bit patterns below the infinities: every binary exponent from
+    # the subnormals to the largest float is drawn about equally often
+    rng = np.random.default_rng(SEED)
+    bits = rng.integers(0, 0x7FF0_0000_0000_0000, 100_000, dtype=np.int64)
+    x = both_signs(bits.view(np.float64))
+    assert x.size == 200_000
+    assert np.isfinite(x).all()
+    assert np.unique(bits >> 52).size > 2000  # of the 2047 finite exponents
+    assert_written_as_python(x)
+
+
+def near_ties(rng, n, lo=-300, hi=290):
+    """Floats near half-way between two 12-digit decimals m and m + 1 (times
+    10^k): the nearest float to each tie, its neighbours up to 8 ulps away
+    (the writer hands scaled values within 1e-3 of a tie, a few ulps, to
+    Python), and scaled offsets of 1e-6 and near 1e-3 either side."""
+    mant = rng.integers(10**11, 10**12, n)
+    exps = rng.integers(lo, hi, n)
+    out = []
+    for m, k in zip(mant.tolist(), exps.tolist()):
+        tie = float(f"{m}.5e{k}")
+        out.append(tie)
+        up = down = tie
+        for _ in range(8):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            out += [up, down]
+        out += [float(f"{m}.{frac}e{k}") for frac in ("499999", "500001", "499", "501",
+                                                      "4989", "5011")]
+    return both_signs(out)
+
+
+def test_values_near_twelve_digit_ties():
+    rng = np.random.default_rng(SEED + 1)
+    assert_written_as_python(near_ties(rng, 2000))
+    # positional range, where the layout (not only the digits) depends on m
+    assert_written_as_python(near_ties(rng, 2000, lo=-16, hi=16))
+
+
+def test_integers_up_to_1e17():
+    rng = np.random.default_rng(SEED + 2)
+    drawn = rng.integers(-10**17, 10**17, 20_000)
+    scales = [10**k for k in range(18)]
+    edges = [s + d for s in scales for d in (-1, 0, 1)] + [s // 2 for s in scales]
+    small = rng.integers(-10**6, 10**6, 5_000)
+    x = np.concatenate([drawn.astype(float), both_signs(edges), small.astype(float)])
+    assert_written_as_python(x)
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-308, 309)])
+    x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert np.isfinite(x).all()
+    assert_written_as_python(both_signs(x))
+
+
+def test_subnormals_zeros_and_the_largest_float():
+    rng = np.random.default_rng(SEED + 3)
+    subnormals = rng.integers(1, 2**52, 2000, dtype=np.int64).view(np.float64)
+    tiny = sys.float_info.min
+    edges = [0.0, -0.0, 5e-324, 1e-323, math.nextafter(tiny, 0.0), tiny,
+             math.nextafter(tiny, 1.0), 1e-290, math.nextafter(1e-290, 0.0),
+             1e290, math.nextafter(1e290, 0.0), sys.float_info.max,
+             math.nextafter(sys.float_info.max, 0.0)]
+    assert_written_as_python(both_signs(np.concatenate([subnormals, edges])))
+
+
+def test_arrays_longer_than_a_block_with_runs_across_its_edges():
+    # the writer formats each run of bit-equal neighbours once, and blocks
+    # its run starts by entry; 0.0 and -0.0 compare equal but must keep their
+    # own texts
+    b = cli._BLOCK
+    x = np.zeros(3 * b + 17)
+    x[b - 3:b + 5] = -0.0
+    x[2 * b - 1] = 0.5
+    x[2 * b:2 * b + 2] = -0.0
+    x[2 * b + 2:3 * b + 9] = 1.25
+    x[3 * b + 9:] = -0.0
+    assert_written_as_python(x)
+    # one value over more than a whole block, then alternating zeros
+    y = np.full(2 * b + 1, 3.0)
+    y[b + 7:] = np.where(np.arange(y.size - b - 7) % 2, 0.0, -0.0)
+    assert_written_as_python(y)
+    # whole blocks with no run start, and runs of every length around the
+    # one from which a run's text is multiplied
+    z = np.zeros(4 * b)
+    z[-1] = -0.0
+    assert_written_as_python(z)
+    rng = np.random.default_rng(SEED + 4)
+    lengths = rng.integers(1, 3 * cli._LONG_RUN, 400)
+    assert_written_as_python(np.repeat(rng.choice([0.0, -0.0, 0.1, 1e-5, 1e16], 400), lengths))
+    assert_written_as_python(rng.choice([0.0, -0.0, 0.1, 1e-5, 1e16], 5 * b + 3))
+
+
+def test_solver_shaped_arrays():
+    # what `solve` writes: a grid, and a field of zero stretches, water
+    # levels and smooth runs
+    rng = np.random.default_rng(SEED + 5)
+    omega = np.linspace(0.0, np.pi, 32768)
+    field = np.maximum(rng.standard_normal(20_000).cumsum() * 1e-3, 0.0)
+    field[::7] = 2.5
+    assert_written_as_python(np.concatenate([omega, field]))
+
+
+def test_other_float_widths_and_empty_arrays():
+    x = np.array([0.1, -2.5, 1e-7, 3e20, 0.0], dtype=np.float32)
+    assert_written_as_python(x)
+    assert cli._json_text({"v": np.zeros(0)}) == oracles.json_text({"v": []})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_raise_solver_error(bad):
+    x = np.zeros(cli._BLOCK + 5)
+    x[-1] = bad
+    with pytest.raises(SolverError):
+        cli._json_text({"v": x})

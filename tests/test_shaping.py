@@ -195,6 +195,20 @@ def test_entry_points_agree_on_the_case_at_the_water_filling_threshold(epsilon):
     assert mean_power(sol.phi_x) == pytest.approx(P, rel=1e-14)
 
 
+@pytest.mark.parametrize("shaped", [False, True], ids=["flat", "shaped"])
+def test_workspace_prefix_maxima_match_the_scan(shaped):
+    # base and q rise along the u-order under flat noise, so the workspace
+    # keeps them as their own prefix maxima; under shaped noise neither rises
+    # and both are scanned. Either way the maxima are the scan's, bit for bit
+    g = make_grid(4096)
+    noise = (tabulated_spectrum(g, np.array([4.0, 0.2, 3.0, 0.5, 1.0])) if shaped
+             else flat_spectrum(g, 1.0))
+    ws = shaping._Workspace(UncodedScenario(10.0, ar1_spectrum(g, 1.0, 0.3), noise, 0.3, 10.0))
+    for arr, running in ((ws.bs, ws.maxb), (ws.qs, ws.maxq)):
+        assert running.tobytes() == np.maximum.accumulate(arr).tobytes()
+        assert (running is arr) == (not shaped)
+
+
 def test_onoff_prelog_flat_closed_form():
     res = onoff_prelog(flat_study())
     expected = (1.0 + 1.0 / 1000.0) * 0.01 - 1.0 / 1000.0  # 0.00901
