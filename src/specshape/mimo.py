@@ -37,12 +37,17 @@ shape among them, are private read-only copies, so that link cannot go stale.
 `coded.solve_coded` puts the scenario's scalars on one 1x1 unit geometry and
 keeps its last link in an `lru_cache` over them. Results do not depend on
 these caches: a link found there is the one a fresh setup would build. The
-shape is checked once, when the channel is built; the checks of P,
-feasibility and the on-level run on every call.
+checks of P and feasibility run on every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
 `PsdMatrix` is that one form: the grid, the prefix length k and the checked
 level. Its dense (n_points, N_t, N_t) `values` is written on its first read.
+The solver's on-level is always a positive multiple L Q of the channel's
+unit-trace shape, and a positive multiple scales every eigenvalue by L (Golub
+& Van Loan, *Matrix Computations*, 8.1). So a field has one check, the
+scale-free check of Q when the channel is built: a Q that passes it gives an
+L Q that passes the public `PsdMatrix` check at every L > 0 (to rounding at
+the floor, `_shape_matrix`), and no solve checks its field again.
 """
 
 from __future__ import annotations
@@ -71,14 +76,17 @@ class DecodeMode(str, Enum):
     RATE_SPLIT_B2 = "RateSplitB2"
 
 
-def _checked(v: np.ndarray) -> np.ndarray:
+def _checked(v: np.ndarray, unit: float = 1.0) -> np.ndarray:
     """Hermitian part of a complex (k, N, N) stack, after checking that the
     stack is finite, Hermitian and positive semidefinite to the tolerances
-    scaled by max(1, max|v|) over the whole stack."""
+    scaled by max(unit, max|v|) over the whole stack. A level a caller gives
+    is checked at unit 1, so that a level near zero is not held to a
+    tolerance near zero; a channel's unit-trace shape at unit 0, so that its
+    verdict does not depend on the scale of the shape given."""
     if not np.isfinite(v).all():
         raise ValueError("PSD matrices must be finite")
     herm = v.conj().transpose(0, 2, 1)
-    scale = max(1.0, float(np.abs(v).max()))
+    scale = max(unit, float(np.abs(v).max()))
     if np.abs(v - herm).max() > _HERM_TOL * scale:
         raise ValueError("PSD matrices must be Hermitian")
     # halved before the sum, which would overflow past half the largest float
@@ -97,8 +105,10 @@ class PsdMatrix:
     The constructor checks the level and stores its read-only Hermitian part.
     A zero sample passes every test and never raises the scale max(1, max|v|),
     so the outcome, the error and the bytes of `values` are those of checking
-    every sample. The dense (n_points, N_t, N_t) `values` is written on its
-    first read and kept.
+    every sample. `solve_mimo` builds its field through the same store step
+    without that check: its level is a positive multiple of a shape the
+    channel checked (`_shape_matrix`). The dense (n_points, N_t, N_t)
+    `values` is written on its first read and kept.
     """
 
     grid: FrequencyGrid
@@ -106,14 +116,27 @@ class PsdMatrix:
     level: np.ndarray
 
     def __post_init__(self):
-        level = np.asarray(self.level, dtype=complex)
+        try:  # an int past the largest float is rejected as an infinite entry is
+            level = np.asarray(self.level, dtype=complex)
+        except OverflowError:
+            raise ValueError("PSD matrices must be finite") from None
         if level.ndim != 2 or level.shape[0] != level.shape[1]:
             raise ValueError("PSD matrix level must be a square matrix")
         if not 1 <= self.k <= self.grid.n_points:
             raise ValueError("PSD matrix prefix must hold 1 to n_points samples")
-        level = _checked(level[None])[0]
+        self._store(self.grid, self.k, _checked(level[None])[0])
+
+    @classmethod
+    def _of_checked(cls, grid: FrequencyGrid, k: int, level: np.ndarray) -> PsdMatrix:
+        """The field of a level known to pass the constructor's check."""
+        psd = object.__new__(cls)
+        psd._store(grid, k, level)
+        return psd
+
+    def _store(self, grid: FrequencyGrid, k: int, level: np.ndarray):
         level.flags.writeable = False
-        object.__setattr__(self, "level", level)
+        for name, value in (("grid", grid), ("k", k), ("level", level)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_t(self) -> int:
@@ -165,8 +188,10 @@ class MimoChannel(_LegacyLink):
     """Cognitive MIMO link, the scalar legacy cross-channels and the on-level
     shape (None: isotropic). The arrays, the shape among them, are stored as
     read-only complex copies of the ones given, the scalars as checked Python
-    floats. The shape is checked once, here, and kept as given, so that
-    `replace` normalizes the same bits into the unit-trace `_Q`."""
+    floats. The shape is checked once, here (`_shape_matrix`), and kept as
+    given, so that `replace` normalizes the same bits into the unit-trace
+    Hermitian `_Q`, of largest entry modulus `_Q_max`. Every field a solve
+    returns is a positive multiple of `_Q`."""
 
     H_c: np.ndarray   # N_r x N_t cognitive channel matrix
     h_l: np.ndarray   # N_t vector: cognitive transmit -> legacy receiver
@@ -202,6 +227,7 @@ class MimoChannel(_LegacyLink):
         Q = _shape_matrix(self, shape)
         Q.flags.writeable = False
         object.__setattr__(self, "_Q", Q)
+        object.__setattr__(self, "_Q_max", float(np.abs(Q).max()))
 
     @property
     def n_t(self) -> int:
@@ -234,18 +260,51 @@ def mimo_prelog(channel: MimoChannel) -> float:
 
 
 def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
+    """The Hermitian part Q of the shape over its trace (I/N_t, unchecked, for
+    None), checked at the scale of Q alone (`_checked` at unit 0): a
+    Hermitian defect within 1e-12 max|Q| and eigenvalues at or above
+    -1e-12 max|Q|. A shape S and c S, c > 0, are the same channel and get
+    the same verdict, as long as the trace and its reciprocal are finite
+    floats.
+
+    The field of every solve is L Q with L = P/w > 0. Q is exactly Hermitian,
+    so L Q is too, bit for bit, and L Q's eigenvalues are L times Q's, at or
+    above -1e-12 L max|Q| >= -1e-12 max(1, L max|Q|), the public floor: in
+    exact arithmetic L Q passes the `PsdMatrix` check at every L. In floating
+    point the eigenvalues computed for L Q and L times those computed for Q
+    differ by a few ulps of L max|Q|, so a Q whose least eigenvalue sits
+    within about 1e-15 max|Q| of its floor may give a field the public check
+    rejects once L max|Q| > 1.
+
+    The field is L times this Q, not the Q of the mode gains, whose
+    eigenvalues `_Geometry` clips to 0 below 4 N_t eps times the largest.
+    This Q is the matrix the check decided on, and its trace fixes the
+    field's power at P; V diag(e) V^H re-formed from the clipped modes would
+    move entries by rounding, the isotropic I/N_t among them. A checked Q has
+    no eigenvalue below -1e-12 max|Q|, and the clip moves none above
+    4 N_t eps (Q has unit trace), so each eigenvalue of the two differs by
+    less than the larger bound, and the rates the search reports agree with
+    the field to that order."""
     nt = channel.n_t
     if shape is None:
-        Q = np.eye(nt, dtype=complex)
-    else:
-        Q = np.asarray(shape, dtype=complex)
-        if Q.shape != (nt, nt):
-            raise ValueError("on-level shape matrix has wrong dimensions")
-        _checked(Q[None])
-    tr = float(np.trace(Q).real)
+        return np.eye(nt, dtype=complex) / nt
+    Q = np.asarray(shape, dtype=complex)
+    if Q.shape != (nt, nt):
+        raise ValueError("on-level shape matrix has wrong dimensions")
+    if not np.isfinite(Q).all():
+        raise ValueError("PSD matrices must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = float(np.trace(Q).real)
     if tr <= 0:
         raise ValueError("on-level shape matrix must have positive trace")
-    return Q / tr
+    if not (math.isfinite(tr) and math.isfinite(1.0 / tr)):
+        raise ValueError("on-level shape matrix trace is outside the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = Q / tr
+    if not np.isfinite(Q).all():
+        # a unit-trace PSD matrix has no entry above 1 in modulus
+        raise ValueError("PSD matrices must be positive semidefinite")
+    return _checked(Q[None], 0.0)[0]
 
 
 def _widest_feasible(c):
@@ -430,9 +489,11 @@ def solve_mimo(channel: MimoChannel, P: float,
     and the best mode wins. The reported rate is the analytic optimum;
     the returned PSD field quantizes the support to whole grid cells with the
     level rescaled so trace power is exactly P. The support is a prefix of
-    the grid that always holds sample 0, and the field is checked through its
-    one on-level, which decides as checking every sample would. An on-level
-    P/frac or a rate that overflows raises SolverError.
+    the grid that always holds sample 0. Its level (P/frac) Q is a positive
+    multiple of the shape the channel checked, so it is stored with no second
+    check (`_shape_matrix` says why it needs none). An on-level whose largest
+    entry P/frac max|Q| overflows, or a rate that overflows, raises
+    SolverError.
     """
     P = channel._budget(P)
     mode, w, rate, residuals = channel._link.search(P)
@@ -442,8 +503,8 @@ def solve_mimo(channel: MimoChannel, P: float,
     k = max(int(grid.cumulative_weights.searchsorted(w * np.pi, "right")), 1)
     frac = float(grid.weights[:k].sum()) / np.pi
     level = P / frac
-    if not math.isfinite(level):
+    if not math.isfinite(level * channel._Q_max):
         # the level cannot be written: inf * 0 would put NaN in the field
         raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
-    return MimoSolution(psd=PsdMatrix(grid, k, level * channel._Q), rate=rate,
+    return MimoSolution(psd=PsdMatrix._of_checked(grid, k, level * channel._Q), rate=rate,
                         mode=mode, w=w, residuals=residuals)

@@ -578,7 +578,8 @@ def test_overflowing_rate_raises_solver_error(P):
 @pytest.mark.parametrize("P", [5e307, 8e307])
 def test_on_level_near_the_float_limit_is_checked(P):
     # the on-level P/w is at least 1e308, past half the largest float: the
-    # Hermitian part must be formed without adding two such entries
+    # public check of the field must form its Hermitian part without adding
+    # two such entries
     ch = scalar_channel(a_c=0.01, g_c=1.0)
     g = make_grid(64)
     with warnings.catch_warnings():
@@ -589,6 +590,10 @@ def test_on_level_near_the_float_limit_is_checked(P):
     field = sol.psd.values[:, 0, 0]
     frac = float(g.weights[field != 0].sum()) / np.pi
     assert field[0] == P / frac >= 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = PsdMatrix(g, sol.psd.k, sol.psd.level)
+    assert checked.level.tobytes() == sol.psd.level.tobytes()
 
 
 def test_whitening_with_a_tiny_noise_stays_finite():
@@ -794,25 +799,93 @@ def test_on_off_level_check_matches_per_sample_check(level):
                 == outcome(lambda: SampledPsd(grid, field)))
 
 
-@pytest.mark.parametrize("P, accepted", [(1e-3, True), (1.0, False), (1e3, False)])
-def test_level_check_scale_matches_per_sample_check(P, accepted):
-    # the shape passes its own check at scale 1; the field's tolerance
-    # scales with the on-level, so the -1.8e-12 eigenvalue of the unit-trace
-    # shape is rejected once P/w reaches 1
-    shape = np.diag([0.5, -0.9e-12])
+@pytest.mark.parametrize("P", [1e-3, 1.0, 1e3])
+def test_shape_check_has_one_outcome_at_every_power(P):
+    # the unit-trace Q of diag([0.5, -0.9e-12]) has the eigenvalue -1.8e-12,
+    # below its floor -1e-12 max|Q|: the channel rejects the shape at every
+    # scale, before any budget reaches a solve. Within the floor, the field
+    # passes the per-sample check at every power, at the scale P/w.
     ch = channel()
-    _shape_matrix(ch, shape)
+    for c in (1e-290, 1.0, 1e290):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _shape_matrix(ch, c * np.diag([0.5, -0.9e-12]))
+    shape = np.diag([0.5, -0.4e-12])
     got = outcome(lambda: solve_mimo(replace(ch, shape=shape), P, grid=GRID).psd)
+    assert isinstance(got, bytes)
     assert got == outcome(lambda: per_sample_psd(ch, P, GRID, shape))
-    if accepted:
-        assert isinstance(got, bytes)
-    else:
-        assert got == (ValueError, "PSD matrices must be positive semidefinite")
+
+
+def test_borderline_shape_is_rejected_when_the_channel_is_built():
+    # the unit-trace Q has max|Q| = 0.5 and the eigenvalue -0.9e-12, below its
+    # floor -0.5e-12; a channel built on it solved at P = 0.1 and 1 and failed
+    # its field check from P = 10 on
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        MimoChannel(np.eye(3), np.ones(3), np.ones(3), a_l=1, g_l=0.1, a_c=1, g_c=1,
+                    sigma2_s=1, sigma2_nl=1, sigma2_nc=1, R_l=0.3,
+                    shape=np.diag([0.5, 0.5, -0.9e-12]))
+
+
+def tolerance_shape(rng, n, t, rotate):
+    """A seeded, exactly Hermitian n x n shape whose unit-trace Q has the
+    least eigenvalue t * 1e-12 max|Q|, to within about 1e-3 of that floor:
+    diagonal, or in a random unitary basis, with three shifts along the least
+    eigenvector."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    U = np.linalg.qr(z)[0] if rotate else np.eye(n)
+    S = (U * rng.uniform(0.1, 1.0, size=n)) @ U.conj().T
+    for _ in range(3):
+        tr = np.trace(S).real
+        e, V = np.linalg.eigh(S / tr)
+        S = S + (t * 1e-12 * np.abs(S / tr).max() - e[0]) * tr * np.outer(V[:, 0], V[:, 0].conj())
+        S = 0.5 * S + 0.5 * S.conj().T
+    return S * 10.0 ** rng.uniform(-100, 100)
+
+
+def test_every_field_passes_the_public_check():
+    # Seeded shapes whose Q has its least eigenvalue at +1 or -1 times the
+    # tolerance 1e-12 max|Q|, the negative ones 1% inside or outside it, at
+    # P from 1e-300 to 5e307. The channel rejects every shape outside the
+    # floor when it is built; every field of the others passes the public
+    # PsdMatrix(grid, k, level), which stores the same level bit for bit, bar
+    # subnormal entries, where its Hermitian part 0.5 x + 0.5 x rounds: the
+    # +-1e-12 entry of three diagonal shapes at P = 1e-300. (Within about
+    # 1e-3 of the floor, rounding can flip either verdict; see
+    # `_shape_matrix`.)
+    rng = np.random.default_rng(20)
+    grid = make_grid(64)
+    powers = 10.0 ** np.linspace(-300, math.log10(5e307), 16)
+    fields, rounded = 0, []
+    for i in range(60):
+        t = (1.0, -0.99, -1.01)[i % 3]
+        n = int(rng.integers(2, 5))
+        ch = channel(H=rng.normal(size=(int(rng.integers(1, 5)), n)), a_c=[1e-3, 1.0][i % 2])
+        S = tolerance_shape(rng, n, t, rotate=i % 4 != 0)
+        if t < -1.0:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                replace(ch, shape=S)
+            continue
+        ch = replace(ch, shape=S)
+        for P in powers:
+            try:
+                sol = solve_mimo(ch, P, grid=grid)
+            except SolverError:  # the on-level or the rate overflows
+                continue
+            fields += 1
+            checked = PsdMatrix(grid, sol.psd.k, sol.psd.level)
+            a, b = (x.level.view(float) for x in (checked, sol.psd))
+            moved = a != b
+            assert (np.abs(b[moved]) < np.finfo(float).tiny).all(), (i, P)
+            assert (np.abs(a[moved] - b[moved]) <= 5e-324).all(), (i, P)
+            if moved.any():
+                rounded.append((i, P))
+    assert fields >= 500
+    assert rounded == [(0, 1e-300), (28, 1e-300), (52, 1e-300)]
 
 
 def test_solve_mimo_eigvalsh_budget(monkeypatch):
-    # the shape, when the channel is built, and the on-level: two matrices per
-    # solve, where a per-sample field check decomposes all 4096 samples; the
+    # one matrix, the shape when the channel is built; the solve's field is a
+    # multiple of it and is not checked again, where a per-sample field check
+    # decomposes all 4096 samples; the isotropic shape needs no check, and the
     # link takes singular values of F = H_c Q^(1/2) and of its whitened form
     matrices = []
     eigvalsh = np.linalg.eigvalsh
@@ -830,7 +903,7 @@ def test_solve_mimo_eigvalsh_budget(monkeypatch):
         sol = solve_mimo(replace(channel(H=rng.normal(size=(3, 3)), a_c=a_c),
                                  shape=G @ G.conj().T), 1e3, grid=make_grid(4096))
         assert sol.psd.values.shape == (4096, 3, 3)
-        assert matrices == [1, 1], matrices
+        assert matrices == [1], matrices
 
 
 # The on-off field is kept as its prefix length and its level; the dense
@@ -1041,9 +1114,9 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
 
 
 def test_shape_is_checked_once_per_channel(monkeypatch):
-    # n_r = 2 and n_t = 3: the shape is checked when the channel is built, and
-    # each solve of a sweep checks its on-level alone; the link decomposes no
-    # n_r x n_r matrix with eigvalsh, so only 3x3 matrices reach it
+    # n_r = 2 and n_t = 3: the shape is checked when the channel is built,
+    # and no solve of a sweep checks its on-level again; the link decomposes
+    # no n_r x n_r matrix with eigvalsh
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -1059,7 +1132,7 @@ def test_shape_is_checked_once_per_channel(monkeypatch):
     assert sizes == [3]
     for P in POWERS9:
         solve_mimo(ch, P, grid=GRID)
-    assert sizes == [3] * (1 + len(POWERS9))
+    assert sizes == [3]
 
 
 def test_complex_channel_inputs_stay_writable():
