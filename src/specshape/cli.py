@@ -258,12 +258,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 # The JSON writer lays out each 1-D float array in numpy: the run starts
 # within _BLOCK entries at a time, and a run of _LONG_RUN entries or more as
-# its text times its length. Its tables cover the decimal exponents e in
-# [-_E_SPAN, _E_SPAN], and each entry's text takes _ROW_WORDS uint32 words.
+# its text times its length. It lays out in numpy only repr's positional
+# floats, each in _ROW_WORDS uint32 words, and Python formats the rest.
 _BLOCK = 4096
 _LONG_RUN = 64
-_E_SPAN = 300
-_ROW_WORDS = 11
+_ROW_WORDS = 9
 
 
 def _words(b) -> np.ndarray:
@@ -273,19 +272,15 @@ def _words(b) -> np.ndarray:
 
 @functools.cache
 def _text_tables() -> dict:
-    """The tables of `_float_rows`, built once per process by numpy arithmetic.
+    """The tables of `_float_rows`, built once per process.
 
-    powers[k + 286] is 10**k for k in [-286, 307]: a parsed 10**(22q) times an
-    exact 10**r, so within two roundings of 10**k. Each 0..9999 maps to its
+    powers[k] is 10**k, exact, for k in [0, 16]. Each 0..9999 maps to its
     four ASCII digits as one word (quads), and with trailing zeros as holes
     (stripped). before[w][a] and after[w][a] mask word w of twelve digits to
-    those before and from position a on. The rest is indexed by e + _E_SPAN:
-    the digits a before the point, the point words, the head words (sign and
-    the "0.000" of -4 <= e < 0, indexed by 2(e + _E_SPAN) + negative) and the
-    tail words ("0000.0" for 11 <= e < 16, "e+XX" where repr uses exponents).
+    those before and from position a on. head[:, 2k + negative] is the sign
+    and, for e = -k < 0, "0." and k - 1 zeros; points are the point with
+    digits after it and without.
     """
-    tens = np.array([float(10**r) for r in range(22)])  # each exact
-    coarse = np.array([float(f"1e{22 * q}") for q in range(-13, 14)])
     quad = np.empty((10, 10, 10, 10, 4), np.uint8)
     digit = np.arange(48, 58, dtype=np.uint8)
     quad[..., 0] = digit[:, None, None, None]
@@ -297,39 +292,19 @@ def _text_tables() -> dict:
     stripped[..., 0, 0, 2] = 0
     stripped[:, 0, 0, 0, 1] = 0
     stripped[0, 0, 0, 0, 0] = 0
-    n, z = 2 * _E_SPAN + 1, _E_SPAN  # z: the index of e = 0
-    small, mid, big = slice(z - 4, z), slice(z, z + 11), slice(z + 11, z + 16)
-    head = np.zeros((n, 2, 8), np.uint8)  # [e, negative]
+    head = np.zeros((5, 2, 8), np.uint8)  # [-e, negative]
     head[:, 1, 0] = ord("-")
-    for k in range(1, 5):  # e = -k: "0." and k - 1 zeros
-        head[z - k, :, 1:k + 2] = np.frombuffer(b"0.000"[:k + 1], np.uint8)
-    tail = np.zeros((n, 8), np.uint8)
-    for k in range(5):  # e = 11 + k: k zeros past the 12th digit, then ".0"
-        tail[z + 11 + k, :k + 2] = np.frombuffer(b"0" * k + b".0", np.uint8)
-    digits = quad.reshape(-1, 4)[np.abs(np.arange(-_E_SPAN, _E_SPAN + 1)), 1:]
-    for text, expo in ((b"e-", slice(0, z - 4)), (b"e+", slice(z + 16, n))):
-        tail[expo, :2] = np.frombuffer(text, np.uint8)
-        tail[expo, 2:5] = digits[expo]
-    tail[z - 99:z - 4, 2] = tail[z + 16:z + 100, 2] = 0  # |e| < 100: two digits
-    a = np.ones(n, np.intp)  # digits before the point, one in exponent layout
-    a[small], a[mid], a[big] = 0, np.arange(1, 12), 12
-    dot, dot0 = _words(np.frombuffer(b".\0\0\0.0\0\0", np.uint8))
-    point = np.full(n, dot)  # when digits follow it
-    point[small] = point[big] = 0
-    point0 = np.zeros(n, np.uint32)  # when none follow it
-    point0[mid] = dot0
+    for k in range(1, 5):
+        head[k, :, 1:k + 2] = np.frombuffer(b"0.000"[:k + 1], np.uint8)
     j, cut = np.arange(12), np.arange(13)[:, None]
     return {
-        "powers": (coarse[:, None] * tens).ravel(),
+        "powers": np.array([float(10**k) for k in range(17)]),
         "quads": _words(quad).ravel(),
         "stripped": _words(stripped).ravel(),
         "before": _words((j < cut) * np.uint8(255)).T.copy(),
         "after": _words((j >= cut) * np.uint8(255)).T.copy(),
-        "a": a,
-        "point": point,
-        "point0": point0,
         "head": _words(head).reshape(-1, 2).T.copy(),
-        "tail": _words(tail).T.copy(),
+        "points": _words(np.frombuffer(b".\0\0\0.0\0\0", np.uint8)),
     }
 
 
@@ -337,34 +312,31 @@ def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     """repr(float(_fmt(v))) for each v of x, then the words sep: one row of
     uint32 words per entry, in which every zero byte is a hole.
 
-    The decimal exponent e starts at floor(log10|v|) and moves by one where
-    s = |v| 10**(11 - e) leaves [1e11, 1e12); m = rint(s) is then the 12-digit
-    mantissa, and m = 1e12 is 1e11 at e + 1. s carries at most three
-    roundings, under 4e-4, so m is the correctly rounded mantissa of %.12g
-    wherever s lies more than 1e-3 from a half-integer. A normal float rounded
-    to 12 digits has a unique shortest repr: the digits of m without their
-    trailing zeros, positional for -4 <= e < 16 (".0" on integral values) and
-    d.ddde-XX otherwise. The row holds that layout in fixed words: the head
-    (sign, "0.000"), the digits before the point, the point, the digits after
-    it with trailing zeros as holes, and the tail ("0000.0", "e+XX"). Python
-    formats only the entries this cannot prove: |v| outside [1e-290, 1e290),
-    so zero and subnormals, and s near a tie.
+    repr writes exponents below 1e-4 and has no place after the point from
+    1e11 on; in between it is positional. There the decimal exponent e, from
+    floor(log10|v|) moved by one where s = |v| 10**(11 - e) leaves [1e11,
+    1e12), lies in [-4, 10], so 10**(11 - e) is exact and s carries one
+    rounding, under 2**-14: m = rint(s) is the 12-digit mantissa of %.12g
+    wherever s lies more than 1e-3 from a half-integer, and m's digits less
+    their trailing zeros are the shortest repr of that rounding. The row
+    holds them in fixed words: the head (sign, "0.000"), the digits before
+    the point, the point (".0" on integral values) and the digits after it.
+    Python formats the rest: zero, |v| outside [1e-4, 1e11), s near a tie,
+    and m = 1e12, a rounding up into the next decade.
     """
     t = _text_tables()
     ax = np.abs(x)
-    exact = (ax >= 1e-290) & (ax < 1e290)
+    exact = (ax >= 1e-4) & (ax < 1e11)
     ax[~exact] = 1.0
     e = np.floor(np.log10(ax)).astype(np.intp)
-    s = ax * t["powers"][297 - e]  # 297 - e = (11 - e) + 286
+    s = ax * t["powers"][11 - e]
     # log10 may round across an integer: one step back into [1e11, 1e12)
     e += s >= 1e12
     e -= s < 1e11
-    s = ax * t["powers"][297 - e]
+    s = ax * t["powers"][11 - e]
     m = np.rint(s)
-    exact &= (m >= 1e11) & (m <= 1e12) & (np.abs(s - m) < 0.499)
-    up = m == 1e12
-    e += up
-    m[up] = 1e11
+    exact &= (m >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.499)
+    m[~exact] = 1e11  # in the tables; Python overwrites these rows
     hi, rest = np.divmod(m.astype(np.int64), 100_000_000)
     mid, lo = np.divmod(rest, 10_000)
     quads, stripped = t["quads"], t["stripped"]
@@ -372,12 +344,11 @@ def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     lo0 = lo == 0
     trimmed = (np.where(lo0 & (mid == 0), stripped[hi], whole[0]),
                np.where(lo0, stripped[mid], whole[1]), stripped[lo])
-    ei = e + _E_SPAN
-    a = t["a"][ei]
-    # words 0-1 head, 2-4 digits before the point, 5 point, 6-8 digits after
-    # it, 9-10 tail, then the separator
+    a = np.maximum(e + 1, 0)
+    # words 0-1 head (which holds the point below 1), 2-4 digits before the
+    # point, 5 point, 6-8 digits after it, then the separator
     rows = np.empty((x.size, _ROW_WORDS + sep.size), np.uint32)
-    signed = 2 * ei + np.signbit(x)
+    signed = 2 * np.maximum(-e, 0) + np.signbit(x)
     rows[:, 0] = t["head"][0][signed]
     rows[:, 1] = t["head"][1][signed]
     fraction = 0
@@ -385,9 +356,7 @@ def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
         rows[:, 2 + w] = whole[w] & t["before"][w][a]
         rows[:, 6 + w] = trimmed[w] & t["after"][w][a]
         fraction = fraction | rows[:, 6 + w]
-    rows[:, 5] = np.where(fraction != 0, t["point"][ei], t["point0"][ei])
-    rows[:, 9] = t["tail"][0][ei]
-    rows[:, 10] = t["tail"][1][ei]
+    rows[:, 5] = np.where(e < 0, 0, np.where(fraction != 0, *t["points"]))
     rows[:, _ROW_WORDS:] = sep
     redo = np.flatnonzero(~exact)
     if redo.size:

@@ -8,6 +8,7 @@ whose MSE and floor `shaping` computes in pre-emphasis form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ class UncodedScenario:
             object.__setattr__(self, name, _positive(getattr(self, name), message))
         if self.phi_s.grid is not self.phi_n.grid:
             raise ValueError("signal and noise spectra must share a grid")
+        _check_floor(self.a, self.phi_s, self.phi_n)
 
     @property
     def grid(self):
@@ -49,6 +51,16 @@ class UncodedScenario:
     def base(self) -> np.ndarray:
         """Noise-plus-legacy floor a*phi_s + phi_n seen by the cognitive link."""
         return self.a * self.phi_s.values + self.phi_n.values
+
+
+def _check_floor(a: float, phi_s: Spectrum, phi_n: Spectrum):
+    """ValueError unless a max(phi_s)^2 and a max(phi_s) + max(phi_n) are
+    finite floats. They bound a*phi_s^2 and the floor a*phi_s + phi_n, which
+    the solvers form sample by sample in the same order, so no sample of
+    either overflows. Evaluated in Python floats: no numpy warning."""
+    s, n = phi_s._peak, phi_n._peak
+    if not (math.isfinite(a * s * s) and math.isfinite(a * s + n)):
+        raise ValueError("legacy gain times the signal PSD is past the float range")
 
 
 def memoryless_floor(sigma2_s: float, sigma2_n: float, a: float) -> float:

@@ -191,7 +191,14 @@ class MimoChannel(_LegacyLink):
     floats. The shape is checked once, here (`_shape_matrix`), and kept as
     given, so that `replace` normalizes the same bits into the unit-trace
     Hermitian `_Q`, of largest entry modulus `_Q_max`. Every field a solve
-    returns is a positive multiple of `_Q`."""
+    returns is a positive multiple of `_Q`.
+
+    H_c and h_c must keep size max|entry|^2, evaluated in Python floats, a
+    finite float: it bounds |h_c|^2 and every squared singular value of
+    H_c Q^(1/2) (Q has unit trace), the arrays the link setup forms. h_l is
+    not held to it: it enters the search only through the scalar gain
+    h_l^H Q h_l, which the search takes as +inf when it overflows, as it
+    takes every gain past the float range."""
 
     H_c: np.ndarray   # N_r x N_t cognitive channel matrix
     h_l: np.ndarray   # N_t vector: cognitive transmit -> legacy receiver
@@ -219,6 +226,11 @@ class MimoChannel(_LegacyLink):
             raise ValueError("channel vector dimensions do not match H_c")
         if not all(np.isfinite(arr).all() for arr in (H, hl, hc)):
             raise ValueError("channel matrix and vectors must be finite")
+        for name, arr in (("H_c", H), ("h_c", hc)):
+            with np.errstate(over="ignore"):  # |re + i im| of finite parts can overflow
+                peak = float(np.abs(arr).max())
+            if not math.isfinite(arr.size * peak * peak):
+                raise ValueError(f"{name} is too large: its squared norm must be a finite float")
         self._store_scalars()
         for name, arr in (("H_c", H), ("h_l", hl), ("h_c", hc), ("shape", shape)):
             if arr is not None:

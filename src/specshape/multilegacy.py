@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, _positive
-from .estimation import UncodedScenario
-from .shaping import _onoff_support, _preemphasis
+from .estimation import UncodedScenario, _check_floor
+from .shaping import _onoff_support, _preemphasis, _prefix_sums
 from .spectra import Spectrum, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
@@ -49,6 +49,7 @@ class MultiLegacyScenario:
         for r in self.receivers:
             if r.phi_n.grid is not self.phi_s.grid:
                 raise ValueError("all spectra must share one grid")
+            _check_floor(r.a, self.phi_s, r.phi_n)
 
     @property
     def grid(self):
@@ -151,16 +152,13 @@ def _simplex(w, A, x, basis):
 
 def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     """Support mask in the low-noise regime: fill the cells where the legacy
-    PSD is smallest until int_U phi_s = pi * min_k (D_k - sigma2_nk / a_k)."""
-    grid = scenario.grid
+    PSD is smallest until int_U phi_s = pi * min_k (D_k - sigma2_nk / a_k),
+    stopped by `_onoff_support` on the running sums of w*phi_s over pi."""
     s = scenario.phi_s.values
-    w = grid.weights
-    budget = np.pi * min(
-        r.D - mean_power(r.phi_n) / r.a for r in scenario.receivers)
-    mask = np.zeros(grid.n_points, dtype=bool)
-    if budget <= 0:
-        return mask
+    budget = min(r.D - mean_power(r.phi_n) / r.a for r in scenario.receivers)
     order = np.argsort(s, kind="stable")
-    take = int(np.searchsorted(np.cumsum(w[order] * s[order]), budget, side="right"))
+    ws, ss = scenario.grid.weights[order], s[order]
+    take = _onoff_support(np.cumsum(ws), ws, ss, _prefix_sums(ws * ss)[1:] / np.pi, budget)[2]
+    mask = np.zeros(s.size, dtype=bool)
     mask[order[:take]] = True
     return mask

@@ -7,6 +7,7 @@ spectra live on the half band [0, pi] and full-band integrals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,7 +64,8 @@ def make_grid(n_points: int = 4096) -> FrequencyGrid:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Nonnegative sampled PSD on a half-band grid (linear power units)."""
+    """Nonnegative sampled PSD on a half-band grid (linear power units),
+    whose grid integral, and so its mean power, is a finite float."""
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -76,7 +78,15 @@ class Spectrum:
             raise ValueError("PSD samples must be finite")
         if (v < 0).any():
             raise ValueError("PSD samples must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.grid.integrate(v)):
+                raise ValueError("PSD integral over the band is past the float range")
         object.__setattr__(self, "values", _frozen(v))
+
+    @cached_property
+    def _peak(self) -> float:
+        """The largest sample, as a Python float; computed on first use."""
+        return float(self.values.max())
 
 
 def flat_spectrum(grid: FrequencyGrid, variance: float) -> Spectrum:

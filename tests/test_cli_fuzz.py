@@ -129,18 +129,14 @@ def test_corpus_covers_every_scenario_file():
 
 # The documents on which a numpy RuntimeWarning, an error here as in the
 # rest of the suite, escapes main: ar1_spectrum's denominator cancels to 0 at
-# a tiny innovation rate, and an input of 1e308 on shaped noise or on a
-# receiver overflows inside the solvers. Each is a FOUND line in CHANGES.md;
-# the list is exact, so a mend shows up here and takes its entry out.
+# a tiny innovation rate. It is a FOUND line in CHANGES.md; the list is
+# exact, so a mend shows up here and takes its entry out.
 TINY_EPSILON = [(("epsilon",), 1e-320)]
 KNOWN_ESCAPES = {
     "ar_prelog_mesh.json": TINY_EPSILON,
     "ar_rate_curve.json": TINY_EPSILON,
     "uncoded_waterfill.json": TINY_EPSILON,
     "multilegacy_single.json": [(("spectrum", "epsilon"), 1e-320)],
-    "uncoded_tabulated.json": [(("a",), 1e308)],
-    "multilegacy_tabulated.json": [(("receivers", 0, key), 1e308)
-                                   for key in ("a", "sigma2_n")],
 }
 
 
@@ -173,3 +169,20 @@ def test_every_mutated_document_ends_in_a_documented_way(tmp_path, capsys, name)
     capsys.readouterr()
     assert failures == []
     assert escaped == KNOWN_ESCAPES.get(name, [])
+
+
+@pytest.mark.parametrize("name, path", [
+    ("uncoded_tabulated.json", ("a",)),
+    ("multilegacy_tabulated.json", ("receivers", 0, "a")),
+    ("multilegacy_tabulated.json", ("receivers", 0, "sigma2_n")),
+])
+def test_inputs_past_the_float_range_end_when_the_file_is_read(tmp_path, capsys, name, path):
+    # a gain of 1e308 puts a*phi_s^2 past the float range, and a noise power
+    # of 1e308 the noise PSD's integral: input errors, raised before a solve
+    src, out = tmp_path / "scenario.json", tmp_path / "out"
+    src.write_text(json.dumps(mutated(CORPUS[name], path, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["solve", str(src), "-o", str(out), "--grid", "128", "--quiet"])
+    assert code == cli.EXIT_INPUT and not out.exists()
+    assert capsys.readouterr().err.startswith("input error: ")

@@ -8,8 +8,11 @@ and pytest; pyproject.toml makes a RuntimeWarning an error, so no finite
 input may raise one.
 """
 
+import json
 import math
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from specshape import cli
 from specshape.errors import SolverError
 
 SEED = 20261019
+SCENARIOS = Path(__file__).parent.parent / "scripts" / "scenarios"
 
 
 def nestings(values):
@@ -104,7 +108,12 @@ def test_subnormals_zeros_and_the_largest_float():
     edges = [0.0, -0.0, 5e-324, 1e-323, math.nextafter(tiny, 0.0), tiny,
              math.nextafter(tiny, 1.0), 1e-290, math.nextafter(1e-290, 0.0),
              1e290, math.nextafter(1e290, 0.0), sys.float_info.max,
-             math.nextafter(sys.float_info.max, 0.0)]
+             math.nextafter(sys.float_info.max, 0.0),
+             # the edges of the numpy path's range [1e-4, 1e11)
+             math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+             math.nextafter(1e11, 0.0), 1e11,
+             # 12-digit roundings that roll into the next decade
+             9.99999999999995, 99999999999.99995, 9.99999999999995e-5]
     assert_written_as_python(both_signs(np.concatenate([subnormals, edges])))
 
 
@@ -143,6 +152,42 @@ def test_solver_shaped_arrays():
     field = np.maximum(rng.standard_normal(20_000).cumsum() * 1e-3, 0.0)
     field[::7] = 2.5
     assert_written_as_python(np.concatenate([omega, field]))
+
+
+def handed_to_python_for_cause(v):
+    """Whether the writer may leave v to Python: zero, outside the numpy
+    range, or s = |v| 10^(11 - e) within 1e-3 of a half-integer or at or past
+    10^12 - 1/2, where the 12-digit rounding rolls into the next decade.
+    Exact rational arithmetic, none of the writer's."""
+    if v == 0 or not 1e-4 <= abs(v) < 1e11:
+        return True
+    x = Fraction(abs(v))
+    e = math.floor(math.log10(abs(v)))
+    e += (x >= Fraction(10) ** (e + 1)) - (x < Fraction(10) ** e)  # log10 may round
+    s = x * Fraction(10) ** (11 - e)
+    return (abs(s - math.floor(s) - Fraction(1, 2)) <= Fraction(1, 1000)
+            or s >= 10**12 - Fraction(1, 2))
+
+
+def test_solver_output_stays_off_the_python_path(monkeypatch):
+    # the full-size grids and fields that `solve` writes for the uncoded
+    # scenario files: Python formats only the entries the writer cannot lay
+    # out in numpy, never a positional value it could
+    handed = []
+
+    def spy(x):
+        handed.append(float(x))
+        return f"{float(x):.12g}"
+
+    monkeypatch.setattr(cli, "_fmt", spy)
+    for name in ("uncoded_single.json", "uncoded_waterfill.json"):
+        doc = json.loads((SCENARIOS / name).read_text())
+        payload = cli._JOBS["solve"]["uncoded"](cli._Params(doc, name), 32768, 1.0)()
+        for key in ("omega", "phi_x"):
+            assert payload[key].size == 32768
+            assert cli._float_block(payload[key], "") == oracles.json_text(payload[key].tolist())
+    assert handed
+    assert [v for v in handed if not handed_to_python_for_cause(v)] == []
 
 
 def test_other_float_widths_and_empty_arrays():

@@ -194,11 +194,7 @@ CASES = cases()
 
 # The cases on which the contract breaks, each with the ROADMAP item that
 # owns it; the list is exact, so a mend shows up here and takes its entry out.
-# Item 18: an entry of 1e300 or more in H_c or h_c overflows in the link
-# setup, in the squared singular values of H_c Q^(1/2) or the squared
-# projections of h_c, and the first solve raises a RuntimeWarning.
-KNOWN_ESCAPES = {f"MimoChannel.{field}[0]={form}:{v!r}": "item 18"
-                 for field in ("H_c", "h_c") for form in ("float", "0-d") for v in (1e300, 1e308)}
+KNOWN_ESCAPES = {}
 
 
 def test_grids_below_the_lower_bound_are_value_errors():

@@ -340,6 +340,31 @@ def test_channel_rejects_non_finite_arrays(field):
         replace(channel(), **{field: bad})
 
 
+def test_channel_rejects_arrays_whose_squares_overflow():
+    # H_c and h_c are checked on size max|entry|^2, which bounds the squares
+    # the link setup forms; h_l only feeds a gain, which may overflow to inf
+    for field in ("H_c", "h_c"):
+        for big in (1e300, 1e308, 1e308 + 1e308j):
+            bad = np.array(getattr(channel(), field), dtype=complex)
+            bad.flat[0] = big
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"{field} is too large"):
+                    replace(channel(), **{field: bad})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # just inside the bound, the squares the geometry forms are floats (the
+        # link's g_c * lam can still overflow: a FOUND line in CHANGES.md)
+        for field in ("H_c", "h_c"):
+            good = np.array(getattr(channel(), field))
+            good.flat[0] = 0.999 * math.sqrt(sys.float_info.max / good.size)
+            ch = replace(channel(), **{field: good})
+            geo = mimo._Geometry(ch.H_c, ch.h_l, ch.h_c, ch._Q)
+            assert np.isfinite([*geo.lam, *geo.proj, geo.hc2]).all()
+        sol = solve_mimo(replace(channel(), h_l=np.array([1e300, 0.5])), 1e4, grid=GRID)
+    assert math.isfinite(sol.rate)
+
+
 @pytest.mark.parametrize("P", [math.nan, math.inf])
 def test_solve_mimo_rejects_non_finite_budget(P):
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,6 +336,23 @@ def test_low_noise_ar_band_hugs_pi():
     assert idx.size > 0
     assert np.all(np.diff(idx) == 1)  # contiguous band
     assert idx[-1] == GRID.n_points - 1  # anchored at omega = pi
+
+
+def test_low_noise_stop_on_a_running_sum_a_plain_cumsum_overshoots():
+    # a budget equal to the exact running mass of the first k cells, found by
+    # a seeded search where np.cumsum has drifted above it: the k cells fit
+    # and cell k does not
+    grid = make_grid(4096)
+    s = np.random.default_rng(0).uniform(0.5, 2.0, grid.n_points)
+    order = np.argsort(s, kind="stable")
+    terms = grid.weights[order] * s[order]
+    k = 3731
+    budget = math.fsum(terms[:k].tolist()) / np.pi
+    assert np.cumsum(terms)[k - 1] > np.pi * budget
+    assert math.fsum(terms[:k + 1].tolist()) / np.pi > budget
+    sc = MultiLegacyScenario(tabulated_spectrum(grid, s),
+                             (LegacyReceiver(1.0, flat_spectrum(grid, 0.0), budget),))
+    assert np.array_equal(np.flatnonzero(low_noise_support(sc)), np.sort(order[:k]))
 
 
 def test_low_noise_limit_of_general_solver():
