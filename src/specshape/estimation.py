@@ -54,13 +54,16 @@ class UncodedScenario:
 
 
 def _check_floor(a: float, phi_s: Spectrum, phi_n: Spectrum):
-    """ValueError unless a max(phi_s)^2 and a max(phi_s) + max(phi_n) are
-    finite floats. They bound a*phi_s^2 and the floor a*phi_s + phi_n, which
-    the solvers form sample by sample in the same order, so no sample of
-    either overflows. Evaluated in Python floats: no numpy warning."""
+    """ValueError unless a max(phi_s)^2, a max(phi_s) + max(phi_n) and
+    max(phi_s) max(phi_n) are finite floats. They bound a*phi_s^2, the floor
+    a*phi_s + phi_n and the smoothing term phi_s*phi_n, which the solvers
+    form sample by sample in the same order, so no sample of any of them
+    overflows. Evaluated in Python floats: no numpy warning."""
     s, n = phi_s._peak, phi_n._peak
     if not (math.isfinite(a * s * s) and math.isfinite(a * s + n)):
         raise ValueError("legacy gain times the signal PSD is past the float range")
+    if not math.isfinite(s * n):
+        raise ValueError("signal PSD times noise PSD is past the float range")
 
 
 def memoryless_floor(sigma2_s: float, sigma2_n: float, a: float) -> float:

@@ -21,10 +21,12 @@ at the cognitive receiver, never rise with w. Each is w F(K/w) + (1 - w) F(0)
 with F(X) = log det(N + S + X) - log det(N + X). Gaussian mutual information
 is convex in the noise covariance (Diggavi & Cover, IEEE T-IT 2001), so F is
 convex and the derivative in w, F(y) - y F'(y) - F(0) at y = K/w, is at most
-0. Each is then convex in w too, and one safeguarded Newton root-find per
-constraint gives the widest feasible w, met as evaluated. The scalar coded
-solver `coded.solve_coded` is the 1x1 case. The high-power slope scales
-with the number of modes the on-level reaches, rank(H_c Q^(1/2)).
+0. Each is then convex in w too, and a safeguarded Newton root-find from
+w = 1 gives the widest feasible w, met as evaluated: the legacy root w_l,
+and the decode root only when the legacy signal is undecodable at w_l. The
+scalar coded solver `coded.solve_coded` is the 1x1 case. The high-power
+slope scales with the number of modes the on-level reaches,
+rank(H_c Q^(1/2)).
 
 The search has a power-independent half, `_Link`: its `_Geometry`, the
 singular values of F = H_c Q^(1/2) and the projections of h_c on its left
@@ -320,9 +322,9 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
 
 
 def _widest_feasible(c):
-    """The largest w in [_W_LO, 1] with c(w) >= 0, for a convex constraint c
-    that never rises with w; None when c(_W_LO) < 0. c(w) returns the value
-    and its derivative in w.
+    """(w, c(w)) at the largest w in [_W_LO, 1] with c(w) >= 0, for a convex
+    constraint c that never rises with w; None when c(_W_LO) < 0. c(w)
+    returns the value and its derivative in w.
 
     Newton steps in w from w = 1: as c is convex in w (not in ln w), they
     land on the feasible side and approach the root from below. The bracket
@@ -330,23 +332,27 @@ def _widest_feasible(c):
     leaves it, or a slope that is not negative, bisects it in ln w, and a
     step from hi that rounds to no move moves one ulp. The feasible end
     comes back once c(lo) is 0, a step from lo rounds to no move, or the
-    ends are adjacent floats. A NaN value, or no end within _MAX_STEPS,
-    raises SolverError."""
-    lo, hi = _W_LO, 1.0
-    f, d = c(hi)
+    ends are adjacent floats. The steps never read c(lo), so c(_W_LO) is
+    evaluated only before the first step that is not a Newton step strictly
+    inside the bracket, and before _W_LO itself comes back: a Newton step
+    that lands feasible proves c(_W_LO) >= 0, as c never rises. A NaN value,
+    or no end within _MAX_STEPS steps, raises SolverError."""
+    w = hi = 1.0
+    f, d = c(w)
     if f >= 0.0:
-        return hi
-    f_lo = c(lo)[0]
-    if math.isnan(f) or math.isnan(f_lo):
-        raise SolverError(f"the constraint value at w=1 or w={lo!r} is NaN")
-    if f_lo < 0.0:
-        return None
-    w = hi
+        return w, f
+    if math.isnan(f):
+        raise SolverError(f"the constraint value at w={w!r} is NaN")
+    lo, f_lo = _W_LO, None   # f_lo = c(lo), None while c(_W_LO) is unread
     for _ in range(_MAX_STEPS):
         nxt = w - f / d if d < 0.0 else hi
+        if nxt == w and f >= 0.0:
+            return w, f
+        if f_lo is None and not lo < nxt < hi:
+            f_lo = _low_end(c)
+            if f_lo < 0.0:
+                return None
         if nxt == w:
-            if f >= 0.0:
-                return w
             nxt = math.nextafter(w, lo)
         if not lo < nxt < hi:
             # within a factor 2 the plain mean is close to the geometric one,
@@ -355,14 +361,28 @@ def _widest_feasible(c):
         w = nxt
         f, d = c(w)
         if f >= 0.0:
-            lo = w
+            lo, f_lo = w, f
         elif f < 0.0:
             hi = w
         else:
             raise SolverError(f"the constraint value at w={w!r} is NaN")
         if f == 0.0 or hi - lo <= math.ulp(lo):
-            return lo
-    raise SolverError(f"the w root-find did not converge in {_MAX_STEPS} steps (w={w!r})")
+            break
+    else:
+        raise SolverError(f"the w root-find did not converge in {_MAX_STEPS} steps (w={w!r})")
+    if f_lo is None:
+        f_lo = _low_end(c)
+        if f_lo < 0.0:
+            return None
+    return lo, f_lo
+
+
+def _low_end(c) -> float:
+    """c(_W_LO); SolverError when it is NaN."""
+    f = c(_W_LO)[0]
+    if math.isnan(f):
+        raise SolverError(f"the constraint value at w={_W_LO!r} is NaN")
+    return f
 
 
 class _Geometry:
@@ -392,11 +412,14 @@ class _Link(_LegacyLink):
     gains and, on first use, mode A's gains over sigma2_nc. Each w-evaluation
     sums log1p / rational terms over the modes, with every on-level k * P / w
     and the gain folded into k >= 0: a null mode gives 0 and an overflow
-    +inf, never inf * 0."""
+    +inf, never inf * 0. The gains are Python-float products over the modes,
+    the IEEE products numpy would form, so a gain past the float range is
+    +inf with no numpy warning."""
 
     def __init__(self, geo: _Geometry, *scalars: float):
         vars(self).update(zip(_SCALARS, scalars), geo=geo, lam=geo.lam, proj=geo.proj)
-        self.k_dec = (self.g_c * geo.lam).tolist()
+        g_c = self.g_c
+        self.k_dec = [g_c * x for x in geo.lam.tolist()]
         self.k_l = self.g_l * geo.hQh
         self.C_l = self.legacy_capacity
         self.off_dec = math.log1p(self.a_c * self.sigma2_s * geo.hc2 / self.sigma2_nc)
@@ -410,11 +433,13 @@ class _Link(_LegacyLink):
         hco = np.outer(h_c, h_c.conj())
         L = np.linalg.cholesky(np.eye(h_c.size) + self.a_c * self.sigma2_s * hco / self.sigma2_nc)
         s = np.linalg.svd(np.linalg.solve(L, self.geo.F), compute_uv=False)
-        return (self.g_c / self.sigma2_nc * s * s).tolist()
+        g = self.g_c / self.sigma2_nc
+        return [g * x * x for x in s.tolist()]
 
     @cached_property
     def gains_b1(self) -> list:
-        return (self.g_c / self.sigma2_nc * self.lam).tolist()
+        g = self.g_c / self.sigma2_nc
+        return [g * x for x in self.lam.tolist()]
 
     def search(self, P: float):
         """Best (mode, w, rate, residuals) at the float budget P over the decode
@@ -423,7 +448,17 @@ class _Link(_LegacyLink):
         w_l when the legacy signal is not decodable there. Python floats and
         `math.log1p` make an overflow inf without a numpy warning; the sums run
         in explicit loops, as builtin `sum` compensates from Python 3.12 on. A
-        winning rate that is not finite raises SolverError."""
+        winning rate that is not finite raises SolverError.
+
+        Each constraint is evaluated only where its value is still unknown:
+        the root-finds return each root with its constraint value, and the
+        residuals are read from those pairs or from a value the search holds.
+        In the B regime the decode constraint c_d is read at w_l first, after
+        a check that off_dec is finite (SolverError otherwise). Above 0 the
+        legacy signal is decodable at w_l, so w_d >= w_l: B-1 runs at w_l, B-2
+        does not apply and no decode root-find runs. Otherwise the decode
+        root-find runs from w = 1, as the legacy one does: from w_l it would
+        end on another float where c_d rounds to 0, for some links."""
         proj, C_l, off_dec, R_l = self.proj, self.C_l, self.off_dec, self.R_l
         s_l, n_l = self.a_l * self.sigma2_s, self.sigma2_nl
         s_c, n_c = self.a_c * self.sigma2_s, self.sigma2_nc
@@ -466,28 +501,36 @@ class _Link(_LegacyLink):
         # itself, so B-2's whitened gains are mode A's, and its log-det is
         # off_dec by the matrix determinant lemma: B-2's linear terms,
         # w off_dec + (1 - w) off_dec, are off_dec at every w.
-        w_l = _widest_feasible(legacy_con)
-        candidates = []
-        if w_l is not None and off_dec <= R_l:
-            candidates.append((DecodeMode.TREAT_AS_NOISE, w_l,
-                               w_l * on_rate(self.gains_a, w_l)))
-        elif w_l is not None:
-            w_d = _widest_feasible(decode_con)
-            if w_d is not None:
-                w = min(w_l, w_d)
-                candidates.append((DecodeMode.SUCCESSIVE_B1, w,
-                                   w * on_rate(self.gains_b1, w)))
-            if decode_con(w_l)[0] <= 0.0:
-                candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
-                                   w_l * on_rate(self.gains_a, w_l) + off_dec - R_l))
-        if not candidates:
+        found = _widest_feasible(legacy_con)
+        if found is None:
             raise InfeasibleScenarioError("no feasible operating point")
-        mode, w, rate = max(candidates, key=lambda t: t[2])
+        w_l, res_l = found
+        # candidates are (mode, w, rate, decodability residual)
+        if off_dec <= R_l:
+            candidates = [(DecodeMode.TREAT_AS_NOISE, w_l, w_l * on_rate(self.gains_a, w_l),
+                           None)]
+        elif not math.isfinite(off_dec):
+            raise SolverError(f"the legacy decode rate in silence is not finite ({off_dec!r})")
+        else:
+            res_d = decode_con(w_l)[0]
+            if res_d > 0.0:
+                candidates = [(DecodeMode.SUCCESSIVE_B1, w_l, w_l * on_rate(self.gains_b1, w_l),
+                               res_d)]
+            else:
+                candidates = []
+                found = _widest_feasible(decode_con)
+                if found is not None:
+                    w, res = min(found, (w_l, res_d))   # at min(w_d, w_l)
+                    candidates.append((DecodeMode.SUCCESSIVE_B1, w,
+                                       w * on_rate(self.gains_b1, w), res))
+                candidates.append((DecodeMode.RATE_SPLIT_B2, w_l,
+                                   w_l * on_rate(self.gains_a, w_l) + off_dec - R_l, res_d))
+        mode, w, rate, res_dec = max(candidates, key=lambda t: t[2])
         if not math.isfinite(rate):
             raise SolverError(f"the on-off rate is not finite (P = {P:g}, w = {w:g})")
-        residuals = {"legacy": legacy_con(w)[0]}
-        if mode is not DecodeMode.TREAT_AS_NOISE:
-            residuals["decodability"] = decode_con(w)[0]
+        residuals = {"legacy": res_l if w == w_l else legacy_con(w)[0]}
+        if res_dec is not None:
+            residuals["decodability"] = res_dec
         return mode, w, rate, residuals
 
 

@@ -405,6 +405,15 @@ def test_nan_parameter_exit_2(tmp_path, capsys):
     assert run_bad(tmp_path, capsys, doc) == 2
 
 
+def test_signal_times_noise_past_the_float_range_exit_2(tmp_path, capsys):
+    # phi_s * phi_n = 20 * 1e307 is past the largest float: an input error
+    # when the scenario is built, before the smoothing floor forms it
+    doc = {"kind": "uncoded", "a": 1.0, "sigma2_s": 20.0, "sigma2_n": 1e307, "D": 0.5, "P": 1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_bad(tmp_path, capsys, doc) == 2
+
+
 def test_non_numeric_epsilon_exit_2(tmp_path, capsys):
     assert run_bad(tmp_path, capsys, uncoded_doc(epsilon=[0.1], P_db=30)) == 2
 

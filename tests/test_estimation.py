@@ -163,6 +163,14 @@ def test_scenario_validation():
         flat_scenario(P=0.0)
 
 
+def test_scenario_rejects_signal_times_noise_past_the_float_range():
+    # a phi_s + phi_n and a phi_s^2 are floats, but phi_s * phi_n, which the
+    # smoothing floor forms sample by sample, is not
+    g = make_grid(64)
+    with pytest.raises(ValueError, match="signal PSD times noise PSD"):
+        UncodedScenario(1.0, flat_spectrum(g, 20.0), flat_spectrum(g, 1e307), 0.5, 1.0)
+
+
 @pytest.mark.parametrize("field", ["a", "D", "P"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_scenario_rejects_non_finite(field, value):

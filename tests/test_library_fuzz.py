@@ -126,6 +126,26 @@ def run(build, *solvers):
     return None
 
 
+def off_dec_cases():
+    """(label, build, solvers) of the links whose legacy decode rate in
+    silence is not finite: a_c sigma2_s / sigma2_nc past the float range
+    (+inf), and h_c = 0 with a_c sigma2_s past it (inf * 0, NaN). The legacy
+    link carries R_l, so the search reaches the B regime."""
+    grid = GRIDS[64]
+    past = {**LINK, "a_c": 1e300, "sigma2_nc": 1e-10}
+    zero_h_c = {**LINK, "a_c": 1e300, "sigma2_s": 1e10}
+    # the search first, as the test of its SolverError reads it
+    mimo_solvers = [(lambda ch: solve_mimo(ch, P, grid=grid), True), (mimo_prelog, True)]
+    return [
+        ("CodedScenario(a_c sigma2_s / sigma2_nc = inf)", lambda: CodedScenario(**past, P=P),
+         [(solve_coded, True), (coded_prelog, True)]),
+        ("MimoChannel(a_c sigma2_s / sigma2_nc = inf)", lambda: MimoChannel(**BASE, **past),
+         mimo_solvers),
+        ("MimoChannel(h_c = 0, a_c sigma2_s = inf)",
+         lambda: MimoChannel(**{**BASE, "h_c": [0.0, 0.0]}, **zero_h_c), mimo_solvers),
+    ]
+
+
 def cases():
     """(label, build, solvers) of every fuzz case."""
     out = []
@@ -167,6 +187,9 @@ def cases():
                         lambda S=S, c=c: MimoChannel(**{**BASE, "shape": c * S}, **LINK),
                         [(lambda ch, P=P: solve_mimo(ch, P, grid=grid), True)
                          for P in (1e-300, 1.0, 1e12, 1e300, 5e307)]))
+    # the B regime with a legacy decode rate in silence, log1p(a_c sigma2_s
+    # |h_c|^2 / sigma2_nc), that is not finite
+    out.extend(off_dec_cases())
     # solve_mimo: each budget on each grid
     ch = MimoChannel(**BASE, **LINK)
     for n, g in GRIDS.items():
@@ -195,6 +218,17 @@ CASES = cases()
 # The cases on which the contract breaks, each with the ROADMAP item that
 # owns it; the list is exact, so a mend shows up here and takes its entry out.
 KNOWN_ESCAPES = {}
+
+
+def test_a_non_finite_decode_rate_in_silence_is_a_solver_error():
+    # the B regime reads the decode constraint first at w_l, and a decode
+    # rate in silence that is not finite stops it there
+    for label, build, solvers in off_dec_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            obj = build()
+            with pytest.raises(SolverError, match="decode rate in silence is not finite"):
+                solvers[0][0](obj)
 
 
 def test_grids_below_the_lower_bound_are_value_errors():

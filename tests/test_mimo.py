@@ -353,8 +353,8 @@ def test_channel_rejects_arrays_whose_squares_overflow():
                     replace(channel(), **{field: bad})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # just inside the bound, the squares the geometry forms are floats (the
-        # link's g_c * lam can still overflow: a FOUND line in CHANGES.md)
+        # just inside the bound, the squares the geometry forms are floats
+        # (the link's gains may pass it: test_link_gains_past_the_float_range)
         for field in ("H_c", "h_c"):
             good = np.array(getattr(channel(), field))
             good.flat[0] = 0.999 * math.sqrt(sys.float_info.max / good.size)
@@ -363,6 +363,24 @@ def test_channel_rejects_arrays_whose_squares_overflow():
             assert np.isfinite([*geo.lam, *geo.proj, geo.hc2]).all()
         sol = solve_mimo(replace(channel(), h_l=np.array([1e300, 0.5])), 1e4, grid=GRID)
     assert math.isfinite(sol.rate)
+
+
+def test_link_gains_past_the_float_range():
+    # inside the H_c bound, g_c = 10 takes the gain g_c * lam past the largest
+    # float: the link forms its gains as Python-float products, so the gain
+    # is +inf with no numpy warning, and every solve ends in a finite result
+    # or a SolverError
+    ch = channel(H=[[0.999 * math.sqrt(sys.float_info.max / 4), 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(mimo_prelog(ch))
+        assert math.inf in ch._link.k_dec
+        for P in POWERS9:
+            try:
+                sol = solve_mimo(ch, P, grid=GRID)
+            except SolverError:
+                continue
+            assert math.isfinite(sol.rate)
 
 
 @pytest.mark.parametrize("P", [math.nan, math.inf])
@@ -408,19 +426,49 @@ def line(root):
 ])
 def test_feasible_intervals(constraints, expected):
     # A constraint nonincreasing in w is feasible on [_W_LO, root]: the root
-    # is found to 1e-14, 1.0 when c(1) >= 0, None when c(_W_LO) < 0.
+    # is found to 1e-14, 1.0 when c(1) >= 0, None when c(_W_LO) < 0, and
+    # comes back with its constraint value.
     for c, e in zip(constraints, expected):
         got = _widest_feasible(c)
         if e is None:
             assert got is None
         else:
-            assert got == pytest.approx(e, rel=0, abs=1e-14)
+            w, value = got
+            assert w == pytest.approx(e, rel=0, abs=1e-14)
+            assert value == c(w)[0]
 
 
 def test_widest_feasible_ends():
-    assert _widest_feasible(line(1.0)) == 1.0
-    assert _widest_feasible(line(_W_LO)) == _W_LO
+    w, value = _widest_feasible(line(1.0))
+    assert w == 1.0 and value == line(1.0)(w)[0]
+    w, value = _widest_feasible(line(_W_LO))
+    assert w == _W_LO and value == line(_W_LO)(w)[0]
     assert _widest_feasible(line(0.5 * _W_LO)) is None
+
+
+def recorded(c):
+    """c, and the list of the points it is evaluated at."""
+    points = []
+
+    def rec(w):
+        points.append(w)
+        return c(w)
+    return rec, points
+
+
+def test_low_end_is_not_read_when_newton_steps_stay_inside():
+    # every step of line(0.3) is a Newton step into the bracket, and the
+    # feasible one proves c(_W_LO) >= 0, as c never rises
+    c, points = recorded(line(0.3))
+    assert _widest_feasible(c) == (0.3, 0.0)
+    assert _W_LO not in points
+
+
+@pytest.mark.parametrize("c", [line(0.5 * _W_LO), lambda w: (-1.0, 0.0)])
+def test_low_end_is_read_before_an_infeasible_end(c):
+    c, points = recorded(c)
+    assert _widest_feasible(c) is None
+    assert _W_LO in points
 
 
 @pytest.mark.parametrize("c", [
@@ -1136,6 +1184,55 @@ def test_link_setup_runs_once_per_sweep(monkeypatch):
     assert len(calls) == 1
     solve_mimo(replace(ch, g_c=ch.g_c * 2.0), 1e3, grid=GRID)
     assert len(calls) == 2
+
+
+def constraint_evaluations(solve):
+    """How many times solve() evaluates the legacy or the decode constraint
+    of the on-off search."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (event == "call" and code.co_name in ("legacy_con", "decode_con")
+                and frame.f_globals["__name__"] == "specshape.mimo"):
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        solve()
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+def test_on_off_search_evaluation_budget():
+    # each constraint is evaluated only where its value is still unknown:
+    # over the coded study link, in cases A and B, and the four channel
+    # shapes of the coded-mimo benchmark workload, 9 powers each, a solve
+    # takes at most 6.6 evaluations on average
+    link = dict(a_l=1.0, g_l=1.0, g_c=10.0, sigma2_s=1000.0, sigma2_nl=1.0,
+                sigma2_nc=1.0, R_l=0.5 * math.log1p(1000.0))
+    # by hand: at P = 1e-3 the legacy constraint holds at w = 1 (one
+    # evaluation) and the legacy signal is decodable there (one more), so
+    # B-1 runs at w = 1
+    sc = CodedScenario(**link, a_c=1.0, P=1e-3)
+    assert constraint_evaluations(lambda: solve_coded(sc)) == 2
+    sol = solve_coded(sc)
+    assert (sol.case_tag, sol.w) == (coded.CodedCase.B1, 1.0)
+    rng = np.random.default_rng(2008)
+    shapes = [np.eye(2), np.outer([1.0, 1.0], [1.0, 1.0]) / 2.0, rng.normal(size=(4, 4)),
+              rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))]
+    counts = []
+    for a_c in (0.01, 1.0):
+        counts += [constraint_evaluations(lambda: solve_coded(CodedScenario(**link, a_c=a_c, P=P)))
+                   for P in POWERS9]
+    for H in shapes:
+        ch = channel(H=H)
+        counts += [constraint_evaluations(lambda: solve_mimo(ch, P, grid=GRID))
+                   for P in POWERS9]
+    assert sum(counts) <= 6.6 * len(counts)
 
 
 def test_shape_is_checked_once_per_channel(monkeypatch):
