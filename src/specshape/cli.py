@@ -528,35 +528,10 @@ def _mesh_rows(cells: list[UncodedScenario], per_gain: list[UncodedScenario],
                d_ratios: list[float], snr_dbs: list[float]) -> list[list[str]]:
     """The mesh's CSV rows: the on-off prelog of the target of each of cells
     at the gain of each of per_gain."""
-    grid, phi_s = cells[0].grid, cells[0].phi_s
-    # The noise is flat, so u = a*phi_s^2/(a*phi_s + sigma2_n) rises with
-    # phi_s at every gain: one stable sort of phi_s orders the cells, and
-    # their weights, for the whole mesh. A gain needs only its u along that
-    # order, the running sums of w*u and its smoothing floor. Rounding can
-    # swap the u of two cells, so the order serves a gain only where it is
-    # np.argsort(u, kind="stable"): u rising along it, indices rising where u
-    # ties. Any other gain sorts its own u, and takes its own weights and
-    # their running sums along that sort.
-    order = np.argsort(phi_s.values, kind="stable")
-    rising = order[1:] > order[:-1]
-    shared = grid.weights[order]
-    shared_cumw = shaping._prefix_sums(shared)[1:]
-    columns = []
-    for sc in per_gain:
-        u, _, dlow = shaping._preemphasis(sc)
-        us = u[order]
-        if ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
-            wts, cumw = shared, shared_cumw
-        else:
-            own = np.argsort(u, kind="stable")
-            us, wts = u[own], grid.weights[own]
-            cumw = shaping._prefix_sums(wts)[1:]
-        cum = shaping._prefix_sums(wts * us)[1:] / np.pi
-        columns.append([shaping._onoff_support(cumw, wts, us, cum, c.D - dlow)[0]
-                        for c in cells])
-    return [[_fmt(d_ratio), _fmt(snr_db), _fmt(column[i])]
+    columns = shaping._onoff_stops(per_gain, [c.D for c in cells])
+    return [[_fmt(d_ratio), _fmt(snr_db), _fmt(stops[i][0])]
             for i, d_ratio in enumerate(d_ratios)
-            for snr_db, column in zip(snr_dbs, columns)]
+            for snr_db, (_, stops) in zip(snr_dbs, columns)]
 
 
 def _solve_uncoded(p: _Params, grid_points: int, factor: float):

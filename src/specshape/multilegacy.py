@@ -90,10 +90,9 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
 
     # each receiver's on-off stop (k, theta) along the shared order; the first binds
     wo = w[order]
-    cumw = np.cumsum(wo)
-    running = np.cumsum(costs[:, order], axis=1)
-    stops = [_onoff_support(cumw, wo, d[order], r, b)[2:]
-             for d, r, b in zip(dens, running, budgets)]
+    cumw = _prefix_sums(wo)[1:]
+    stops = [_onoff_support(cumw, wo, d, _prefix_sums(wo * d)[1:] / np.pi, b)[2:]
+             for d, b in zip(dens[:, order], budgets)]
     row = min(range(K), key=stops.__getitem__)
     take, theta = stops[row]
     x = np.zeros(n)
@@ -107,7 +106,7 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     support = x >= 1.0
     taken = order[support[order]]
     spent = np.cumsum(costs[:, taken], axis=1)[:, -1] if taken.size else np.zeros(K)
-    frac = min(1.0, float(w @ x) / np.pi)
+    frac = min(1.0, float(w @ x) / np.pi) if take < n else 1.0
     return MultiPrelogResult(frac, support, spent, budgets)
 
 
@@ -158,7 +157,8 @@ def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     budget = min(r.D - mean_power(r.phi_n) / r.a for r in scenario.receivers)
     order = np.argsort(s, kind="stable")
     ws, ss = scenario.grid.weights[order], s[order]
-    take = _onoff_support(np.cumsum(ws), ws, ss, _prefix_sums(ws * ss)[1:] / np.pi, budget)[2]
+    take = _onoff_support(_prefix_sums(ws)[1:], ws, ss, _prefix_sums(ws * ss)[1:] / np.pi,
+                          budget)[2]
     mask = np.zeros(s.size, dtype=bool)
     mask[order[:take]] = True
     return mask

@@ -37,6 +37,14 @@ together across cells (flat noise, so every figure and benchmark input) the
 u-order sorts that key at every lam, and the support family here holds the
 dual optimum, up to a second time-shared boundary cell where two keys tie; a
 shaped noise floor can break this.
+
+Two routines build the u-ordered prefixes: `_Workspace`, which `solve` and
+`rate_curve` share across budgets (and from which the CLI's `solve` reads its
+prelog and gamma), and `_onoff_stops`, which reads only the on-off stops, for
+`onoff_prelog` and the CLI's prelog mesh. Both give the same bits: the order of
+a stable sort of u, running sums from `_prefix_sums`, the stop from
+`_onoff_support`. `multilegacy` takes its running sums and stops from the
+same two, along its own order of K receivers.
 """
 
 from __future__ import annotations
@@ -462,7 +470,8 @@ def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.nda
     (fraction, gamma, k, theta): the first k cells whole and a share theta of
     cell k, of mass `budget` in all, cover `fraction` of the band, and gamma
     is the last cell's u; a budget past the band's mass is k = n, theta = 0.
-    Every on-off stop cell, multilegacy's too, comes from here."""
+    Every on-off stop cell, multilegacy's too, comes from here, and every
+    caller's running sums from `_prefix_sums`."""
     n = cumw.size
     if budget <= 0.0:
         return 0.0, 0.0, 0, 0.0
@@ -482,16 +491,41 @@ def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int, floa
     return _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi, D - ws.dlow)
 
 
+def _onoff_stops(per_gain: Sequence[UncodedScenario], targets: Sequence[float]):
+    """For each scenario of per_gain (all on one grid and phi_s), the cells in
+    pre-emphasis order and `_onoff_support` at each target D, read off the
+    arrays a `_Workspace` of that scenario builds. One stable sort of phi_s
+    serves every scenario whose u it orders as np.argsort(u, kind="stable")
+    would: u rising along it, indices rising where u ties. With flat noise u
+    rises with phi_s, but rounding can swap two cells' u, so any other
+    scenario sorts its own u and takes its own weights and running sums."""
+    grid = per_gain[0].grid
+    order = np.argsort(per_gain[0].phi_s.values, kind="stable")
+    rising = order[1:] > order[:-1]
+    shared = grid.weights[order]
+    shared_cumw = _prefix_sums(shared)[1:]
+    stops = []
+    for sc in per_gain:
+        u, _, dlow = _preemphasis(sc)
+        own, us, wts, cumw = order, u[order], shared, shared_cumw
+        if not ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
+            own = np.argsort(u, kind="stable")
+            us, wts = u[own], grid.weights[own]
+            cumw = _prefix_sums(wts)[1:]
+        cum = _prefix_sums(wts * us)[1:] / np.pi
+        stops.append((own, [_onoff_support(cumw, wts, us, cum, D - dlow) for D in targets]))
+    return stops
+
+
 def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     """High-power on-off support: fill cells of smallest pre-emphasized PSD
     until their pre-emphasis mass equals D minus the smoothing floor. The
     boundary cell is included fractionally, so the threshold equation holds
     exactly even when the pre-emphasized PSD has flat stretches. Targets at
     or below the floor yield prelog 0."""
-    ws = _Workspace(scenario)
-    frac, gamma, k, _ = _onoff_support_ws(ws, scenario.D)
-    mask = np.zeros(ws.cumw.size, dtype=bool)
-    mask[ws.order[:k]] = True
+    [(order, [(frac, gamma, k, _)])] = _onoff_stops([scenario], [scenario.D])
+    mask = np.zeros(order.size, dtype=bool)
+    mask[order[:k]] = True
     return PrelogResult(frac, gamma, mask)
 
 

@@ -60,19 +60,50 @@ def shaped_k1_draw(seed):
     return UncodedScenario(a, phi_s, phi_n, floor * float(rng.uniform(1.1, 30)), 1.0)
 
 
+def exact_prefix_draws(count, seed=1):
+    """(scenario, k): zero noise and a = 1 at 512 or 4096 points, phi_s ~
+    U(0.5, 2) per sample, and a budget that is exactly the mass of the first
+    k cells of the pre-emphasis order, where a plain cumsum's rounding can
+    leave cell k - 1 out."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = make_grid(int(rng.choice([512, 4096])))
+        s = rng.uniform(0.5, 2.0, g.n_points)
+        first = np.argsort(s, kind="stable")[:int(rng.integers(1, g.n_points))]
+        D = math.fsum((g.weights[first] * s[first]).tolist()) / math.pi
+        phi_s, phi_n = tabulated_spectrum(g, s), flat_spectrum(g, 0.0)
+        yield UncodedScenario(1.0, phi_s, phi_n, D, 1.0), first.size
+
+
 def test_k1_matches_prop2_support_exactly():
     tab_noise = tabulated_spectrum(GRID, [1.0, 0.3, 2.0, 0.8, 1.5])
     singles = [UncodedScenario(1000.0, phi_s, phi_n, 0.01, 1.0) for phi_s, phi_n in (
         (flat_spectrum(GRID, 1.0), flat_spectrum(GRID, 1.0)),
         (ar1_spectrum(GRID, 1.0, 0.1), flat_spectrum(GRID, 1.0)),
         (ar1_spectrum(GRID, 1.0, 0.1), tab_noise))]
-    for single in singles + [shaped_k1_draw(seed) for seed in range(200)]:
+    exact = list(exact_prefix_draws(400))
+    singles += [shaped_k1_draw(seed) for seed in range(200)] + [sc for sc, _ in exact]
+    for single in singles:
         multi = MultiLegacyScenario(
             single.phi_s, (LegacyReceiver(single.a, single.phi_n, single.D),))
         got = max_prelog_support(multi)
         ref = onoff_prelog(single)
         assert np.array_equal(got.support, ref.support)
         assert got.prelog == pytest.approx(ref.prelog, rel=1e-12)
+    # on an exact-prefix budget the k-th cell fits, and the support takes it
+    assert [int(onoff_prelog(sc).support.sum()) for sc, _ in exact] == [k for _, k in exact]
+
+
+@pytest.mark.parametrize("n", [512, 32768])
+def test_full_band_prelog_is_one(n):
+    # the greedy start takes every cell, so the prelog is the band, 1.0, as
+    # the single-receiver stop reports it, not the weight sum over pi
+    g = make_grid(n)
+    phi_s, first = ar1_spectrum(g, 1.0, 0.3), LegacyReceiver(10.0, flat_spectrum(g, 1.0), 5.0)
+    assert onoff_prelog(UncodedScenario(10.0, phi_s, first.phi_n, 5.0, 1.0)).prelog == 1.0
+    for receivers in ((first,), (first, LegacyReceiver(3.0, flat_spectrum(g, 0.5), 2.0))):
+        res = max_prelog_support(MultiLegacyScenario(phi_s, receivers))
+        assert res.support.all() and res.prelog == 1.0
 
 
 def test_k1_needs_no_pivot(monkeypatch):

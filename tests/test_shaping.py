@@ -223,6 +223,34 @@ def test_onoff_prelog_snr_limit():
     assert onoff_prelog(loose).prelog == 1.0
 
 
+def shaped_draw(seed):
+    """Random scenario at 64-4096 points: tabulated legacy PSD with 9-225
+    knots, 5-knot shaped noise, D = floor * U(1.1, 30)."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(int(rng.choice([64, 256, 512, 1024, 4096])))
+    phi_s = tabulated_spectrum(g, np.exp(rng.uniform(-1, 1, int(rng.integers(9, 226)))))
+    phi_n = tabulated_spectrum(g, np.exp(rng.uniform(-2, 2, 5)))
+    a = float(np.exp(rng.uniform(0, np.log(3000))))
+    floor = wk_floor(UncodedScenario(a, phi_s, phi_n, 1.0, 1.0))
+    return UncodedScenario(a, phi_s, phi_n, floor * float(rng.uniform(1.1, 30)), 1.0)
+
+
+def test_onoff_prelog_is_the_workspace_stop():
+    # solve (the CLI's prelog and gamma) reads the on-off stop off its
+    # workspace, onoff_prelog off its own sort: the two give the same bits,
+    # whether phi_s's order serves (flat noise) or u takes its own sort
+    scenarios = [flat_study(), ar_study(), ar_study(grid=make_grid(32768)),
+                 *(shaped_draw(seed) for seed in range(200))]
+    for sc in scenarios:
+        ws = shaping._Workspace(sc)
+        prelog, gamma, k, _ = shaping._onoff_support_ws(ws, sc.D)
+        mask = np.zeros(sc.grid.n_points, dtype=bool)
+        mask[ws.order[:k]] = True
+        got = onoff_prelog(sc)
+        assert np.array([got.prelog, got.gamma]).tobytes() == np.array([prelog, gamma]).tobytes()
+        assert got.support.tobytes() == mask.tobytes()
+
+
 def test_onoff_prelog_infeasible_returns_zero():
     sc = flat_study()
     bad = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, wk_floor(sc) * 0.5, 1.0)
