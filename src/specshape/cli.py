@@ -163,8 +163,12 @@ def _uncoded_scenario(p: _Params, grid: FrequencyGrid, P: float = 1.0) -> Uncode
         phi_n = tabulated_spectrum(grid, _array(noise_values, "phi_n_values"))
     else:
         phi_n = flat_spectrum(grid, p.value("sigma2_n"))
-    return UncodedScenario(a=p.value("a"), phi_s=phi_s, phi_n=phi_n,
-                           D=p.value("D"), P=P)
+    sc = UncodedScenario(a=p.value("a"), phi_s=phi_s, phi_n=phi_n, D=p.value("D"), P=P)
+    # a sample of zero floor costs no MSE, so the rate over it is unbounded
+    if not (sc.base() > 0).all():
+        raise SchemaError("the noise floor a*phi_s + phi_n must be positive at every sample: "
+                          "the rate is unbounded where it is zero")
+    return sc
 
 
 def _legacy_link(p: _Params) -> dict:
@@ -531,7 +535,7 @@ def _mesh_rows(cells: list[UncodedScenario], per_gain: list[UncodedScenario],
     columns = shaping._onoff_stops(per_gain, [c.D for c in cells])
     return [[_fmt(d_ratio), _fmt(snr_db), _fmt(stops[i][0])]
             for i, d_ratio in enumerate(d_ratios)
-            for snr_db, (_, stops) in zip(snr_dbs, columns)]
+            for snr_db, stops in zip(snr_dbs, columns)]
 
 
 def _solve_uncoded(p: _Params, grid_points: int, factor: float):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SolverError, _positive
 from .estimation import UncodedScenario, _check_floor
-from .shaping import _onoff_support, _preemphasis, _prefix_sums
+from .shaping import _Cells, _preemphasis
 from .spectra import Spectrum, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
@@ -86,13 +86,11 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     dens = np.array(dens)
     costs = dens * w / np.pi
     key = np.max(dens / budgets[:, None], axis=0)
-    order = np.argsort(key, kind="stable")
+    cells = _Cells(scenario.grid, np.argsort(key, kind="stable"))
+    order = cells.order
 
     # each receiver's on-off stop (k, theta) along the shared order; the first binds
-    wo = w[order]
-    cumw = _prefix_sums(wo)[1:]
-    stops = [_onoff_support(cumw, wo, d, _prefix_sums(wo * d)[1:] / np.pi, b)[2:]
-             for d, b in zip(dens[:, order], budgets)]
+    stops = [cells.stops(d, [b])[0][2:] for d, b in zip(dens[:, order], budgets)]
     row = min(range(K), key=stops.__getitem__)
     take, theta = stops[row]
     x = np.zeros(n)
@@ -152,13 +150,11 @@ def _simplex(w, A, x, basis):
 def low_noise_support(scenario: MultiLegacyScenario) -> np.ndarray:
     """Support mask in the low-noise regime: fill the cells where the legacy
     PSD is smallest until int_U phi_s = pi * min_k (D_k - sigma2_nk / a_k),
-    stopped by `_onoff_support` on the running sums of w*phi_s over pi."""
+    the on-off stop of phi_s along its own stable sort."""
     s = scenario.phi_s.values
     budget = min(r.D - mean_power(r.phi_n) / r.a for r in scenario.receivers)
-    order = np.argsort(s, kind="stable")
-    ws, ss = scenario.grid.weights[order], s[order]
-    take = _onoff_support(_prefix_sums(ws)[1:], ws, ss, _prefix_sums(ws * ss)[1:] / np.pi,
-                          budget)[2]
+    cells = _Cells(scenario.grid, np.argsort(s, kind="stable"))
+    [(_, _, take, _)] = cells.stops(s[cells.order], [budget])
     mask = np.zeros(s.size, dtype=bool)
-    mask[order[:take]] = True
+    mask[cells.order[:take]] = True
     return mask

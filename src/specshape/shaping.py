@@ -38,13 +38,15 @@ u-order sorts that key at every lam, and the support family here holds the
 dual optimum, up to a second time-shared boundary cell where two keys tie; a
 shaped noise floor can break this.
 
-Two routines build the u-ordered prefixes: `_Workspace`, which `solve` and
-`rate_curve` share across budgets (and from which the CLI's `solve` reads its
-prelog and gamma), and `_onoff_stops`, which reads only the on-off stops, for
-`onoff_prelog` and the CLI's prelog mesh. Both give the same bits: the order of
-a stable sort of u, running sums from `_prefix_sums`, the stop from
-`_onoff_support`. `multilegacy` takes its running sums and stops from the
-same two, along its own order of K receivers.
+One builder, `_Cells`, holds cells in an order with their weights and running
+weights, and reads on-off stops off the running mass of a PSD along that
+order. `_Workspace` is the `_Cells` of the u-order with the sums the fill
+reads, shared across budgets by `solve` and `rate_curve` (the CLI's `solve`
+reads its prelog and gamma off it too). `onoff_prelog` and the CLI's prelog
+mesh (`_onoff_stops`, one stable sort of phi_s for every gain it serves) read
+only the stops, and `multilegacy` its stops along its own orders. So every
+stop takes one path: the order of a stable sort, running sums from
+`_prefix_sums`, the stop from `_onoff_support`.
 """
 
 from __future__ import annotations
@@ -134,34 +136,50 @@ def _running_max(v: np.ndarray) -> np.ndarray:
     return v if (v[1:] >= v[:-1]).all() else np.maximum.accumulate(v)
 
 
-class _Workspace:
+class _Cells:
+    """The cells of a grid in a given order: the order, the weights `ws` along
+    it and their prefix sums `prefix_w` ([0, w_0, w_0 + w_1, ...]) and `cumw`
+    (the same without the leading 0). Every on-off stop reads its cells from
+    here."""
+
+    def __init__(self, grid, order: np.ndarray):
+        self.grid = grid
+        self.order = order
+        self.ws = grid.weights[order]
+        self.prefix_w = _prefix_sums(self.ws)
+        self.cumw = self.prefix_w[1:]
+
+    def stops(self, us: np.ndarray, budgets: Sequence[float]):
+        """`_onoff_support` at each budget, for the PSD `us` given in this
+        order, on its running mass: the prefix sums of ws*us over pi."""
+        cum = _prefix_sums(self.ws * us)[1:] / np.pi
+        return [_onoff_support(self.cumw, self.ws, us, cum, b) for b in budgets]
+
+
+class _Workspace(_Cells):
     """Scenario-level arrays shared across budgets, all independent of P: the
-    cells in pre-emphasis order and, along that order, prefix sums of the
-    weight w and of w*u, w*base and w*q (q = a*phi_s^2, u = q/base), and
-    prefix maxima of base and q, which the closed-form fill reads."""
+    `_Cells` of the pre-emphasis order and, along that order, prefix sums of
+    w*u, w*base and w*q (q = a*phi_s^2, u = q/base) and prefix maxima of base
+    and q, which the closed-form fill reads."""
 
     def __init__(self, scenario: UncodedScenario):
         self.scenario = scenario
-        grid = scenario.grid
-        self.grid = grid
         u, b, self.dlow = _preemphasis(scenario)
         order = np.argsort(u, kind="stable")
-        self.order = order
-        self.us, self.bs, self.ws = u[order], b[order], grid.weights[order]
+        self.us, self.bs = u[order], b[order]
         ss = scenario.phi_s.values[order]
         self.qs = scenario.a * ss * ss  # discriminant term a*phi_s^2
-        # Free the unsorted arrays before the sums take their place. Kept
-        # alive, they push the sums up the heap, glibc returns that memory to
-        # the system when the workspace is freed, and the next 32768-point
-        # solve page-faults it back (about 1 ms a solve).
+        # Free the unsorted arrays before the weights and sums take their
+        # place. Kept alive, they push the sums up the heap, glibc returns
+        # that memory to the system when the workspace is freed, and the next
+        # 32768-point solve page-faults it back (about 1 ms a solve).
         del u, b, ss
-        self.prefix_w = _prefix_sums(self.ws)
+        super().__init__(scenario.grid, order)
         self.prefix_wu = _prefix_sums(self.ws * self.us)
         self.prefix_wb = _prefix_sums(self.ws * self.bs)
         self.prefix_wq = _prefix_sums(self.ws * self.qs)
         self.maxb = _running_max(self.bs)
         self.maxq = _running_max(self.qs)
-        self.cumw = self.prefix_w[1:]
 
 
 @dataclass
@@ -470,8 +488,8 @@ def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.nda
     (fraction, gamma, k, theta): the first k cells whole and a share theta of
     cell k, of mass `budget` in all, cover `fraction` of the band, and gamma
     is the last cell's u; a budget past the band's mass is k = n, theta = 0.
-    Every on-off stop cell, multilegacy's too, comes from here, and every
-    caller's running sums from `_prefix_sums`."""
+    Every on-off stop cell, multilegacy's too, comes from here, on the
+    running sums of a `_Cells`."""
     n = cumw.size
     if budget <= 0.0:
         return 0.0, 0.0, 0, 0.0
@@ -492,28 +510,23 @@ def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int, floa
 
 
 def _onoff_stops(per_gain: Sequence[UncodedScenario], targets: Sequence[float]):
-    """For each scenario of per_gain (all on one grid and phi_s), the cells in
-    pre-emphasis order and `_onoff_support` at each target D, read off the
-    arrays a `_Workspace` of that scenario builds. One stable sort of phi_s
-    serves every scenario whose u it orders as np.argsort(u, kind="stable")
-    would: u rising along it, indices rising where u ties. With flat noise u
-    rises with phi_s, but rounding can swap two cells' u, so any other
-    scenario sorts its own u and takes its own weights and running sums."""
-    grid = per_gain[0].grid
-    order = np.argsort(per_gain[0].phi_s.values, kind="stable")
-    rising = order[1:] > order[:-1]
-    shared = grid.weights[order]
-    shared_cumw = _prefix_sums(shared)[1:]
+    """For each scenario of per_gain (all on one grid and phi_s), the on-off
+    stop at each target D, as `_Cells.stops` gives it along the scenario's
+    pre-emphasis order. One stable sort of phi_s serves every scenario whose
+    u it orders as np.argsort(u, kind="stable") would: u rising along it,
+    indices rising where u ties. With flat noise u rises with phi_s, but
+    rounding can swap two cells' u, so any other scenario takes cells of its
+    own sort."""
+    shared = _Cells(per_gain[0].grid, np.argsort(per_gain[0].phi_s.values, kind="stable"))
+    rising = shared.order[1:] > shared.order[:-1]
     stops = []
     for sc in per_gain:
         u, _, dlow = _preemphasis(sc)
-        own, us, wts, cumw = order, u[order], shared, shared_cumw
+        cells, us = shared, u[shared.order]
         if not ((us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & rising)).all():
-            own = np.argsort(u, kind="stable")
-            us, wts = u[own], grid.weights[own]
-            cumw = _prefix_sums(wts)[1:]
-        cum = _prefix_sums(wts * us)[1:] / np.pi
-        stops.append((own, [_onoff_support(cumw, wts, us, cum, D - dlow) for D in targets]))
+            cells = _Cells(sc.grid, np.argsort(u, kind="stable"))
+            us = u[cells.order]
+        stops.append(cells.stops(us, [D - dlow for D in targets]))
     return stops
 
 
@@ -523,9 +536,11 @@ def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     boundary cell is included fractionally, so the threshold equation holds
     exactly even when the pre-emphasized PSD has flat stretches. Targets at
     or below the floor yield prelog 0."""
-    [(order, [(frac, gamma, k, _)])] = _onoff_stops([scenario], [scenario.D])
-    mask = np.zeros(order.size, dtype=bool)
-    mask[order[:k]] = True
+    u, _, dlow = _preemphasis(scenario)
+    cells = _Cells(scenario.grid, np.argsort(u, kind="stable"))
+    [(frac, gamma, k, _)] = cells.stops(u[cells.order], [scenario.D - dlow])
+    mask = np.zeros(u.size, dtype=bool)
+    mask[cells.order[:k]] = True
     return PrelogResult(frac, gamma, mask)
 
 

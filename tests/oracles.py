@@ -63,6 +63,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from specshape import shaping
 from specshape.coded import CodedScenario
@@ -163,7 +164,7 @@ def support_rate(ws, P: float, D: float, wfrac: float) -> float:
     water-filling when its MSE meets D, otherwise the tilt nu at which the
     fill's MSE meets D (to 1e-13 of D minus the floor), bracketed by
     doubling from 0.25/max q; -inf when no tilt meets D."""
-    from scipy import optimize
+    optimize = pytest.importorskip("scipy.optimize")
 
     n_full, theta = shaping._support(ws, wfrac)
     wts = shaping._weights(ws, n_full, theta)
@@ -203,7 +204,7 @@ def dual_bound(scenario: UncodedScenario, sol: ShapingSolution) -> float:
     and B = a*phi_s + phi_n. SciPy's Nelder-Mead runs in (log lam, log mu)
     from the solver's multipliers (lam = sol.lam, mu = -sol.mu; log lam =
     -log max u when sol.lam is 0), restarted twice from where it stops."""
-    from scipy import optimize
+    optimize = pytest.importorskip("scipy.optimize")
 
     s, w = scenario.phi_s.values, scenario.grid.weights
     q, B = scenario.a * s * s, scenario.base()
@@ -348,7 +349,7 @@ def brent_widest(c, w_lo: float = 1e-9) -> float:
     """The largest w in [w_lo, 1] with c(w) >= 0 for a constraint c that never
     rises with w and holds at w_lo: 1.0 when c(1) >= 0, else SciPy's brentq
     root at the tightest relative tolerance it accepts."""
-    from scipy import optimize
+    optimize = pytest.importorskip("scipy.optimize")
 
     if c(1.0) >= 0.0:
         return 1.0

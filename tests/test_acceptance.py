@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import optimize
+import pytest
 
 from oracles import (decode_rate_at_cognitive, flat_case_closed_form, legacy_rate,
                      preemphasized_psd, wk_floor, wk_mse)
@@ -218,7 +218,7 @@ def _bin_functionals(sc, bins):
     return power, mse, rate_fn
 
 
-def _oracle_8bin(sc, bins, solver_levels, seed=12345):
+def _oracle_8bin(sc, bins, solver_levels, optimize, seed=12345):
     power, mse, rate_fn = _bin_functionals(sc, bins)
     g = sc.grid
     w = g.weights
@@ -258,6 +258,7 @@ def _oracle_8bin(sc, bins, solver_levels, seed=12345):
 
 
 def test_criterion_09_oracle_equivalence():
+    optimize = pytest.importorskip("scipy.optimize")  # the SLSQP polish of the oracle
     with criterion(9, "solvers are not beaten by independent searches", 300.0):
         # non-convex support-sweep solver vs random search + SLSQP polish
         sc, bins = _eight_bin_scenario()
@@ -268,7 +269,7 @@ def test_criterion_09_oracle_equivalence():
         solver_levels = np.array([
             float(np.dot(w[bins == k], sol.phi_x.values[bins == k]) / w[bins == k].sum())
             for k in range(8)])
-        oracle = _oracle_8bin(sc, bins, solver_levels)
+        oracle = _oracle_8bin(sc, bins, solver_levels, optimize)
         assert sol.rate >= (1.0 - 1e-3) * oracle
 
         # coded 1-D solver vs dense 1e5-point support-fraction grid

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 import oracles
 from specshape import cli, coded, mimo, shaping
@@ -421,19 +421,45 @@ def test_non_numeric_epsilon_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, extra", [
     ("solve", {"P": 1.0}),
     ("rate-curve", {"power_sweep_db": {"start": 0, "stop": 10, "points": 3}})])
-def test_undefined_rate_over_a_zero_floor_exit_4(tmp_path, capsys, command, extra):
-    # phi_s = phi_n = [1, 0] is a valid file, but the fill puts power on the
-    # last sample, whose floor a*phi_s + phi_n is 0, and the rate there is
-    # undefined. waterfill.rate_bins raises a plain ValueError inside the
-    # solve, which main reports as the solver's (exit 4), not the file's
+def test_undefined_rate_over_a_zero_floor_exit_2(tmp_path, capsys, command, extra):
+    # phi_s = phi_n = [1, 0]: the floor a*phi_s + phi_n is 0 on the upper half
+    # band, where power costs no MSE and the rate is unbounded. The file is
+    # rejected when it is read (exit 2); it used to reach the fill, which put
+    # power there and failed in rate_bins (exit 4)
     doc = {"kind": "uncoded", "phi_s_values": [1.0, 0.0], "phi_n_values": [1.0, 0.0],
            "a": 1.0, "D": 0.5, **extra}
     out = tmp_path / "o.out"
     code = cli.main([command, write(tmp_path, doc), "-o", str(out), "--grid", "128", "--quiet"])
     err = capsys.readouterr().err
-    assert code == cli.EXIT_SOLVER == 4
-    assert "rate undefined" in err and "Traceback" not in err
+    assert code == cli.EXIT_INPUT == 2
+    assert "noise floor" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_value_error_inside_the_solve_exit_4(tmp_path, capsys, monkeypatch):
+    # the build checked the file, so a plain ValueError raised by the solver
+    # is the solver's failure (exit 4), not an input error
+    def fail(ws, P):
+        raise ValueError("no bracket")
+    monkeypatch.setattr(shaping, "_solve_ws", fail)
+    out = tmp_path / "o.json"
+    code = cli.main(["solve", write(tmp_path, uncoded_doc(P_db=30)), "-o", str(out),
+                     "--grid", "64", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER == 4
+    assert "solver failed" in err and "no bracket" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_multilegacy_zero_noise_floor_is_valid(tmp_path):
+    # the on-off prelog needs no positive floor: the same zero floor in a
+    # multilegacy file solves
+    doc = {"kind": "multilegacy", "spectrum": {"type": "tabulated", "values": [1, 0]},
+           "receivers": [{"a": 10, "sigma2_n": 0, "D": 0.3}]}
+    out = tmp_path / "out.json"
+    assert cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--grid", "64",
+                     "--quiet"]) == cli.EXIT_OK
+    assert 0.0 < json.loads(out.read_text())["prelog"] <= 1.0
 
 
 def test_non_finite_result_exit_4(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import optimize
+from hypothesis_or_skip import given, settings, st
 
 from oracles import brent_widest, decode_rate_at_cognitive, legacy_rate, onoff_asymptote
 from specshape import coded, mimo
@@ -98,6 +97,7 @@ def test_b1_b2_objectives_agree_at_decodability_boundary():
     def m(w):
         return float(decode_rate_at_cognitive(sc, w)) - sc.R_l
 
+    optimize = pytest.importorskip("scipy.optimize")
     w_star = optimize.brentq(m, 1e-9, 1.0, xtol=1e-15)
     b1_obj = w_star * math.log1p(sc.g_c * sc.P / (w_star * sc.sigma2_nc))
     off = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)
@@ -120,6 +120,7 @@ def test_b1_b2_boundary_continuity_property(a_c, P, load):
 
     if m(1e-9) * m(1.0) > 0:
         return
+    optimize = pytest.importorskip("scipy.optimize")
     w_star = optimize.brentq(m, 1e-9, 1.0, xtol=1e-15)
     b1_obj = w_star * math.log1p(sc.g_c * sc.P / (w_star * sc.sigma2_nc))
     off = math.log1p(sc.a_c * sc.sigma2_s / sc.sigma2_nc)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from oracles import memoryless_mse, wk_floor, wk_mse
 from specshape.estimation import UncodedScenario, memoryless_floor, memoryless_power_cap

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from oracles import preemphasized_psd, wk_floor
 from specshape.errors import SolverError

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from specshape import _scalar, cli
 from specshape.errors import SolverError
@@ -66,6 +65,7 @@ def assert_matches_scipy(seed, scipy_xtol):
     # Brent converges only linearly on the flat-near-root cases, which can
     # exhaust the iteration cap: SciPy's RuntimeError must then be a
     # SolverError here, raised after the same evaluations.
+    optimize = pytest.importorskip("scipy.optimize")
     for f, a, b in root_cases(seed):
         for lo, hi in ((a, b), (b, a)):
             f1, seen1 = recorded(f)

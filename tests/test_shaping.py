@@ -235,18 +235,24 @@ def shaped_draw(seed):
     return UncodedScenario(a, phi_s, phi_n, floor * float(rng.uniform(1.1, 30)), 1.0)
 
 
-def test_onoff_prelog_is_the_workspace_stop():
+def test_onoff_prelog_is_the_workspace_stop(monkeypatch):
     # solve (the CLI's prelog and gamma) reads the on-off stop off its
-    # workspace, onoff_prelog off its own sort: the two give the same bits,
-    # whether phi_s's order serves (flat noise) or u takes its own sort
+    # workspace, onoff_prelog off cells of its own sort of u: one builder
+    # under two callers gives the same bits, with flat noise or shaped, and
+    # onoff_prelog sorts once either way
     scenarios = [flat_study(), ar_study(), ar_study(grid=make_grid(32768)),
                  *(shaped_draw(seed) for seed in range(200))]
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
     for sc in scenarios:
         ws = shaping._Workspace(sc)
         prelog, gamma, k, _ = shaping._onoff_support_ws(ws, sc.D)
         mask = np.zeros(sc.grid.n_points, dtype=bool)
         mask[ws.order[:k]] = True
+        sorts.clear()
         got = onoff_prelog(sc)
+        assert len(sorts) == 1
         assert np.array([got.prelog, got.gamma]).tobytes() == np.array([prelog, gamma]).tobytes()
         assert got.support.tobytes() == mask.tobytes()
 

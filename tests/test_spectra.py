@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis_or_skip import given, st
 
 from specshape.spectra import (
     FrequencyGrid,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from oracles import sorted_fill
 from specshape import shaping
