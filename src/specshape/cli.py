@@ -260,11 +260,10 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# The JSON writer lays out each 1-D float array in numpy: the run starts
-# within _BLOCK entries at a time, and a run of _LONG_RUN entries or more as
-# its text times its length. It lays out in numpy only repr's positional
-# floats, each in _ROW_WORDS uint32 words, and Python formats the rest.
-_BLOCK = 4096
+# The JSON writer lays out each 1-D float array in numpy: the run starts in
+# one pass, and a run of _LONG_RUN entries or more as its text times its
+# length. It lays out in numpy only repr's positional floats, each in
+# _ROW_WORDS uint32 words, and Python formats the rest.
 _LONG_RUN = 64
 _ROW_WORDS = 9
 
@@ -385,9 +384,7 @@ def _float_block(values: np.ndarray, pad: str) -> str:
     before the holes are deleted, or, for a run of _LONG_RUN or more, as the
     text times the run's length. Runs are found on the bits, not with ==,
     because 0.0 == -0.0 while their texts differ ("0.0" and "-0.0");
-    bit-equal floats always share a text. The run starts are formatted in
-    blocks, those that start within one _BLOCK of entries at a time, so a
-    block's rows hold fewer than _BLOCK + _LONG_RUN entries.
+    bit-equal floats always share a text.
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -403,23 +400,17 @@ def _float_block(values: np.ndarray, pad: str) -> str:
     np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
     runs = np.diff(starts, append=values.size)
-    # the first run start of each block of entries
-    cuts = np.searchsorted(starts, np.arange(0, values.size, _BLOCK)).tolist() + [starts.size]
-    body = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo == hi:
-            continue  # the block lies within a run that started before it
-        rows = _float_rows(values[starts[lo:hi]], sep_words)
-        cut = lo
-        for r in [*(lo + np.flatnonzero(runs[lo:hi] >= _LONG_RUN)).tolist(), hi]:
-            if cut < r:
-                stretch = rows[cut - lo:r - lo]
-                if runs[cut:r].max() > 1:
-                    stretch = np.repeat(stretch, runs[cut:r], axis=0)
-                body.append(_unholed(stretch))
-            if r < hi:
-                body.append(_unholed(rows[r - lo]) * int(runs[r]))
-            cut = r + 1
+    rows = _float_rows(values[starts], sep_words)
+    body, cut = [], 0
+    for r in [*np.flatnonzero(runs >= _LONG_RUN).tolist(), starts.size]:
+        if cut < r:
+            stretch = rows[cut:r]
+            if runs[cut:r].max() > 1:
+                stretch = np.repeat(stretch, runs[cut:r], axis=0)
+            body.append(_unholed(stretch))
+        if r < starts.size:
+            body.append(_unholed(rows[r]) * int(runs[r]))
+        cut = r + 1
     return "[\n" + inner + b"".join(body)[:-len(sep)].decode("ascii") + "\n" + pad + "]"
 
 

@@ -72,14 +72,54 @@ def test_solve_not_beaten_by_sweep_oracle(index):
     assert solve(sc).rate >= sweep_golden_rate(sc) * (1 - 1e-12)
 
 
-def test_kink_search_when_the_prelog_support_exceeds_d_by_rounding():
-    # At P = 1e8 the prelog support's water-filling MSE lands 3e-17 above D,
-    # so the kink bracket must start below the prelog.
+def prelog_rounding_scenario():
+    # AR(1) at P = 1e8: the prelog support's water-filling MSE lies within
+    # rounding of D (1.9e-16 below it; on D from P = 1e10 on)
     g = make_grid(512)
-    sc = UncodedScenario(2.3, ar1_spectrum(g, 1.0, 0.32), flat_spectrum(g, 1.0), 0.181267, 1e8)
+    return UncodedScenario(2.3, ar1_spectrum(g, 1.0, 0.32), flat_spectrum(g, 1.0), 0.181267, 1e8)
+
+
+def solve_from_past_the_kink(sc, monkeypatch, w0=0.9):
+    """solve(sc) with the kink bracket started at support fraction w0 in
+    place of the on-off prelog: the fractions at which the solve evaluates
+    the water-filling MSE, in order, and the solution."""
+    tried = []
+    waterfill_on = shaping._waterfill_on
+
+    def spy(ws, P, wfrac):
+        tried.append(wfrac)
+        return waterfill_on(ws, P, wfrac)
+
+    with monkeypatch.context() as m:
+        m.setattr(shaping, "_onoff_support_ws", lambda ws, D: (w0, 0.0, 0, 0.0))
+        m.setattr(shaping, "_waterfill_on", spy)
+        return tried, solve(sc)
+
+
+def test_kink_search_when_the_prelog_support_exceeds_d_by_rounding(monkeypatch):
+    # The kink bracket starts at the prelog support, whose MSE lies within
+    # rounding of D here; the solve is not beaten by the oracle from there,
+    # nor from a start past the kink, which the guard halves until its MSE
+    # meets D
+    sc = prelog_rounding_scenario()
     sol = solve(sc)
     assert sol.case_tag is CaseTag.BOTH_CONSTRAINTS_ACTIVE
-    assert sol.rate >= sweep_golden_rate(sc) * (1 - 1e-12)
+    oracle = sweep_golden_rate(sc)
+    assert sol.rate >= oracle * (1 - 1e-12)
+    assert solve_from_past_the_kink(sc, monkeypatch)[1].rate >= oracle * (1 - 1e-12)
+
+
+def test_kink_guard_halves_a_bracket_start_past_the_kink(monkeypatch):
+    # No known input puts the prelog support past the kink, so the start is
+    # patched to w = 0.9, whose water-filling MSE exceeds D: the guard halves
+    # it until the MSE meets D, and the solve keeps its rate
+    sc = prelog_rounding_scenario()
+    assert shaping._waterfill_on(shaping._Workspace(sc), sc.P, 0.9)[0] > sc.D
+    ref = solve(sc)
+    tried, sol = solve_from_past_the_kink(sc, monkeypatch)
+    assert tried[:3] == [1.0, 0.9, 0.45]
+    assert sol.case_tag is ref.case_tag
+    assert sol.rate == pytest.approx(ref.rate, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [64, 512, 4096])

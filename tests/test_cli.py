@@ -92,6 +92,22 @@ def test_rate_curve_zero_noise(tmp_path, noise):
     assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+def test_rate_curve_infeasible_memoryless_receiver_writes_nan(tmp_path):
+    # AR(1) at a = 10: D = 0.05 lies above the smoothing floor (0.046) but
+    # below the memoryless floor 1/11, so only the memoryless column is empty
+    doc = {"kind": "uncoded", "sigma2_s": 1, "sigma2_n": 1, "a": 10, "epsilon": 0.1,
+           "D": 0.05, "power_sweep_db": {"start": 0, "stop": 40, "points": 5}}
+    out = tmp_path / "curve.csv"
+    assert cli.main(["rate-curve", write(tmp_path, doc), "-o", str(out),
+                     "--grid", "512", "--quiet"]) == cli.EXIT_OK
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "P_db,rate_it,rate_shaping"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 5
+    assert [row[1] for row in rows] == ["nan"] * 5
+    assert all(0.0 < float(row[2]) < math.inf for row in rows)
+
+
 def test_rate_curve_coded_tags(tmp_path):
     f = str(SCENARIOS / "coded_case_b_curve.json")
     out = tmp_path / "coded.csv"
@@ -336,6 +352,23 @@ def test_solve_mimo_json(tmp_path):
     assert np.asarray(doc["phi0_matrix"]).shape == (2, 2, 2)
 
 
+@pytest.mark.parametrize("command, name", [("solve", "coded_single.json"),
+                                           ("rate-curve", "coded_case_a_curve.json")])
+def test_coded_r_l_in_nats_matches_the_legacy_load_file(tmp_path, command, name):
+    # R_l as the CLI forms it from legacy_load: the same scenario, the same bytes
+    doc = json.loads((SCENARIOS / name).read_text())
+    load = doc.pop("legacy_load")
+    a_l, sigma2_s, sigma2_nl = (cli.db_to_linear(doc[k])
+                                for k in ("a_l_db", "sigma2_s_db", "sigma2_nl_db"))
+    doc["R_l"] = load * math.log1p(a_l * sigma2_s / sigma2_nl)
+    written = []
+    for i, f in enumerate((str(SCENARIOS / name), write(tmp_path, doc))):
+        out = tmp_path / f"{i}.out"
+        assert cli.main([command, f, "-o", str(out), "--quiet"]) == cli.EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_solve_multilegacy_json(tmp_path):
     out = tmp_path / "sol.json"
     assert cli.main(["solve", str(SCENARIOS / "multilegacy_single.json"),
@@ -346,11 +379,32 @@ def test_solve_multilegacy_json(tmp_path):
     assert len(doc["budgets"]) == 2
 
 
+def test_multilegacy_flat_spectrum_single_receiver_is_the_onoff_prelog(tmp_path):
+    doc = {"kind": "multilegacy", "spectrum": {"type": "flat", "sigma2_s": 2.0},
+           "receivers": [{"a": 300.0, "sigma2_n": 0.5, "D": 0.05}]}
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--grid", "512",
+                     "--quiet"]) == cli.EXIT_OK
+    g = make_grid(512)
+    ref = shaping.onoff_prelog(
+        UncodedScenario(300.0, flat_spectrum(g, 2.0), flat_spectrum(g, 0.5), 0.05, 1.0))
+    assert 0.0 < ref.prelog < 1.0
+    assert json.loads(out.read_text())["prelog"] == float(cli._fmt(ref.prelog))
+
+
 def test_malformed_json_exit_2_no_output(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     out = tmp_path / "never.csv"
     assert cli.main(["rate-curve", str(bad), "-o", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+def test_top_level_array_exit_2(tmp_path, capsys):
+    f = write(tmp_path, [uncoded_doc(P_db=30)])
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", f, "-o", str(out), "--quiet"]) == cli.EXIT_INPUT
+    assert "top level must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -497,6 +551,16 @@ def test_huge_budget_over_a_vanishing_legacy_rate_exit_0(tmp_path, capsys):
     assert got["rate"] == pytest.approx(693.0781129912077, rel=1e-11)
 
 
+def test_epsilon_with_tabulated_legacy_spectrum_exit_2(tmp_path, capsys):
+    doc = {"kind": "uncoded", "phi_s_values": [1.0, 2.0], "epsilon": 0.1,
+           "sigma2_n": 1.0, "a": 10.0, "D": 0.5, "P": 1.0}
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--grid", "64",
+                     "--quiet"]) == cli.EXIT_INPUT
+    assert "give either epsilon or phi_s_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 RANK1_MIMO = {"kind": "mimo", "H_c": [[1, 0], [0, 0]], "h_l": [1, 0], "h_c": [1, 0.1],
               "a_l": 1, "g_l": 1, "a_c": 1, "g_c": 10, "sigma2_s": 1000,
               "sigma2_nl": 1, "sigma2_nc": 1, "legacy_load": 0.5}
@@ -530,8 +594,9 @@ def test_mimo_without_antennas_exit_2(tmp_path, capsys):
 
 
 def test_overflowing_mimo_on_level_exit_4(tmp_path, capsys):
-    # the search runs at w = 0.5, where the on-level P/w overflows and cannot
-    # be written: a non-finite result, not an input error
+    # the search runs at w = 0.5, where the on-level P/w overflows, and so
+    # does the rate, which the search checks first: a non-finite result, not
+    # an input error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_bad(tmp_path, capsys, dict(RANK1_MIMO, P=1.7e308)) == 4
@@ -542,6 +607,20 @@ def test_overflowing_mimo_rate_exit_4(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_bad(tmp_path, capsys, dict(RANK1_MIMO, P=5e307), "--grid", "64") == 4
+
+
+def test_on_level_past_the_float_range_exit_4(tmp_path, capsys):
+    # H_c = 1e-30 I leaves the rate finite while the on-level P/w overflows
+    doc = dict(RANK1_MIMO, H_c=[[1e-30, 0], [0, 1e-30]], h_l=[1, 1], h_c=[1, 1], P=1e308)
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", write(tmp_path, doc), "-o", str(out), "--grid", "64",
+                         "--quiet"])
+    assert code == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "the on-level P/w is not finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("P", [5e307, 8e307])

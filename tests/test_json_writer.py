@@ -118,10 +118,9 @@ def test_subnormals_zeros_and_the_largest_float():
 
 
 def test_arrays_longer_than_a_block_with_runs_across_its_edges():
-    # the writer formats each run of bit-equal neighbours once, and blocks
-    # its run starts by entry; 0.0 and -0.0 compare equal but must keep their
-    # own texts
-    b = cli._BLOCK
+    # the writer formats each run of bit-equal neighbours once; 0.0 and -0.0
+    # compare equal but must keep their own texts
+    b = 4096
     x = np.zeros(3 * b + 17)
     x[b - 3:b + 5] = -0.0
     x[2 * b - 1] = 0.5
@@ -129,12 +128,12 @@ def test_arrays_longer_than_a_block_with_runs_across_its_edges():
     x[2 * b + 2:3 * b + 9] = 1.25
     x[3 * b + 9:] = -0.0
     assert_written_as_python(x)
-    # one value over more than a whole block, then alternating zeros
+    # one value over more than 4096 entries, then alternating zeros
     y = np.full(2 * b + 1, 3.0)
     y[b + 7:] = np.where(np.arange(y.size - b - 7) % 2, 0.0, -0.0)
     assert_written_as_python(y)
-    # whole blocks with no run start, and runs of every length around the
-    # one from which a run's text is multiplied
+    # 4096-entry stretches with no run start, and runs of every length
+    # around the one from which a run's text is multiplied
     z = np.zeros(4 * b)
     z[-1] = -0.0
     assert_written_as_python(z)
@@ -198,7 +197,7 @@ def test_other_float_widths_and_empty_arrays():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_raise_solver_error(bad):
-    x = np.zeros(cli._BLOCK + 5)
+    x = np.zeros(4096 + 5)
     x[-1] = bad
     with pytest.raises(SolverError):
         cli._json_text({"v": x})

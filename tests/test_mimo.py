@@ -283,6 +283,31 @@ def test_solve_mimo_infeasible():
         solve_mimo(channel(legacy_load=1.2), 1.0, grid=GRID)
 
 
+ONES = np.ones(2)
+
+
+def test_solve_mimo_default_grid_is_4096_points():
+    ch = channel(h_l=ONES, h_c=ONES)
+    sol, ref = solve_mimo(ch, 100.0), solve_mimo(ch, 100.0, grid=make_grid(4096))
+    assert sol.psd.grid.n_points == 4096
+    assert sol.psd.k == ref.psd.k
+    assert np.array_equal(sol.psd.level, ref.psd.level)
+
+
+def test_solve_mimo_without_a_feasible_support():
+    # a legacy load just below 1 passes the channel check (R_l below the
+    # capacity), but the legacy constraint fails already at the smallest
+    # support the search tries
+    with pytest.raises(InfeasibleScenarioError, match="no feasible operating point"):
+        solve_mimo(channel(h_l=ONES, h_c=ONES, legacy_load=1 - 1e-12), 100.0, grid=GRID)
+
+
+def test_solve_mimo_on_level_past_the_float_range():
+    ch = channel(H=1e-30 * np.eye(2), h_l=ONES, h_c=ONES)
+    with pytest.raises(SolverError, match="the on-level P/w is not finite"):
+        solve_mimo(ch, 1e308, grid=make_grid(64))
+
+
 def test_psd_matrix_validation():
     bad = np.zeros((2, 2), dtype=complex)
     bad[0, 1] = 1.0  # not Hermitian
