@@ -12,17 +12,20 @@ rejected. Commands:
 Exit codes: 0 success, 2 input error, 3 infeasible scenario, 4 solver
 failure: non-convergence, a non-finite result, or any other ValueError the
 computation raises once the file has been read and checked. Output files are
-written only after the computation succeeds, with fixed 12-significant-digit
-formatting so identical inputs produce byte-identical outputs.
+opened only after the computation succeeds and every number of its result is
+found finite, and written with fixed 12-significant-digit formatting so
+identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -260,10 +263,14 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# The JSON writer lays out each 1-D float array in numpy: the run starts in
-# one pass, and a run of _LONG_RUN entries or more as its text times its
-# length. It lays out in numpy only repr's positional floats, each in
-# _ROW_WORDS uint32 words, and Python formats the rest.
+# The JSON writer streams the document as bytes, piece by piece, once every
+# number in it has been checked. It lays out each 1-D float array in numpy, a
+# _SLICE of entries at a time: the run starts within the slice in one
+# `_float_rows` call, and a run of _LONG_RUN entries or more as its text times
+# its length, in pieces of at most _SLICE entries. It lays out in numpy only
+# repr's positional floats, each in _ROW_WORDS uint32 words, and Python
+# formats the rest.
+_SLICE = 4096
 _LONG_RUN = 64
 _ROW_WORDS = 9
 
@@ -312,7 +319,7 @@ def _text_tables() -> dict:
 
 
 def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
-    """repr(float(_fmt(v))) for each v of x, then the words sep: one row of
+    """The words sep, then repr(float(_fmt(v))), for each v of x: one row of
     uint32 words per entry, in which every zero byte is a hole.
 
     repr writes exponents below 1e-4 and has no place after the point from
@@ -325,7 +332,8 @@ def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     holds them in fixed words: the head (sign, "0.000"), the digits before
     the point, the point (".0" on integral values) and the digits after it.
     Python formats the rest: zero, |v| outside [1e-4, 1e11), s near a tie,
-    and m = 1e12, a rounding up into the next decade.
+    and m = 1e12, a rounding up into the next decade. The words are built
+    word-major, each as one array over x, and the rows are their transpose.
     """
     t = _text_tables()
     ax = np.abs(x)
@@ -342,31 +350,33 @@ def _float_rows(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     m[~exact] = 1e11  # in the tables; Python overwrites these rows
     hi, rest = np.divmod(m.astype(np.int64), 100_000_000)
     mid, lo = np.divmod(rest, 10_000)
-    quads, stripped = t["quads"], t["stripped"]
-    whole = quads[hi], quads[mid], quads[lo]
-    lo0 = lo == 0
-    trimmed = (np.where(lo0 & (mid == 0), stripped[hi], whole[0]),
-               np.where(lo0, stripped[mid], whole[1]), stripped[lo])
     a = np.maximum(e + 1, 0)
-    # words 0-1 head (which holds the point below 1), 2-4 digits before the
-    # point, 5 point, 6-8 digits after it, then the separator
-    rows = np.empty((x.size, _ROW_WORDS + sep.size), np.uint32)
+    # after the separator: words 0-1 head (which holds the point below 1), 2-4
+    # digits before the point, 5 point, 6-8 digits after it
+    k = sep.size
+    words = np.empty((k + _ROW_WORDS, x.size), np.uint32)
+    words[:k] = sep[:, None]
     signed = 2 * np.maximum(-e, 0) + np.signbit(x)
-    rows[:, 0] = t["head"][0][signed]
-    rows[:, 1] = t["head"][1][signed]
-    fraction = 0
-    for w in range(3):
-        rows[:, 2 + w] = whole[w] & t["before"][w][a]
-        rows[:, 6 + w] = trimmed[w] & t["after"][w][a]
-        fraction = fraction | rows[:, 6 + w]
-    rows[:, 5] = np.where(e < 0, 0, np.where(fraction != 0, *t["points"]))
-    rows[:, _ROW_WORDS:] = sep
+    np.take(t["head"][0], signed, out=words[k], mode="clip")
+    np.take(t["head"][1], signed, out=words[k + 1], mode="clip")
+    mask = np.empty(x.size, np.uint32)
+    # whether a digit after quad w is nonzero: then its zeros are not trailing
+    later = ((mid != 0) | (lo != 0), lo != 0, False)
+    for w, digits in enumerate((hi, mid, lo)):
+        before, after = words[k + 2 + w], words[k + 6 + w]
+        np.take(t["quads"], digits, out=before, mode="clip")
+        np.take(t["stripped"], digits, out=after, mode="clip")
+        np.copyto(after, before, where=later[w])
+        before &= np.take(t["before"][w], a, out=mask, mode="clip")
+        after &= np.take(t["after"][w], a, out=mask, mode="clip")
+    fraction = words[k + 6] | words[k + 7] | words[k + 8]
+    words[k + 5] = np.where(e < 0, 0, np.where(fraction != 0, *t["points"]))
     redo = np.flatnonzero(~exact)
     if redo.size:
         texts = b"".join(repr(float(_fmt(v))).encode().ljust(4 * _ROW_WORDS, b"\0")
                          for v in x[redo].tolist())
-        rows[redo, :_ROW_WORDS] = _words(np.frombuffer(texts, np.uint8)).reshape(-1, _ROW_WORDS)
-    return rows
+        words[k:, redo] = _words(np.frombuffer(texts, np.uint8)).reshape(-1, _ROW_WORDS).T
+    return words.T
 
 
 def _unholed(rows: np.ndarray) -> bytes:
@@ -374,78 +384,138 @@ def _unholed(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _float_block(values: np.ndarray, pad: str) -> str:
-    """`_block` of repr(float(_fmt(x))) for each x of a 1-D float array.
+def _float_block(values: np.ndarray, pad: bytes) -> Iterator[bytes]:
+    """The pieces of `_layout` of repr(float(_fmt(x))) for each x of a 1-D
+    array of finite floats.
 
     Solver output holds long runs of one value: zero stretches off the
     support and in the boundary cells, one water level across a flat
-    spectrum. So each run of bit-equal neighbours is written once, at its
-    first entry, and that text is repeated over the run: as rows repeated
-    before the holes are deleted, or, for a run of _LONG_RUN or more, as the
-    text times the run's length. Runs are found on the bits, not with ==,
-    because 0.0 == -0.0 while their texts differ ("0.0" and "-0.0");
-    bit-equal floats always share a text.
+    spectrum. So each run of bit-equal neighbours is formatted once, at its
+    first entry, and that text is repeated over the run. Runs are found on
+    the bits, not with ==, because 0.0 == -0.0 while their texts differ
+    ("0.0" and "-0.0"); bit-equal floats always share a text. Every entry's
+    text follows its separator, so the block is "[", the pieces less their
+    first comma, and the closing line.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise SolverError("the result is not finite")
     if not values.size:
-        return "[]"
-    inner = pad + "  "
-    sep = f",\n{inner}".encode()
-    sep_words = _words(np.frombuffer(sep.rjust(-(-len(sep) // 4) * 4, b"\0"), np.uint8))
+        yield b"[]"
+        return
+    sep = b",\n" + pad + b"  "
+    pieces = _run_pieces(values, _words(np.frombuffer(sep.ljust(-(-len(sep) // 4) * 4, b"\0"),
+                                                      np.uint8)))
+    yield b"[" + next(pieces)[1:]
+    yield from pieces
+    yield b"\n" + pad + b"]"
+
+
+def _run_pieces(values: np.ndarray, sep: np.ndarray) -> Iterator[bytes]:
+    """The text of each entry of values after the words sep, a _SLICE of
+    entries at a time: one `_float_rows` call formats the run starts in the
+    slice, and a run that crosses the slice's end is written whole, from its
+    start, so a slice that lies within a run writes nothing."""
+    n = values.size
     bits = values.view(np.int64)
-    new_run = np.empty(values.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    runs = np.diff(starts, append=values.size)
-    rows = _float_rows(values[starts], sep_words)
-    body, cut = [], 0
-    for r in [*np.flatnonzero(runs >= _LONG_RUN).tolist(), starts.size]:
+    # whether each entry starts a run; the place past the end starts one too
+    new_run = np.empty(n + 1, dtype=bool)
+    new_run[0] = new_run[n] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:n])
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        starts = lo + np.flatnonzero(new_run[lo:hi])
+        if starts.size:
+            # the first run start from hi on ends the slice's last run
+            runs = np.diff(starts, append=hi + int(new_run[hi:].argmax()))
+            yield from _repeated(_float_rows(values[starts], sep), runs)
+
+
+def _repeated(rows: np.ndarray, runs: np.ndarray) -> Iterator[bytes]:
+    """The text of each row of `_float_rows` repeated runs times: as rows
+    repeated before the holes are deleted, or, for a run of _LONG_RUN or more,
+    as the text times the run's length, at most _SLICE copies a piece."""
+    cut = 0
+    for r in [*np.flatnonzero(runs >= _LONG_RUN).tolist(), runs.size]:
         if cut < r:
             stretch = rows[cut:r]
             if runs[cut:r].max() > 1:
                 stretch = np.repeat(stretch, runs[cut:r], axis=0)
-            body.append(_unholed(stretch))
-        if r < starts.size:
-            body.append(_unholed(rows[r]) * int(runs[r]))
+            yield _unholed(stretch)
+        if r < runs.size:
+            text = _unholed(rows[r])
+            for left in range(int(runs[r]), 0, -_SLICE):
+                yield text * min(left, _SLICE)
         cut = r + 1
-    return "[\n" + inner + b"".join(body)[:-len(sep)].decode("ascii") + "\n" + pad + "]"
 
 
-def _block(opening: str, items: list[str], closing: str, pad: str) -> str:
-    if not items:
-        return opening + closing
-    inner = "\n" + pad + "  "
-    return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
+def _layout(opening: bytes, items: Iterable[Iterable[bytes]], closing: bytes,
+            pad: bytes) -> Iterator[bytes]:
+    """json.dumps's indent-2 layout of items, each given as its pieces."""
+    lead, sep = opening + b"\n" + pad + b"  ", b",\n" + pad + b"  "
+    empty = True
+    for item in items:
+        yield lead
+        yield from item
+        lead, empty = sep, False
+    yield opening + closing if empty else b"\n" + pad + closing
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out, with each
-    float written as repr(float(_fmt(x))) and numpy arrays written as lists.
-    NaN and infinities raise SolverError."""
-    inner = pad + "  "
+def _pieces(obj, pad: bytes) -> Iterable[bytes]:
+    """The pieces of obj laid out at indent pad; its numbers are finite."""
+    inner = pad + b"  "
     if isinstance(obj, dict):
-        return _block("{", [f"{json.dumps(k)}: {_json_text(v, inner)}"
-                            for k, v in sorted(obj.items())], "}", pad)
+        return _layout(b"{", (itertools.chain((json.dumps(k).encode() + b": ",),
+                                              _pieces(v, inner))
+                              for k, v in sorted(obj.items())), b"}", pad)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
             return _float_block(obj, pad)
         if obj.ndim == 1 and obj.dtype.kind in "iu":
-            items = list(map(str, obj.tolist()))
-        else:
-            items = [_json_text(v, inner) for v in obj.tolist()]
-        return _block("[", items, "]", pad)
+            sep = ",\n" + inner.decode()
+            return _layout(b"[", ((sep.join(map(str, obj[i:i + _SLICE].tolist())).encode(),)
+                                  for i in range(0, obj.size, _SLICE)), b"]", pad)
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return _block("[", [_json_text(v, inner) for v in obj], "]", pad)
+        return _layout(b"[", (_pieces(v, inner) for v in obj), b"]", pad)
     if isinstance(obj, float):
-        return repr(float(_fmt(_finite(obj))))
-    return json.dumps(obj)
+        return (repr(float(_fmt(obj))).encode(),)
+    return (json.dumps(obj).encode(),)
+
+
+def _check_finite(obj):
+    """Raise SolverError where a number of obj is NaN or infinite. An array
+    that is neither float nor integer is checked as the list `_pieces`
+    writes it."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            if not np.isfinite(obj).all():
+                raise SolverError("the result is not finite")
+            return
+        if obj.dtype.kind in "biu":
+            return
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            _check_finite(v)
+    elif isinstance(obj, float):
+        _finite(obj)
+
+
+def _json_pieces(obj) -> Iterable[bytes]:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out, with each
+    float written as repr(float(_fmt(x))) and numpy arrays written as lists:
+    ASCII bytes in pieces, each made when it is read. Every number is checked
+    first, so NaN and infinities raise SolverError here, before any piece."""
+    _check_finite(obj)
+    return _pieces(obj, b"")
 
 
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(_json_text(payload) + "\n")
+    pieces = _json_pieces(payload)  # before the file opens: a failed check writes none
+    with open(path, "wb") as f:
+        f.writelines(pieces)
+        f.write(b"\n")
 
 
 # Each command reads its keys from the scenario file and returns the

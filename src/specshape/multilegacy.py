@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SolverError, _positive
 from .estimation import UncodedScenario, _check_floor
 from .shaping import _Cells, _preemphasis
-from .spectra import Spectrum, mean_power
+from .spectra import Spectrum, _dot, mean_power
 
 _MAX_PIVOTS = 100_000  # simplex steps before SolverError (exit 4)
 
@@ -104,7 +104,7 @@ def max_prelog_support(scenario: MultiLegacyScenario) -> MultiPrelogResult:
     support = x >= 1.0
     taken = order[support[order]]
     spent = np.cumsum(costs[:, taken], axis=1)[:, -1] if taken.size else np.zeros(K)
-    frac = min(1.0, float(w @ x) / np.pi) if take < n else 1.0
+    frac = min(1.0, _dot(w, x) / np.pi) if take < n else 1.0
     return MultiPrelogResult(frac, support, spent, budgets)
 
 

@@ -14,6 +14,10 @@ from functools import cached_property
 import numpy as np
 
 MIN_GRID_POINTS = 16
+# OpenBLAS splits a dot product of more than about 10,000 entries across its
+# threads, so its rounding depends on the thread count; `_dot` keeps each
+# BLAS call below that
+_DOT_CHUNK = 8192
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -27,6 +31,16 @@ def _floats(values) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except OverflowError:
         raise ValueError("PSD samples must be finite") from None
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot of two 1-D arrays, as the in-order sum of the dots of their
+    _DOT_CHUNK-entry slices: the same float at any BLAS thread count, and
+    np.dot's own on arrays of at most _DOT_CHUNK entries."""
+    total = float(np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK]))
+    for i in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += float(np.dot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -44,7 +58,7 @@ class FrequencyGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Approximate int_0^pi f(w) dw from samples of f."""
-        return float(np.dot(self.weights, values))
+        return _dot(self.weights, values)
 
     def mean(self, values: np.ndarray) -> float:
         """Full-band average (1/2pi) int_{-pi}^{pi} of an even integrand."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, _positive
-from .spectra import Spectrum
+from .spectra import Spectrum, _dot
 
 
 @dataclass(frozen=True)
@@ -34,23 +34,23 @@ def _fill(h: np.ndarray, base: np.ndarray, weights: np.ndarray, budget: float):
     while True:
         if not keep.all():
             hs, bs, ws = hs[keep], bs[keep], ws[keep]
-        wh = float(np.dot(ws, hs))
+        wh = _dot(ws, hs)
         if wh <= 0.0:
             return None
-        tau = (target + float(np.dot(ws, bs))) / wh
+        tau = (target + _dot(ws, bs)) / wh
         gap = tau * hs - bs
         keep = gap > 0.0
         if keep.all() or not ws[keep].any():
             break
     # The closed-form level cancels when the budget is small next to the base
     # mass; one linear step on the active cells restores the spent power.
-    tau += (target - float(np.dot(ws, np.maximum(gap, 0.0, out=gap)))) / wh
+    tau += (target - _dot(ws, np.maximum(gap, 0.0, out=gap))) / wh
     if not np.isfinite(tau):  # as when budget * pi overflows; the loop below would spin
         raise SolverError("the water level is not finite")
     step = 0.0
     while True:
         phi = np.where(h > 0.0, np.maximum(tau * h - base, 0.0), 0.0)
-        over = float(np.dot(weights, phi)) / np.pi - budget
+        over = _dot(weights, phi) / np.pi - budget
         if over <= 0.0:
             return phi, tau
         step = max(2.0 * step, over * np.pi / wh, float(np.spacing(tau)))
@@ -84,4 +84,4 @@ def rate_bins(phi_x: np.ndarray, base: np.ndarray, weights: np.ndarray) -> float
         raise ValueError("rate undefined: positive PSD over a zero noise floor")
     vals = np.zeros_like(base)
     np.divide(phi_x, base, out=vals, where=active)
-    return float(np.dot(weights, np.log1p(vals))) / np.pi
+    return _dot(weights, np.log1p(vals)) / np.pi

@@ -17,7 +17,7 @@
   level off prefix sums. It checks `waterfill._fill` level for level.
 - `json_text`: the CLI's JSON layout as the standard library writes it,
   every float rounded to 12 significant digits first. The CLI writes the
-  same text in one pass per array.
+  same text as a stream of bytes, a slice of each array at a time.
 - `memoryless_mse`: the MSE of symbol-by-symbol MMSE estimation, the
   flat-spectrum limit that `wk_mse` below must reduce to.
 - `wk_mse`, `wk_floor`: the MSE of non-causal Wiener-Kolmogorov smoothing
@@ -282,7 +282,7 @@ def _round12(obj):
 
 
 def json_text(payload) -> str:
-    """What `cli._json_text` must return for payload. NaN and infinities
+    """What `cli._json_pieces` must write for payload. NaN and infinities
     raise ValueError."""
     return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False)
 

@@ -24,6 +24,11 @@ def write(tmp_path, doc, name="scenario.json"):
     return str(p)
 
 
+def written(payload) -> str:
+    """The JSON writer's text of payload: its pieces joined."""
+    return b"".join(cli._json_pieces(payload)).decode("ascii")
+
+
 def uncoded_doc(**kw):
     doc = {"kind": "uncoded", "sigma2_s_db": 0, "sigma2_n_db": 0,
            "D_db": -20, "a_db": 30}
@@ -704,7 +709,7 @@ finite_floats = st.one_of(
 @given(st.lists(finite_floats, max_size=40))
 def test_json_writer_matches_oracle_on_float_arrays(values):
     payload = {"v": np.array(values, dtype=float), "s": values[0] if values else 0.5}
-    assert cli._json_text(payload) == oracles.json_text(payload)
+    assert written(payload) == oracles.json_text(payload)
 
 
 def test_json_writer_matches_oracle_on_edges_and_shapes():
@@ -726,7 +731,7 @@ def test_json_writer_matches_oracle_on_edges_and_shapes():
         "count": 3,
         "flag": False,
     }
-    assert cli._json_text(payload) == oracles.json_text(payload)
+    assert written(payload) == oracles.json_text(payload)
 
 
 # The writer formats each run of bit-equal neighbours once: runs of one pool
@@ -739,15 +744,16 @@ RUN_POOL = WRITER_EDGES + [-x for x in WRITER_EDGES] + [0.0, -0.0, 0.5, -1.5, ma
 def test_json_writer_matches_oracle_on_runs(runs):
     values = [x for x, k in runs for _ in range(k)][:500]
     payload = {"v": np.array(values, dtype=float)}
-    assert cli._json_text(payload) == oracles.json_text(payload)
+    assert written(payload) == oracles.json_text(payload)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite(bad):
     for payload in ({"x": bad}, {"x": np.float64(bad)}, {"x": np.array([1.0, bad])},
-                    {"x": [[0.5, bad]]}, {"x": {"y": bad}}):
+                    {"x": [[0.5, bad]]}, {"x": {"y": bad}},
+                    {"x": np.array([1.0, bad], dtype=object)}):
         with pytest.raises(SolverError):
-            cli._json_text(payload)
+            cli._json_pieces(payload)
 
 
 SOLVE_SCENARIOS = sorted(p.name for p in SCENARIOS.glob("*.json")

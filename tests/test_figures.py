@@ -5,9 +5,12 @@ scripts/rank_scaling_sweep.py) against tests/data/coded_mimo, and the
 multilegacy and uncoded solves against tests/data/multilegacy and
 tests/data/uncoded, and the prelog meshes at the benchmark's smallest and
 largest grids against tests/data/prelog_mesh. A cell that moves fails here;
-update the copy in the same change and say why."""
+update the copy in the same change and say why. The full-size outputs of
+every scenario file must also be the same bytes at one and two BLAS threads."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,3 +92,33 @@ def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rank_scaling_sweep.py"])
     assert script.main() == 0
     assert capsys.readouterr().out == (CODED_MIMO / "rank_scaling_sweep.txt").read_text()
+
+
+# Writes every scenario file's output at 32768 points into the directory argv[1].
+WRITE_FULL_SIZE = """
+import sys
+from pathlib import Path
+from specshape import cli
+for f in sorted(Path("scripts/scenarios").glob("*.json")):
+    cmd = ("rate-curve" if f.name.endswith("_curve.json") else
+           "prelog-mesh" if f.name.endswith("_mesh.json") else "solve")
+    out = Path(sys.argv[1]) / f.name
+    assert cli.main([cmd, str(f), "-o", str(out), "--grid", "32768", "--quiet"]) == 0, f
+"""
+
+
+def test_full_size_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, which moves its
+    # rounding; the grid integrals and fills sum fixed slices in order instead
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", WRITE_FULL_SIZE, str(out)], cwd=ROOT, env=env,
+                       check=True, timeout=600)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["1"]) == len(list((ROOT / "scripts" / "scenarios").glob("*.json"))) == 11
+    assert outputs["1"] == outputs["2"]

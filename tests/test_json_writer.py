@@ -1,8 +1,9 @@
 """The JSON writer's float arrays, entry for entry as Python writes them.
 
-`cli._json_text` lays out each 1-D float array in numpy. Every entry must
-read as repr(float(f"{x:.12g}")), and the block as json.dumps(..., indent=2)
-lays it out, at any depth. Each test compares the writer's text with
+`cli._json_pieces` streams a document as bytes and lays out each 1-D float
+array in numpy, a slice of entries at a time. Every entry must read as
+repr(float(f"{x:.12g}")), and the block as json.dumps(..., indent=2) lays it
+out, at any depth. Each test compares the writer's text with
 `oracles.json_text` on seeded arrays at three indent levels. Needs only numpy
 and pytest; pyproject.toml makes a RuntimeWarning an error, so no finite
 input may raise one.
@@ -11,6 +12,7 @@ input may raise one.
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +32,15 @@ def nestings(values):
     return [values, {"v": values}, {"a": {"b": {"v": values}}}]
 
 
+def written(payload) -> str:
+    """The writer's text of payload: its pieces joined."""
+    return b"".join(cli._json_pieces(payload)).decode("ascii")
+
+
 def assert_written_as_python(values):
     values = np.asarray(values, dtype=float)
     for payload in nestings(values):
-        got = cli._json_text(payload).split("\n")
+        got = written(payload).split("\n")
         want = oracles.json_text(payload).split("\n")
         # a line-by-line report: a string diff of 10^5 lines takes minutes
         bad = [(g, w) for g, w in zip(got, want) if g != w]
@@ -143,6 +150,63 @@ def test_arrays_longer_than_a_block_with_runs_across_its_edges():
     assert_written_as_python(rng.choice([0.0, -0.0, 0.1, 1e-5, 1e16], 5 * b + 3))
 
 
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 3 * 4096 + 1])
+def test_arrays_at_and_around_whole_slices(size):
+    # the writer formats a slice of cli._SLICE entries at a time: an array
+    # one short of a slice, one slice, one past it, and one entry into a
+    # fourth slice, with no runs and with runs of every short length
+    assert cli._SLICE == 4096
+    rng = np.random.default_rng(SEED + 6 + size)
+    assert_written_as_python(rng.standard_normal(size) * 10.0 ** rng.integers(-6, 12, size))
+    pool = rng.choice([0.0, -0.0, 0.1, 1e-5, 2.5, 1e16], size)
+    assert_written_as_python(np.repeat(pool, rng.integers(1, 5, size))[:size])
+
+
+def test_runs_that_straddle_slice_edges():
+    # a run that starts in one slice and ends in a later one is written from
+    # its start: short runs across an edge, runs of _LONG_RUN and longer
+    # across one edge, and one run over two whole slices
+    b, long_run = cli._SLICE, cli._LONG_RUN
+    x = np.linspace(1.0, 2.0, 4 * b + 5)
+    x[b - 2:b + 3] = 0.75                          # 5 entries across the first edge
+    x[2 * b - long_run // 2:2 * b + long_run // 2] = 3.5  # exactly _LONG_RUN across
+    x[3 * b - long_run:3 * b + 1] = -1e-5          # _LONG_RUN + 1, one past the edge
+    x[3 * b + 1:3 * b + 2] = 0.0
+    assert_written_as_python(x)
+    y = np.linspace(-1.0, 1.0, 4 * b)
+    y[b - 1:3 * b + 1] = 1.5                       # over the whole second and third slices
+    y[-long_run - 1:] = 1.5                        # a long run to the last entry
+    assert_written_as_python(y)
+    z = np.arange(2 * b + 3, dtype=float)
+    z[b - long_run + 1:b + 1] = z[b - long_run + 1]  # _LONG_RUN entries ending on the edge
+    z[b + 1:b + long_run + 1] = 7.0                # _LONG_RUN entries starting after it
+    assert_written_as_python(z)
+
+
+def test_signed_zeros_side_by_side_at_slice_edges():
+    # 0.0 == -0.0, but each keeps its own text on either side of an edge
+    b = cli._SLICE
+    x = np.zeros(3 * b + 1)
+    x[b:] = -0.0                                   # -0.0 from the first entry of a slice
+    x[2 * b - 1] = 0.0                             # a lone 0.0 as a slice's last entry
+    x[2 * b] = 0.0                                 # and again as the next one's first
+    x[-1] = 0.0
+    assert_written_as_python(x)
+    assert_written_as_python(-x)
+    alternating = np.where(np.arange(2 * b + 2) % 2, 0.0, -0.0)
+    assert_written_as_python(alternating)
+
+
+def test_a_long_run_is_written_in_pieces_of_at_most_a_slice():
+    # a run's text is repeated at most cli._SLICE times a piece, so no piece
+    # grows with the array
+    x = np.full(8 * cli._SLICE + 3, 0.5)
+    x[:2] = -0.0
+    pieces = list(cli._json_pieces({"v": x}))
+    assert max(map(len, pieces)) <= cli._SLICE * len(b",\n    0.5")
+    assert b"".join(pieces).decode("ascii") == oracles.json_text({"v": x})
+
+
 def test_solver_shaped_arrays():
     # what `solve` writes: a grid, and a field of zero stretches, water
     # levels and smooth runs
@@ -184,7 +248,8 @@ def test_solver_output_stays_off_the_python_path(monkeypatch):
         payload = cli._JOBS["solve"]["uncoded"](cli._Params(doc, name), 32768, 1.0)()
         for key in ("omega", "phi_x"):
             assert payload[key].size == 32768
-            assert cli._float_block(payload[key], "") == oracles.json_text(payload[key].tolist())
+            block = b"".join(cli._float_block(payload[key], b"")).decode("ascii")
+            assert block == oracles.json_text(payload[key].tolist())
     assert handed
     assert [v for v in handed if not handed_to_python_for_cause(v)] == []
 
@@ -192,7 +257,7 @@ def test_solver_output_stays_off_the_python_path(monkeypatch):
 def test_other_float_widths_and_empty_arrays():
     x = np.array([0.1, -2.5, 1e-7, 3e20, 0.0], dtype=np.float32)
     assert_written_as_python(x)
-    assert cli._json_text({"v": np.zeros(0)}) == oracles.json_text({"v": []})
+    assert written({"v": np.zeros(0)}) == oracles.json_text({"v": []})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -200,4 +265,54 @@ def test_non_finite_entries_raise_solver_error(bad):
     x = np.zeros(4096 + 5)
     x[-1] = bad
     with pytest.raises(SolverError):
-        cli._json_text({"v": x})
+        cli._json_pieces({"v": x})
+
+
+def uncoded_payload(name, grid=32768):
+    doc = json.loads((SCENARIOS / name).read_text())
+    return cli._JOBS["solve"]["uncoded"](cli._Params(doc, name), grid, 1.0)()
+
+
+@pytest.mark.parametrize("name", ["uncoded_waterfill.json", "uncoded_single.json"])
+def test_writing_a_full_size_solve_holds_under_a_megabyte(tmp_path, name):
+    # the writer streams its pieces: no row matrix of the whole grid and no
+    # string of the whole document, where one _float_rows call over a whole
+    # 32768-entry array held about 6 MB. An AR(1) field (epsilon 0.3) of
+    # about 20,000 runs, and a flat case-2 field of two runs, the second of
+    # 32,470 zeros
+    payload = uncoded_payload(name)
+    assert payload["phi_x"].size == 32768
+    out = tmp_path / "sol.json"
+    cli._write_json(str(out), payload)  # the tables are built once per process
+    tracemalloc.start()
+    try:
+        cli._write_json(str(out), payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
+    assert out.read_bytes() == (oracles.json_text(payload) + "\n").encode()
+
+
+def test_a_non_finite_last_entry_exits_4_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the whole document is checked before its file is opened, so a NaN in
+    # the last entry of the last array leaves no part of the stream behind
+    solve = cli._JOBS["solve"]["uncoded"]
+
+    def poisoned(*args):
+        compute = solve(*args)
+
+        def payload():
+            result = compute()
+            result["phi_x"] = result["phi_x"].copy()
+            result["phi_x"][-1] = math.nan
+            return result
+        return payload
+
+    monkeypatch.setitem(cli._JOBS["solve"], "uncoded", poisoned)
+    out = tmp_path / "sol.json"
+    code = cli.main(["solve", str(SCENARIOS / "uncoded_waterfill.json"), "-o", str(out),
+                     "--grid", "32768", "--quiet"])
+    assert code == cli.EXIT_SOLVER == 4
+    assert not out.exists()
+    assert "not finite" in capsys.readouterr().err
