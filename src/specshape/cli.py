@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 input error, 3 infeasible scenario, 4 solver
 failure: non-convergence, a non-finite result, or any other ValueError the
 computation raises once the file has been read and checked. Output files are
 opened only after the computation succeeds and every number of its result is
-found finite, and written with fixed 12-significant-digit formatting so
-identical inputs produce byte-identical outputs.
+found finite, removed if writing them fails, and written with fixed
+12-significant-digit formatting so identical inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_SOLVER = 4
 
 _FLOAT_MAX = sys.float_info.max
 _MAX_SWEEP_POINTS = 10_000
+_MAX_GRID_POINTS = 1 << 20
 
 
 class SchemaError(ValueError):
@@ -123,6 +125,8 @@ def _load_doc(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: malformed JSON ({e})") from e
+    except RecursionError as e:
+        raise SchemaError(f"{path}: nested too deeply") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return doc
@@ -258,18 +262,33 @@ def _rate_factor(log_base: str) -> float:
     return 1.0 if log_base == "e" else 1.0 / math.log(2.0)
 
 
+def _write(path: str, pieces: Iterable[bytes]):
+    """Write pieces to path; a write that fails removes the file it began,
+    where path is a plain file: a link, a device or a pipe stays."""
+    f = open(path, "wb")
+    try:
+        with f:
+            f.writelines(pieces)
+    except BaseException:
+        out = Path(path)
+        if out.is_file() and not out.is_symlink():
+            out.unlink()
+        raise
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, ["".join(",".join(r) + "\n" for r in [header, *rows]).encode()])
 
 
-# The JSON writer streams the document as bytes, piece by piece, once every
-# number in it has been checked. It lays out each 1-D float array in numpy, a
-# _SLICE of entries at a time: the run starts within the slice in one
-# `_float_rows` call, and a run of _LONG_RUN entries or more as its text times
-# its length, in pieces of at most _SLICE entries. It lays out in numpy only
-# repr's positional floats, each in _ROW_WORDS uint32 words, and Python
-# formats the rest.
+# The JSON writer writes a document as json.dumps(..., indent=2,
+# sort_keys=True) lays it out. One walk, `_skeleton`, checks every number,
+# rounds each float to 12 digits and leaves a hole where each 1-D float or int
+# array goes; json.dumps lays out the rest before the file opens, and the
+# arrays stream into their holes, a _SLICE of entries at a time. A float
+# array's run starts within the slice are laid out in one `_float_rows` call,
+# and a run of _LONG_RUN entries or more as its text times its length, in
+# pieces of at most _SLICE entries. Numpy lays out only repr's positional
+# floats, each in _ROW_WORDS uint32 words, and Python formats the rest.
 _SLICE = 4096
 _LONG_RUN = 64
 _ROW_WORDS = 9
@@ -385,8 +404,8 @@ def _unholed(rows: np.ndarray) -> bytes:
 
 
 def _float_block(values: np.ndarray, pad: bytes) -> Iterator[bytes]:
-    """The pieces of `_layout` of repr(float(_fmt(x))) for each x of a 1-D
-    array of finite floats.
+    """The pieces of json.dumps's layout of repr(float(_fmt(x))) for each x
+    of a 1-D array of finite floats.
 
     Solver output holds long runs of one value: zero stretches off the
     support and in the boundary cells, one water level across a flat
@@ -447,75 +466,60 @@ def _repeated(rows: np.ndarray, runs: np.ndarray) -> Iterator[bytes]:
         cut = r + 1
 
 
-def _layout(opening: bytes, items: Iterable[Iterable[bytes]], closing: bytes,
-            pad: bytes) -> Iterator[bytes]:
-    """json.dumps's indent-2 layout of items, each given as its pieces."""
-    lead, sep = opening + b"\n" + pad + b"  ", b",\n" + pad + b"  "
-    empty = True
-    for item in items:
-        yield lead
-        yield from item
-        lead, empty = sep, False
-    yield opening + closing if empty else b"\n" + pad + closing
+def _int_block(values: np.ndarray, pad: bytes) -> Iterator[bytes]:
+    """The pieces of json.dumps's layout of a 1-D int array at indent pad, a
+    _SLICE of entries a piece."""
+    if not values.size:
+        yield b"[]"
+        return
+    sep = ",\n" + pad.decode() + "  "
+    lead = "[" + sep[1:]
+    for lo in range(0, values.size, _SLICE):
+        yield (lead + sep.join(map(str, values[lo:lo + _SLICE].tolist()))).encode()
+        lead = sep
+    yield b"\n" + pad + b"]"
 
 
-def _pieces(obj, pad: bytes) -> Iterable[bytes]:
-    """The pieces of obj laid out at indent pad; its numbers are finite."""
+def _skeleton(obj, pad: bytes, arrays: list):
+    """obj as json.dumps is to write it at indent pad: dicts in sorted key
+    order, each float as float(_fmt(x)), whose repr json writes, and each 1-D
+    float or int array as the hole "\0", its pieces appended to arrays. Other
+    arrays are written as lists. A NaN or infinite number raises SolverError.
+    Every string of a payload is a program constant, so none is a hole."""
     inner = pad + b"  "
     if isinstance(obj, dict):
-        return _layout(b"{", (itertools.chain((json.dumps(k).encode() + b": ",),
-                                              _pieces(v, inner))
-                              for k, v in sorted(obj.items())), b"}", pad)
+        return {k: _skeleton(v, inner, arrays) for k, v in sorted(obj.items())}
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return _float_block(obj, pad)
-        if obj.ndim == 1 and obj.dtype.kind in "iu":
-            sep = ",\n" + inner.decode()
-            return _layout(b"[", ((sep.join(map(str, obj[i:i + _SLICE].tolist())).encode(),)
-                                  for i in range(0, obj.size, _SLICE)), b"]", pad)
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return _layout(b"[", (_pieces(v, inner) for v in obj), b"]", pad)
-    if isinstance(obj, float):
-        return (repr(float(_fmt(obj))).encode(),)
-    return (json.dumps(obj).encode(),)
-
-
-def _check_finite(obj):
-    """Raise SolverError where a number of obj is NaN or infinite. An array
-    that is neither float nor integer is checked as the list `_pieces`
-    writes it."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            if not np.isfinite(obj).all():
+        if obj.ndim == 1 and obj.dtype.kind in "fiu":
+            if obj.dtype.kind != "f":
+                arrays.append(_int_block(obj, pad))
+            elif np.isfinite(obj).all():
+                arrays.append(_float_block(obj, pad))
+            else:
                 raise SolverError("the result is not finite")
-            return
-        if obj.dtype.kind in "biu":
-            return
+            return "\0"
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float):
-        _finite(obj)
+        return [_skeleton(v, inner, arrays) for v in obj]
+    if isinstance(obj, float):
+        return float(_fmt(_finite(obj)))
+    return obj
 
 
 def _json_pieces(obj) -> Iterable[bytes]:
     """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out, with each
     float written as repr(float(_fmt(x))) and numpy arrays written as lists:
-    ASCII bytes in pieces, each made when it is read. Every number is checked
-    first, so NaN and infinities raise SolverError here, before any piece."""
-    _check_finite(obj)
-    return _pieces(obj, b"")
+    ASCII bytes in pieces. All but the arrays' text is made here, so a NaN,
+    an infinity or a type json cannot write raises before any piece; each
+    array piece is made when it is read."""
+    arrays = []
+    parts = json.dumps(_skeleton(obj, b"", arrays), indent=2).encode().split(b'"\\u0000"')
+    return itertools.chain.from_iterable(
+        itertools.chain((part,), block) for part, block in zip(parts, arrays + [()]))
 
 
 def _write_json(path: str, payload: dict):
-    pieces = _json_pieces(payload)  # before the file opens: a failed check writes none
-    with open(path, "wb") as f:
-        f.writelines(pieces)
-        f.write(b"\n")
+    _write(path, itertools.chain(_json_pieces(payload), (b"\n",)))
 
 
 # Each command reads its keys from the scenario file and returns the
@@ -716,6 +720,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.grid > _MAX_GRID_POINTS:
+            raise SchemaError(f"--grid must be at most {_MAX_GRID_POINTS}")
         p = _Params(_load_doc(args.file), args.file)
         kind, kinds, jobs = p.raw("kind"), tuple(_JOBS["solve"]), _JOBS[args.command]
         if kind not in kinds:  # a tuple, as `in` on a dict hashes and [] is unhashable

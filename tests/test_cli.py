@@ -431,6 +431,28 @@ def test_missing_file_exit_2(tmp_path):
                      "-o", str(tmp_path / "o.json"), "--quiet"]) == 2
 
 
+def test_deeply_nested_file_exit_2(tmp_path, capsys):
+    # json.loads stops at the recursion limit, far short of this depth
+    f = tmp_path / "deep.json"
+    f.write_text('{"kind": "uncoded", "a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", str(f), "-o", str(out), "--quiet"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["uncoded_single.json", "mimo_single.json"])
+def test_grid_past_the_points_bound_exit_2(tmp_path, capsys, name):
+    # rejected before the file is read, so nothing grid-sized is allocated
+    out = tmp_path / "o.json"
+    code = cli.main(["solve", str(SCENARIOS / name), "-o", str(out),
+                     "--grid", str(cli._MAX_GRID_POINTS + 1), "--quiet"])
+    assert code == cli.EXIT_INPUT
+    assert f"--grid must be at most {cli._MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_exit_3(tmp_path):
     f = write(tmp_path, uncoded_doc(D_db=-60, P_db=10))
     out = tmp_path / "o.json"
@@ -723,6 +745,12 @@ def test_json_writer_matches_oracle_on_edges_and_shapes():
         "mask": np.array([True, False]),
         "empty_list": [],
         "empty_array": np.zeros(0),
+        "empty_ints": np.zeros(0, dtype=int),
+        "arrays_in_a_list": [np.array([0.5, -0.0, 1e15]), np.array([3, -7], dtype=np.int32),
+                             np.array([2**63], dtype=np.uint64)],
+        "matrix": np.array([[1.0, -0.0], [1e15, 2.5e-310]]),
+        # more than three slices of the int writer, two levels down
+        "ints": {"deep": np.arange(3 * 4096 + 1) - 4096},
         "empty_dict": {},
         "residuals": {"legacy": -1.5e-13, "decodability": 0.0},
         "phi0_matrix": [[[1.0, 0.0], [0.25, -0.5]], [[0.25, 0.5], [2.0, 0.0]]],

@@ -268,20 +268,22 @@ def test_non_finite_entries_raise_solver_error(bad):
         cli._json_pieces({"v": x})
 
 
-def uncoded_payload(name, grid=32768):
+def solve_payload(name, grid=32768):
     doc = json.loads((SCENARIOS / name).read_text())
-    return cli._JOBS["solve"]["uncoded"](cli._Params(doc, name), grid, 1.0)()
+    return cli._JOBS["solve"][doc["kind"]](cli._Params(doc, name), grid, 1.0)()
 
 
-@pytest.mark.parametrize("name", ["uncoded_waterfill.json", "uncoded_single.json"])
+@pytest.mark.parametrize("name", ["uncoded_waterfill.json", "uncoded_single.json",
+                                  "multilegacy_single.json"])
 def test_writing_a_full_size_solve_holds_under_a_megabyte(tmp_path, name):
     # the writer streams its pieces: no row matrix of the whole grid and no
     # string of the whole document, where one _float_rows call over a whole
     # 32768-entry array held about 6 MB. An AR(1) field (epsilon 0.3) of
-    # about 20,000 runs, and a flat case-2 field of two runs, the second of
-    # 32,470 zeros
-    payload = uncoded_payload(name)
-    assert payload["phi_x"].size == 32768
+    # about 20,000 runs, a flat case-2 field of two runs, the second of
+    # 32,470 zeros, and a 32768-entry int support, joined a slice at a time
+    payload = solve_payload(name)
+    key = "support" if payload["kind"] == "multilegacy" else "phi_x"
+    assert payload[key].size == 32768
     out = tmp_path / "sol.json"
     cli._write_json(str(out), payload)  # the tables are built once per process
     tracemalloc.start()
@@ -316,3 +318,39 @@ def test_a_non_finite_last_entry_exits_4_and_writes_no_file(tmp_path, monkeypatc
     assert code == cli.EXIT_SOLVER == 4
     assert not out.exists()
     assert "not finite" in capsys.readouterr().err
+
+
+def test_a_failed_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # a write that fails once the file is open (here a full disk after the
+    # first piece of a float array) removes the part already written
+    float_block = cli._float_block
+
+    def failing(values, pad):
+        pieces = float_block(values, pad)
+        yield next(pieces)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_float_block", failing)
+
+    def solve(out):
+        return cli.main(["solve", str(SCENARIOS / "uncoded_single.json"), "-o", str(out),
+                         "--grid", "512", "--quiet"])
+
+    out = tmp_path / "sol.json"
+    assert solve(out) == cli.EXIT_INPUT == 2
+    assert not out.exists()
+    assert "No space left on device" in capsys.readouterr().err
+    # only a plain file is removed: a link (like /dev/stdout) stays
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "target.json")
+    assert solve(link) == 2
+    assert link.is_symlink()
+
+
+def test_a_type_json_cannot_write_raises_before_the_file_opens(tmp_path):
+    # everything but the arrays' text is made before open: a complex number
+    # after a float array raises and leaves no file
+    out = tmp_path / "sol.json"
+    with pytest.raises(TypeError):
+        cli._write_json(str(out), {"a": np.linspace(0.0, 1.0, 5), "b": 1j})
+    assert not out.exists()
