@@ -42,14 +42,15 @@ these caches: a link found there is the one a fresh setup would build. The
 checks of P and feasibility run on every call.
 
 Every field `solve_mimo` returns is one on-level on a prefix of the grid, and
-`PsdMatrix` is that one form: the grid, the prefix length k and the checked
-level. Its dense (n_points, N_t, N_t) `values` is written on its first read.
-The solver's on-level is always a positive multiple L Q of the channel's
-unit-trace shape, and a positive multiple scales every eigenvalue by L (Golub
-& Van Loan, *Matrix Computations*, 8.1). So a field has one check, the
-scale-free check of Q when the channel is built: a Q that passes it gives an
-L Q that passes the public `PsdMatrix` check at every L > 0 (to rounding at
-the floor, `_shape_matrix`), and no solve checks its field again.
+`PsdMatrix` is that one form, a plain record: the grid, the prefix length k
+and the read-only level. Its dense (n_points, N_t, N_t) `values` is written on
+its first read. The solver's on-level is always a positive multiple L Q of the
+channel's unit-trace shape, and a positive multiple scales every eigenvalue by
+L (Golub & Van Loan, *Matrix Computations*, 8.1). So a field has one check,
+the scale-free check of Q when the channel is built: a Q that passes it gives
+an L Q that passes the per-sample check of `tests/oracles.SampledPsd` at every
+L > 0 (to rounding at the floor, `_shape_matrix`), and no solve checks its
+field again.
 """
 
 from __future__ import annotations
@@ -78,67 +79,18 @@ class DecodeMode(str, Enum):
     RATE_SPLIT_B2 = "RateSplitB2"
 
 
-def _checked(v: np.ndarray, unit: float = 1.0) -> np.ndarray:
-    """Hermitian part of a complex (k, N, N) stack, after checking that the
-    stack is finite, Hermitian and positive semidefinite to the tolerances
-    scaled by max(unit, max|v|) over the whole stack. A level a caller gives
-    is checked at unit 1, so that a level near zero is not held to a
-    tolerance near zero; a channel's unit-trace shape at unit 0, so that its
-    verdict does not depend on the scale of the shape given."""
-    if not np.isfinite(v).all():
-        raise ValueError("PSD matrices must be finite")
-    herm = v.conj().transpose(0, 2, 1)
-    scale = max(unit, float(np.abs(v).max()))
-    if np.abs(v - herm).max() > _HERM_TOL * scale:
-        raise ValueError("PSD matrices must be Hermitian")
-    # halved before the sum, which would overflow past half the largest float
-    v = 0.5 * v + 0.5 * herm
-    if np.linalg.eigvalsh(v).min() < _EIG_FLOOR * scale:
-        raise ValueError("PSD matrices must be positive semidefinite")
-    return v
-
-
 @dataclass(frozen=True)
 class PsdMatrix:
     """An on-off PSD-matrix field on a half-band grid: the N_t x N_t Hermitian
     PSD `level` on the first k samples, 1 <= k <= n_points, and zero on the
-    rest.
-
-    The constructor checks the level and stores its read-only Hermitian part.
-    A zero sample passes every test and never raises the scale max(1, max|v|),
-    so the outcome, the error and the bytes of `values` are those of checking
-    every sample. `solve_mimo` builds its field through the same store step
-    without that check: its level is a positive multiple of a shape the
-    channel checked (`_shape_matrix`). The dense (n_points, N_t, N_t)
-    `values` is written on its first read and kept.
+    rest. `solve_mimo` builds it with a read-only level, a positive multiple
+    of a shape the channel checked (`_shape_matrix`). The dense
+    (n_points, N_t, N_t) `values` is written on its first read and kept.
     """
 
     grid: FrequencyGrid
     k: int
     level: np.ndarray
-
-    def __post_init__(self):
-        try:  # an int past the largest float is rejected as an infinite entry is
-            level = np.asarray(self.level, dtype=complex)
-        except OverflowError:
-            raise ValueError("PSD matrices must be finite") from None
-        if level.ndim != 2 or level.shape[0] != level.shape[1]:
-            raise ValueError("PSD matrix level must be a square matrix")
-        if not 1 <= self.k <= self.grid.n_points:
-            raise ValueError("PSD matrix prefix must hold 1 to n_points samples")
-        self._store(self.grid, self.k, _checked(level[None])[0])
-
-    @classmethod
-    def _of_checked(cls, grid: FrequencyGrid, k: int, level: np.ndarray) -> PsdMatrix:
-        """The field of a level known to pass the constructor's check."""
-        psd = object.__new__(cls)
-        psd._store(grid, k, level)
-        return psd
-
-    def _store(self, grid: FrequencyGrid, k: int, level: np.ndarray):
-        level.flags.writeable = False
-        for name, value in (("grid", grid), ("k", k), ("level", level)):
-            object.__setattr__(self, name, value)
 
     @property
     def n_t(self) -> int:
@@ -275,20 +227,19 @@ def mimo_prelog(channel: MimoChannel) -> float:
 
 def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
     """The Hermitian part Q of the shape over its trace (I/N_t, unchecked, for
-    None), checked at the scale of Q alone (`_checked` at unit 0): a
-    Hermitian defect within 1e-12 max|Q| and eigenvalues at or above
-    -1e-12 max|Q|. A shape S and c S, c > 0, are the same channel and get
-    the same verdict, as long as the trace and its reciprocal are finite
-    floats.
+    None), checked at the scale of Q alone: a Hermitian defect within
+    1e-12 max|Q| and eigenvalues at or above -1e-12 max|Q|. A shape S and
+    c S, c > 0, are the same channel and get the same verdict, as long as the
+    trace and its reciprocal are finite floats.
 
     The field of every solve is L Q with L = P/w > 0. Q is exactly Hermitian,
     so L Q is too, bit for bit, and L Q's eigenvalues are L times Q's, at or
-    above -1e-12 L max|Q| >= -1e-12 max(1, L max|Q|), the public floor: in
-    exact arithmetic L Q passes the `PsdMatrix` check at every L. In floating
-    point the eigenvalues computed for L Q and L times those computed for Q
-    differ by a few ulps of L max|Q|, so a Q whose least eigenvalue sits
-    within about 1e-15 max|Q| of its floor may give a field the public check
-    rejects once L max|Q| > 1.
+    above -1e-12 L max|Q| >= -1e-12 max(1, L max|Q|), the floor of the
+    per-sample check of `tests/oracles.SampledPsd`: in exact arithmetic L Q
+    passes it at every L. In floating point the eigenvalues computed for L Q
+    and L times those computed for Q differ by a few ulps of L max|Q|, so a Q
+    whose least eigenvalue sits within about 1e-15 max|Q| of its floor may
+    give a field that check rejects once L max|Q| > 1.
 
     The field is L times this Q, not the Q of the mode gains, whose
     eigenvalues `_Geometry` clips to 0 below 4 N_t eps times the largest.
@@ -318,7 +269,15 @@ def _shape_matrix(channel: MimoChannel, shape) -> np.ndarray:
     if not np.isfinite(Q).all():
         # a unit-trace PSD matrix has no entry above 1 in modulus
         raise ValueError("PSD matrices must be positive semidefinite")
-    return _checked(Q[None], 0.0)[0]
+    herm = Q.conj().T
+    scale = float(np.abs(Q).max())
+    if np.abs(Q - herm).max() > _HERM_TOL * scale:
+        raise ValueError("PSD matrices must be Hermitian")
+    # halved before the sum, which would overflow past half the largest float
+    Q = 0.5 * Q + 0.5 * herm
+    if np.linalg.eigvalsh(Q).min() < _EIG_FLOOR * scale:
+        raise ValueError("PSD matrices must be positive semidefinite")
+    return Q
 
 
 def _widest_feasible(c):
@@ -545,8 +504,8 @@ def solve_mimo(channel: MimoChannel, P: float,
     the returned PSD field quantizes the support to whole grid cells with the
     level rescaled so trace power is exactly P. The support is a prefix of
     the grid that always holds sample 0. Its level (P/frac) Q is a positive
-    multiple of the shape the channel checked, so it is stored with no second
-    check (`_shape_matrix` says why it needs none). An on-level whose largest
+    multiple of the shape the channel checked, so it is stored read-only with
+    no second check (`_shape_matrix` says why it needs none). An on-level whose largest
     entry P/frac max|Q| overflows, or a rate that overflows, raises
     SolverError.
     """
@@ -557,9 +516,11 @@ def solve_mimo(channel: MimoChannel, P: float,
     # the samples whose running weight stays within w * pi, at least one
     k = max(int(grid.cumulative_weights.searchsorted(w * np.pi, "right")), 1)
     frac = float(grid.weights[:k].sum()) / np.pi
-    level = P / frac
-    if not math.isfinite(level * channel._Q_max):
+    L = P / frac
+    if not math.isfinite(L * channel._Q_max):
         # the level cannot be written: inf * 0 would put NaN in the field
         raise SolverError(f"the on-level P/w is not finite (P = {P:g}, w = {frac:g})")
-    return MimoSolution(psd=PsdMatrix._of_checked(grid, k, level * channel._Q), rate=rate,
-                        mode=mode, w=w, residuals=residuals)
+    level = L * channel._Q
+    level.flags.writeable = False
+    return MimoSolution(psd=PsdMatrix(grid, k, level), rate=rate, mode=mode, w=w,
+                        residuals=residuals)

@@ -46,9 +46,9 @@
   power offset (Lozano, Tulino & Verdu, IEEE T-IT 51(12), 2005), from the
   eigenvalues of the on-level gain alone, not the solver's link.
 - `SampledPsd`: any PSD-matrix field, given sample by sample and checked
-  by `mimo._checked` over the whole stack. Built on the on-off field of
-  `solve_mimo`, it checks that `mimo.PsdMatrix`, which checks its one level,
-  decides as the per-sample check does.
+  over the whole stack: finite, Hermitian and positive semidefinite to
+  1e-12 max(1, max|v|). Built on the dense `values` of a `solve_mimo`
+  field, it re-checks the field the solver stores with no check of its own.
 - `trace_power`, `legacy_rate_mimo`, `decode_rate_mimo`,
   `cognitive_rate_mimo`: the MIMO power and log-det rates evaluated sample
   by sample on a PSD-matrix field, a `PsdMatrix` or a `SampledPsd`.
@@ -69,7 +69,7 @@ from specshape import shaping
 from specshape.coded import CodedScenario
 from specshape.errors import InfeasibleScenarioError
 from specshape.estimation import UncodedScenario
-from specshape.mimo import DecodeMode, MimoChannel, PsdMatrix, _checked
+from specshape.mimo import _EIG_FLOOR, _HERM_TOL, DecodeMode, MimoChannel, PsdMatrix
 from specshape.shaping import CaseTag, ShapingSolution
 from specshape.spectra import FrequencyGrid, Spectrum
 from specshape.waterfill import rate_bins
@@ -430,14 +430,25 @@ def onoff_asymptote(link: CodedScenario | MimoChannel) -> tuple[DecodeMode, floa
 
 class SampledPsd:
     """Per-sample N_t x N_t Hermitian PSD matrices on a half-band grid. The
-    constructor checks every sample and stores the read-only Hermitian part
-    as `values`."""
+    constructor checks that the stack is finite, Hermitian and positive
+    semidefinite to the tolerances scaled by max(1, max|v|) over the whole
+    stack, so that a level near zero is not held to a tolerance near zero,
+    and stores the read-only Hermitian part as `values`."""
 
     def __init__(self, grid: FrequencyGrid, values: np.ndarray):
         v = np.asarray(values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != grid.n_points or v.shape[1] != v.shape[2]:
             raise ValueError("PSD matrix field must have shape (n_points, Nt, Nt)")
-        v = _checked(v)
+        if not np.isfinite(v).all():
+            raise ValueError("PSD matrices must be finite")
+        herm = v.conj().transpose(0, 2, 1)
+        scale = max(1.0, float(np.abs(v).max()))
+        if np.abs(v - herm).max() > _HERM_TOL * scale:
+            raise ValueError("PSD matrices must be Hermitian")
+        # halved before the sum, which would overflow past half the largest float
+        v = 0.5 * v + 0.5 * herm
+        if np.linalg.eigvalsh(v).min() < _EIG_FLOOR * scale:
+            raise ValueError("PSD matrices must be positive semidefinite")
         v.flags.writeable = False
         self.grid, self.values = grid, v
 

@@ -1,8 +1,8 @@
 """Typed-error fuzz of the `mimo` and `coded` public surface.
 
 The contract, as the CLI fuzz holds `main` to its exit codes:
-- a constructor (`MimoChannel`, `PsdMatrix`, `CodedScenario`, and the grids
-  a solver is given) returns a checked object or raises ValueError;
+- a constructor (`MimoChannel`, `CodedScenario`, and the grids a solver is
+  given) returns a checked object or raises ValueError;
 - a solver (`solve_mimo`, `mimo_prelog`, `solve_coded`, `coded_prelog`)
   given checked objects returns finite results or raises
   InfeasibleScenarioError or SolverError. A budget argument that is not a
@@ -196,20 +196,6 @@ def cases():
         for label, v in FORMS:
             out.append((f"solve_mimo(P={label}, n={n})", lambda: ch,
                         [(lambda ch, v=v, g=g: solve_mimo(ch, v, grid=g), valid_budget(v))]))
-    # PsdMatrix: the first entry of an identity level, or its off-diagonal
-    # pair, and the prefix length
-    for n, g in GRIDS.items():
-        for label, v in FORMS:
-            for where in ((0, 0), (0, 1)):
-                def level(v=v, where=where):
-                    arr = np.eye(2).astype(object)
-                    arr[where] = arr[where[::-1]] = v
-                    return arr
-                out.append((f"PsdMatrix(n={n}, level{list(where)}={label})",
-                            lambda g=g, level=level: PsdMatrix(g, g.n_points, level()), []))
-        for k in (0, 1, n, n + 1):
-            out.append((f"PsdMatrix(n={n}, k={k})", lambda g=g, k=k: PsdMatrix(g, k, np.eye(2)),
-                        []))
     return out
 
 

@@ -17,9 +17,7 @@ from specshape.mimo import (
     DecodeMode,
     MimoChannel,
     MimoSolution,
-    PsdMatrix,
     _W_LO,
-    _checked,
     _shape_matrix,
     _widest_feasible,
     mimo_prelog,
@@ -313,21 +311,15 @@ def test_psd_matrix_validation():
     bad[0, 1] = 1.0  # not Hermitian
     for level in (bad, -np.eye(2)):
         with pytest.raises(ValueError):
-            PsdMatrix(GRID, 5, level)
-        with pytest.raises(ValueError):
             SampledPsd(GRID, np.broadcast_to(level, (GRID.n_points, 2, 2)))
     with pytest.raises(ValueError):
         SampledPsd(GRID, np.zeros((3, 2, 2), dtype=complex))
-    with pytest.raises(ValueError, match="square"):
-        PsdMatrix(GRID, 5, np.zeros((2, 3)))
-    for k in (0, GRID.n_points + 1):
-        with pytest.raises(ValueError, match="prefix"):
-            PsdMatrix(GRID, k, np.eye(2))
 
 
 def test_hermitian_preserved_through_construction():
     ch = channel(a_c=1.0)
     sol = solve_mimo(ch, 10.0, grid=GRID)
+    assert not sol.psd.level.flags.writeable
     v = sol.psd.values
     assert np.abs(v - v.conj().transpose(0, 2, 1)).max() <= 1e-12 * max(1.0, np.abs(v).max())
     assert np.linalg.eigvalsh(v).min() >= -1e-12
@@ -419,8 +411,6 @@ def test_non_finite_psd_and_shape_rejected():
     field[3, 0, 0] = math.nan
     with pytest.raises(ValueError):
         SampledPsd(GRID, field)
-    with pytest.raises(ValueError):
-        PsdMatrix(GRID, 4, field[3])
     with pytest.raises(ValueError):
         replace(channel(), shape=[[1.0, 0.0], [0.0, math.inf]])
 
@@ -676,8 +666,8 @@ def test_overflowing_rate_raises_solver_error(P):
 @pytest.mark.parametrize("P", [5e307, 8e307])
 def test_on_level_near_the_float_limit_is_checked(P):
     # the on-level P/w is at least 1e308, past half the largest float: the
-    # public check of the field must form its Hermitian part without adding
-    # two such entries
+    # per-sample check of the field must form its Hermitian part without
+    # adding two such entries
     ch = scalar_channel(a_c=0.01, g_c=1.0)
     g = make_grid(64)
     with warnings.catch_warnings():
@@ -690,8 +680,8 @@ def test_on_level_near_the_float_limit_is_checked(P):
     assert field[0] == P / frac >= 1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checked = PsdMatrix(g, sol.psd.k, sol.psd.level)
-    assert checked.level.tobytes() == sol.psd.level.tobytes()
+        checked = SampledPsd(g, sol.psd.values)
+    assert checked.values.tobytes() == sol.psd.values.tobytes()
 
 
 def test_whitening_with_a_tiny_noise_stays_finite():
@@ -709,10 +699,11 @@ def test_whitening_with_a_tiny_noise_stays_finite():
 
 
 def test_hermitian_part_of_huge_entries():
-    v = np.array([[[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]]])
+    field = np.broadcast_to(np.array([[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, 1.7e308]]),
+                            (GRID.n_points, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_checked(v), v)
+        assert np.array_equal(SampledPsd(GRID, field).values, field)
 
 
 def per_sample_psd(ch, P, grid, shape=None):
@@ -878,25 +869,6 @@ def test_on_off_rate_is_invariant(invariance_twins):
             assert rate == pytest.approx(base[2], rel=1e-12, abs=0), i
 
 
-@pytest.mark.parametrize("level", [
-    [[math.nan, 0.0], [0.0, 1.0]],
-    [[1.0, 0.0], [0.0, math.inf]],
-    [[1.0, 1e-9], [0.0, 1.0]],       # not Hermitian
-    [[1e3, 0.0], [0.0, -1e-6]],      # indefinite
-    [[2.0, 1j], [-1j, 1.0]],
-    [[0.0, 0.0], [0.0, 0.0]],
-])
-def test_on_off_level_check_matches_per_sample_check(level):
-    level = np.asarray(level, dtype=complex)
-    grid = make_grid(64)
-    for n_on in (1, 17, 64):
-        mask = np.arange(grid.n_points) < n_on
-        field = np.zeros((grid.n_points, 2, 2), dtype=complex)
-        field[mask] = level
-        assert (outcome(lambda: PsdMatrix(grid, n_on, level))
-                == outcome(lambda: SampledPsd(grid, field)))
-
-
 @pytest.mark.parametrize("P", [1e-3, 1.0, 1e3])
 def test_shape_check_has_one_outcome_at_every_power(P):
     # the unit-trace Q of diag([0.5, -0.9e-12]) has the eigenvalue -1.8e-12,
@@ -943,11 +915,11 @@ def test_every_field_passes_the_public_check():
     # Seeded shapes whose Q has its least eigenvalue at +1 or -1 times the
     # tolerance 1e-12 max|Q|, the negative ones 1% inside or outside it, at
     # P from 1e-300 to 5e307. The channel rejects every shape outside the
-    # floor when it is built; every field of the others passes the public
-    # PsdMatrix(grid, k, level), which stores the same level bit for bit, bar
-    # subnormal entries, where its Hermitian part 0.5 x + 0.5 x rounds: the
-    # +-1e-12 entry of three diagonal shapes at P = 1e-300. (Within about
-    # 1e-3 of the floor, rounding can flip either verdict; see
+    # floor when it is built; every field of the others passes the per-sample
+    # check SampledPsd(grid, values), which stores the same values bit for
+    # bit, bar subnormal entries, where its Hermitian part 0.5 x + 0.5 x
+    # rounds: the +-1e-12 entry of three diagonal shapes at P = 1e-300.
+    # (Within about 1e-3 of the floor, rounding can flip either verdict; see
     # `_shape_matrix`.)
     rng = np.random.default_rng(20)
     grid = make_grid(64)
@@ -969,8 +941,8 @@ def test_every_field_passes_the_public_check():
             except SolverError:  # the on-level or the rate overflows
                 continue
             fields += 1
-            checked = PsdMatrix(grid, sol.psd.k, sol.psd.level)
-            a, b = (x.level.view(float) for x in (checked, sol.psd))
+            checked = SampledPsd(grid, sol.psd.values)
+            a, b = (x.values.view(float) for x in (checked, sol.psd))
             moved = a != b
             assert (np.abs(b[moved]) < np.finfo(float).tiny).all(), (i, P)
             assert (np.abs(a[moved] - b[moved]) <= 5e-324).all(), (i, P)
