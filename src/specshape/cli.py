@@ -614,7 +614,7 @@ def _solve_uncoded(p: _Params, grid_points: int, factor: float):
         if sol.case_tag is shaping.CaseTag.INFEASIBLE:
             raise InfeasibleScenarioError(
                 "distortion target below the zero-transmission smoothing floor")
-        prelog, gamma, _, _ = shaping._onoff_support_ws(ws, sc.D)
+        prelog, gamma, _, _ = ws.stop
         return {
             "kind": "uncoded",
             "case_tag": sol.case_tag.value,

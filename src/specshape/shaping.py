@@ -41,11 +41,13 @@ shaped noise floor can break this.
 One builder, `_Cells`, holds cells in an order with their weights and running
 weights, and reads on-off stops off the running mass of a PSD along that
 order. `_Workspace` is the `_Cells` of the u-order with the sums the fill
-reads, shared across budgets by `solve` and `rate_curve` (the CLI's `solve`
-reads its prelog and gamma off it too). `onoff_prelog` and the CLI's prelog
-mesh (`_onoff_stops`, one stable sort of phi_s for every gain it serves) read
-only the stops, and `multilegacy` its stops along its own orders. So every
-stop takes one path: the order of a stable sort, running sums from
+reads, shared across budgets by `solve` and `rate_curve`. It computes the
+scenario's on-off stop once, as it does not depend on P: the kink search
+starts its bracket there, `onoff_prelog` returns it with its support, and
+the CLI's `solve` reads its prelog and gamma off it. The CLI's prelog mesh
+(`_onoff_stops`, one stable sort of phi_s for every gain it serves) reads
+only stops, and `multilegacy` its stops along its own orders. So every stop
+takes one path: the order of a stable sort, running sums from
 `_prefix_sums`, the stop from `_onoff_support`.
 """
 
@@ -160,7 +162,9 @@ class _Workspace(_Cells):
     """Scenario-level arrays shared across budgets, all independent of P: the
     `_Cells` of the pre-emphasis order and, along that order, prefix sums of
     w*u, w*base and w*q (q = a*phi_s^2, u = q/base) and prefix maxima of base
-    and q, which the closed-form fill reads."""
+    and q, which the closed-form fill reads. `stop` is the on-off stop at D
+    (`_onoff_support` at D minus the smoothing floor), computed once here for
+    the kink search, `onoff_prelog` and the CLI's prelog and gamma."""
 
     def __init__(self, scenario: UncodedScenario):
         self.scenario = scenario
@@ -180,6 +184,8 @@ class _Workspace(_Cells):
         self.prefix_wq = _prefix_sums(self.ws * self.qs)
         self.maxb = _running_max(self.bs)
         self.maxq = _running_max(self.qs)
+        self.stop = _onoff_support(self.cumw, self.ws, self.us, self.prefix_wu[1:] / np.pi,
+                                   scenario.D - self.dlow)
 
 
 @dataclass
@@ -423,7 +429,7 @@ def _solve_ws(ws: _Workspace, P: float) -> ShapingSolution:
         return evals[wfrac][0] - D
 
     if excess(1.0) > 0.0:
-        lo = _onoff_support_ws(ws, D)[0]
+        lo = ws.stop[0]
         while excess(lo) > 0.0:  # at high power the margin can fall below rounding
             lo *= 0.5
         _scalar.brentq(excess, lo, 1.0)
@@ -504,11 +510,6 @@ def _onoff_support(cumw: np.ndarray, ws: np.ndarray, us: np.ndarray, cum: np.nda
     return min(float(measure) / np.pi, 1.0), gamma, k, theta
 
 
-def _onoff_support_ws(ws: _Workspace, D: float) -> tuple[float, float, int, float]:
-    """`_onoff_support` of a workspace at target D, without the support mask."""
-    return _onoff_support(ws.cumw, ws.ws, ws.us, ws.prefix_wu[1:] / np.pi, D - ws.dlow)
-
-
 def _onoff_stops(per_gain: Sequence[UncodedScenario], targets: Sequence[float]):
     """For each scenario of per_gain (all on one grid and phi_s), the on-off
     stop at each target D, as `_Cells.stops` gives it along the scenario's
@@ -536,11 +537,10 @@ def onoff_prelog(scenario: UncodedScenario) -> PrelogResult:
     boundary cell is included fractionally, so the threshold equation holds
     exactly even when the pre-emphasized PSD has flat stretches. Targets at
     or below the floor yield prelog 0."""
-    u, _, dlow = _preemphasis(scenario)
-    cells = _Cells(scenario.grid, np.argsort(u, kind="stable"))
-    [(frac, gamma, k, _)] = cells.stops(u[cells.order], [scenario.D - dlow])
-    mask = np.zeros(u.size, dtype=bool)
-    mask[cells.order[:k]] = True
+    ws = _Workspace(scenario)
+    frac, gamma, k, _ = ws.stop
+    mask = np.zeros(scenario.grid.n_points, dtype=bool)
+    mask[ws.order[:k]] = True
     return PrelogResult(frac, gamma, mask)
 
 
@@ -557,14 +557,15 @@ def rate_curve(
 
     if method is CurveMethod.INTERFERENCE_TEMPERATURE:
         base = Spectrum(scenario.grid, scenario.base())
-        out: list[tuple[float, float]] = []
-        for p in pw:
-            cap = memoryless_power_cap(replace(scenario, P=p))
-            if cap is None:
-                raise InfeasibleScenarioError(
-                    "memoryless receiver cannot meet the distortion target")
-            out.append((p, waterfill(base, cap).rate if cap > 0 else 0.0))
-        return out
+        if not pw:
+            return []
+        # The legacy-induced cap does not depend on P, and min only selects:
+        # min(p, cap at the largest budget) is the cap at budget p, bit for bit.
+        top = memoryless_power_cap(replace(scenario, P=pw[-1]))
+        if top is None:
+            raise InfeasibleScenarioError("memoryless receiver cannot meet the distortion target")
+        caps = [min(p, top) for p in pw]
+        return [(p, waterfill(base, cap).rate if cap > 0 else 0.0) for p, cap in zip(pw, caps)]
 
     ws = _Workspace(scenario)
     if scenario.D < ws.dlow:

@@ -131,8 +131,6 @@ def tabulated_spectrum(grid: FrequencyGrid, values) -> Spectrum:
     v = _floats(values)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("tabulated PSD needs a 1-D array of at least 2 samples")
-    if v.size == grid.n_points:
-        return Spectrum(grid, v)
     src = np.linspace(0.0, np.pi, v.size)
     return Spectrum(grid, np.interp(grid.omegas, src, v))
 

@@ -91,7 +91,8 @@ def solve_from_past_the_kink(sc, monkeypatch, w0=0.9):
         return waterfill_on(ws, P, wfrac)
 
     with monkeypatch.context() as m:
-        m.setattr(shaping, "_onoff_support_ws", lambda ws, D: (w0, 0.0, 0, 0.0))
+        # solve builds its workspace, and so its stop, inside the patch
+        m.setattr(shaping, "_onoff_support", lambda *args: (w0, 0.0, 0, 0.0))
         m.setattr(shaping, "_waterfill_on", spy)
         return tried, solve(sc)
 

@@ -161,6 +161,8 @@ def test_scenario_validation():
         flat_scenario(D=-1.0)
     with pytest.raises(ValueError):
         flat_scenario(P=0.0)
+    with pytest.raises(ValueError, match="share a grid"):
+        UncodedScenario(1.0, flat_spectrum(GRID, 1.0), flat_spectrum(make_grid(64), 1.0), 0.5, 1.0)
 
 
 def test_scenario_rejects_signal_times_noise_past_the_float_range():

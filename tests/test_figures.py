@@ -94,7 +94,8 @@ def test_rank_scaling_sweep_matches_the_committed_copy(monkeypatch, capsys):
     assert capsys.readouterr().out == (CODED_MIMO / "rank_scaling_sweep.txt").read_text()
 
 
-# Writes every scenario file's output at 32768 points into the directory argv[1].
+# Writes every scenario file's output at 32768 points into the directory argv[1];
+# it runs with a numpy overflow or invalid-value warning made an error.
 WRITE_FULL_SIZE = """
 import sys
 from pathlib import Path
@@ -117,8 +118,8 @@ def test_full_size_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                            os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-c", WRITE_FULL_SIZE, str(out)], cwd=ROOT, env=env,
-                       check=True, timeout=600)
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", WRITE_FULL_SIZE,
+                        str(out)], cwd=ROOT, env=env, check=True, timeout=600)
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert len(outputs["1"]) == len(list((ROOT / "scripts" / "scenarios").glob("*.json"))) == 11
     assert outputs["1"] == outputs["2"]

@@ -330,6 +330,13 @@ def test_channel_validation():
         MimoChannel(np.eye(2), [1.0], [1.0, 0.0], 1, 1, 1, 1, 1, 1, 1, R_l=1.0)
     with pytest.raises(ValueError):
         channel(g_c=-1.0)
+    # a shape of the wrong size, one whose entries pass the float range once
+    # divided by its trace, and one that is not Hermitian
+    for shape, message in ((np.eye(3), "wrong dimensions"),
+                           ([[1e-300, 1e10], [1e10, 1e-300]], "positive semidefinite"),
+                           ([[1, 1], [0, 1]], "Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            replace(channel(), shape=shape)
 
 
 @pytest.mark.parametrize("n_r, n_t", [(1, 0), (0, 2)])

@@ -406,6 +406,9 @@ def test_low_noise_limit_of_general_solver():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         MultiLegacyScenario(flat_spectrum(GRID, 1.0), ())
+    with pytest.raises(ValueError, match="share one grid"):
+        MultiLegacyScenario(flat_spectrum(GRID, 1.0),
+                            [LegacyReceiver(1.0, flat_spectrum(make_grid(64), 1.0), 0.1)])
     with pytest.raises(ValueError):
         LegacyReceiver(0.0, flat_spectrum(GRID, 1.0), 0.1)
     with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 
 # Block scipy before anything imports it, import every specshape module, then
-# run each scenario file through its CLI command at 512 points.
+# run each scenario file through its CLI command at 512 points (`run` makes a
+# numpy overflow or invalid-value warning an error).
 SCRIPT = """
 import importlib, json, pkgutil, sys
 sys.modules["scipy"] = None
@@ -39,8 +40,8 @@ print("scipy" in sys.modules)
 def run(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
 

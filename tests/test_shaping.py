@@ -236,20 +236,23 @@ def shaped_draw(seed):
 
 
 def test_onoff_prelog_is_the_workspace_stop(monkeypatch):
-    # solve (the CLI's prelog and gamma) reads the on-off stop off its
-    # workspace, onoff_prelog off cells of its own sort of u: one builder
-    # under two callers gives the same bits, with flat noise or shaped, and
-    # onoff_prelog sorts once either way
+    # the workspace computes its on-off stop once, and solve (the CLI's prelog
+    # and gamma) and onoff_prelog read it: it is the stop `_Cells.stops` gives
+    # on cells of a sort of u, as the prelog mesh and multilegacy read theirs,
+    # to the bit, with flat noise or shaped, and onoff_prelog sorts once
     scenarios = [flat_study(), ar_study(), ar_study(grid=make_grid(32768)),
                  *(shaped_draw(seed) for seed in range(200))]
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
     for sc in scenarios:
-        ws = shaping._Workspace(sc)
-        prelog, gamma, k, _ = shaping._onoff_support_ws(ws, sc.D)
+        u, _, dlow = shaping._preemphasis(sc)
+        cells = shaping._Cells(sc.grid, argsort(u, kind="stable"))
+        [stop] = cells.stops(u[cells.order], [sc.D - dlow])
+        assert np.array(shaping._Workspace(sc).stop).tobytes() == np.array(stop).tobytes()
+        prelog, gamma, k, _ = stop
         mask = np.zeros(sc.grid.n_points, dtype=bool)
-        mask[ws.order[:k]] = True
+        mask[cells.order[:k]] = True
         sorts.clear()
         got = onoff_prelog(sc)
         assert len(sorts) == 1
@@ -371,11 +374,18 @@ def test_rate_curve_rejects_non_finite_powers(method, powers):
         rate_curve(flat_study(), powers, method)
 
 
-def test_rate_curve_it_infeasible_raises():
+def test_rate_curve_it_infeasible_raises(monkeypatch):
+    # the memoryless target is checked once per curve, before any fill; an
+    # empty curve asks nothing of it
     sc = flat_study()
     bad = UncodedScenario(sc.a, sc.phi_s, sc.phi_n, 1e-5, 1.0)
-    with pytest.raises(InfeasibleScenarioError):
-        rate_curve(bad, [1.0], CurveMethod.INTERFERENCE_TEMPERATURE)
+    fills = []
+    monkeypatch.setattr(shaping, "waterfill", lambda *args: fills.append(args))
+    assert rate_curve(bad, [], CurveMethod.INTERFERENCE_TEMPERATURE) == []
+    for powers in ([1.0], [1.0, 10.0, 1e6]):
+        with pytest.raises(InfeasibleScenarioError, match="memoryless receiver"):
+            rate_curve(bad, powers, CurveMethod.INTERFERENCE_TEMPERATURE)
+    assert fills == []
 
 
 def test_case2_respects_constraints_on_rough_bins():

@@ -120,6 +120,8 @@ def test_spectrum_rejects_bad_values():
         Spectrum(g, -np.ones(g.n_points))
     with pytest.raises(ValueError):
         Spectrum(g, np.ones(g.n_points - 1))
+    with pytest.raises(ValueError, match="variance must be nonnegative"):
+        ar1_spectrum(g, -1.0, 0.5)
     # an int past the largest float is rejected as an infinite sample is
     huge = 10 ** 400
     for build in (lambda: flat_spectrum(g, huge), lambda: ar1_spectrum(g, huge, 0.5),

@@ -88,6 +88,8 @@ def test_rate_rejects_power_over_zero_floor():
     base = Spectrum(g, np.zeros(g.n_points))
     with pytest.raises(ValueError):
         rate(flat_spectrum(g, 1.0), base)
+    with pytest.raises(ValueError, match="share a grid"):
+        rate(flat_spectrum(make_grid(16), 1.0), flat_spectrum(g, 1.0))
 
 
 @settings(max_examples=80, deadline=None)
